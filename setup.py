@@ -1,8 +1,8 @@
 """Build script.
 
 The package is pure Python; the optional extension module
-``gkspec._speedups`` accelerates the two hot kernels (finite-field
-coefficient arithmetic and the SL2 enumeration loop).  If Cython or a C
+``gkspec._speedups`` accelerates the finite-field coefficient kernels
+(gf_mul, gf_pow, gf_geom_sum).  If Cython or a C
 compiler is unavailable the build falls back to the pure interpreter
 implementation in ``gkspec._fallback`` with identical semantics.
 """

@@ -1,8 +1,13 @@
-"""Kernel backend selection.
+"""Kernel backend selection for gf_mul, gf_pow and gf_geom_sum.
 
 Imports the compiled extension when available, otherwise the pure-Python
 fallback.  Set the environment variable ``GKSPEC_PURE=1`` before import to
 force the fallback (useful for benchmarking and differential testing).
+
+The extension's SL2 enumeration kernel is not used.  PSL2 orders have one
+pure implementation in ``gkspec.groups``: the trace recurrence fixes each
+order, every determinant-one matrix is still visited, and the total is
+still checked against |SL2(q)|.
 """
 
 import os
@@ -18,7 +23,6 @@ else:
 gf_mul = _impl.gf_mul
 gf_pow = _impl.gf_pow
 gf_geom_sum = _impl.gf_geom_sum
-psl2_order_counts = _impl.psl2_order_counts
 
 
 def backend_name() -> str:

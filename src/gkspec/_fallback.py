@@ -1,9 +1,12 @@
-"""Pure-Python implementations of the hot kernels.
+"""Pure-Python implementations of the GF(p^k) coefficient kernels.
 
-Same call signatures and results as the compiled module
-``gkspec._speedups``; selected automatically when the extension is not
-built (see ``gkspec._core``).  Correctness over speed: these are the
-reference semantics the compiled kernels are tested against.
+Same call signatures and results as gf_mul, gf_pow and gf_geom_sum in the
+compiled module ``gkspec._speedups``; selected automatically when the
+extension is not built (see ``gkspec._core``).  Correctness over speed:
+these are the reference semantics the compiled kernels are tested against.
+The PSL2 order count has a single implementation, in ``gkspec.groups``: the
+trace recurrence fixes each matrix's order, every determinant-one matrix is
+still visited, and the total is still checked against |SL2(q)|.
 """
 
 COMPILED = False
@@ -52,56 +55,3 @@ def gf_geom_sum(a, m, modulus, p):
             acc[i] = (acc[i] + x[i]) % p
         x = gf_mul(x, a, modulus, p)
     return tuple(acc)
-
-
-def psl2_order_counts(q, mul, add, neg, one, zero):
-    """Orders of all determinant-one 2x2 matrices over a q-element field.
-
-    mul and add are flat row-major q*q tables over element indices, neg the
-    negation table, one/zero the indices of the field constants.  For every
-    matrix (a b / c d) with a*d - b*c = 1 the least e >= 1 with the e-th
-    power scalar is tallied; returns a list where entry e counts matrices
-    of projective order e.
-
-    The determinant-one matrices are enumerated directly: for a != 0 the
-    entry d is determined by (a, b, c), and for a = 0 the constraint forces
-    c = -1/b with d free.  Same multiset as rejection over all quadruples.
-    """
-    counts = [0] * (4 * q + 8)
-    limit = len(counts) - 1
-    inv = [None] * q
-    for x in range(q):
-        for y in range(q):
-            if mul[x * q + y] == one:
-                inv[x] = y
-                break
-
-    def tally(a, b, c, d):
-        wa, wb, wc, wd = a, b, c, d
-        e = 1
-        while not (wb == zero and wc == zero and wa == wd):
-            na = add[mul[wa * q + a] * q + mul[wb * q + c]]
-            nb = add[mul[wa * q + b] * q + mul[wb * q + d]]
-            nc = add[mul[wc * q + a] * q + mul[wd * q + c]]
-            nd = add[mul[wc * q + b] * q + mul[wd * q + d]]
-            wa, wb, wc, wd = na, nb, nc, nd
-            e += 1
-            if e > limit:
-                raise RuntimeError("matrix order exceeded sane bound")
-        counts[e] += 1
-
-    for a in range(q):
-        if a == zero:
-            for b in range(q):
-                if b == zero:
-                    continue  # det would be 0
-                c = neg[inv[b]]
-                for d in range(q):
-                    tally(a, b, c, d)
-            continue
-        ainv = inv[a]
-        for b in range(q):
-            for c in range(q):
-                d = mul[ainv * q + add[one * q + mul[b * q + c]]]
-                tally(a, b, c, d)
-    return counts

@@ -217,7 +217,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, ValueError, OverflowError) as exc:
+        # input the library rejects is a usage error (2), not a failed check (1);
+        # verify reports its checks' own exceptions as failures instead
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,21 +4,22 @@ Three families live here: semidirect products of field summands by cyclic
 unit-multiplication groups (including the three-prime tightness witness),
 semilinear kernel-complement groups inside GammaL1(p^k) such as 23:11 on
 GF(2^11), and PSL2(q) spectra obtained by enumerating every determinant-one
-matrix.  The enumeration is the oracle; closed-form order counts serve only
-as consistency checks.  Hall arithmetic and the hypothesis checker for the
-two-condition spectrum criterion round out the module.
+matrix, each order read off its trace.  The enumeration is the oracle;
+closed-form order counts serve only as consistency checks.  Hall
+arithmetic and the hypothesis checker for the two-condition spectrum
+criterion round out the module.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd
 
 from .gf import FieldElement, FiniteField, make_field, subgroup_generator
 from .linact import ActionGroupElement, LinearAction, semidirect_spectrum
-from ._core import psl2_order_counts
 from .orderset import Factorization, OrderSet, factorize
 
 
@@ -196,28 +197,88 @@ class Psl2Report:
 _PSL2_MAX_Q = 64
 
 
-def psl2_spectrum(q: int) -> Psl2Report:
-    """Element orders of PSL2(q) for a prime power q <= 64.
+def field_tables(q: int) -> tuple[list[int], list[int], list[int], int, int]:
+    """Arithmetic of GF(q) on element indices 0..q-1 (see FiniteField.element_at).
 
-    Every 2x2 matrix over GF(q) with determinant one is enumerated and its
-    least scalar-valued power found; the resulting order multiset is checked
-    against |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.
+    Returns (mul, add, neg, one, zero): mul and add are flat row-major q*q
+    tables, neg the negation table, one/zero the indices of the constants.
     """
-    if q < 2 or q > _PSL2_MAX_Q:
-        raise ValueError(f"q must be a prime power in [2, {_PSL2_MAX_Q}]")
     fac = factorize(q)
     if len(fac.pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p, k = fac.pairs[0]
+    ((p, k),) = fac.pairs
     field = make_field(p, k)
     elems = [field.element_at(n) for n in range(q)]
     index = {e.coeffs: n for n, e in enumerate(elems)}
     mul = [index[(a * b).coeffs] for a in elems for b in elems]
     add = [index[(a + b).coeffs] for a in elems for b in elems]
     neg = [index[(-a).coeffs] for a in elems]
-    zero = index[field.zero.coeffs]
-    one = index[field.one.coeffs]
-    counts = psl2_order_counts(q, mul, add, neg, one, zero)
+    return mul, add, neg, index[field.one.coeffs], index[field.zero.coeffs]
+
+
+def psl2_order_counts(q, mul, add, neg, one, zero) -> list[int]:
+    """Projective orders of all determinant-one 2x2 matrices over GF(q).
+
+    The arguments are field_tables(q).  Entry e of the result counts the
+    matrices whose e-th power is scalar and no smaller positive power is.
+
+    For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
+    with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
+    a non-scalar A has a scalar n-th power exactly when U_n(t) = 0, and
+    its order is fixed by its trace.  The order of each of the q traces
+    is found once; then every matrix (a b / c d) is still visited, as
+    +-I (order 1) or by its trace a + d.  For a != 0 the entry d is
+    determined by (a, b, c); for a = 0 the determinant forces c = -1/b
+    with d free, and the trace is d.
+    """
+    counts = [0] * (4 * q + 8)
+    limit = len(counts) - 1
+    trace_order = []
+    for t in range(q):
+        u_prev, u, n = zero, one, 1
+        while u != zero:
+            u_prev, u = u, add[mul[t * q + u] * q + neg[u_prev]]
+            n += 1
+            if n > limit:
+                raise RuntimeError("matrix order exceeded sane bound")
+        trace_order.append(n)
+    one_plus = add[one * q:(one + 1) * q]
+    for a in range(q):
+        plus_a = add[a * q:(a + 1) * q]
+        if a == zero:
+            for b in range(q):
+                if b != zero:
+                    for d in range(q):
+                        counts[trace_order[plus_a[d]]] += 1
+            continue
+        ainv = mul[a * q:(a + 1) * q].index(one)
+        times_ainv = mul[ainv * q:(ainv + 1) * q]
+        for b in range(q):
+            times_b = mul[b * q:(b + 1) * q]
+            for c in range(q):
+                d = times_ainv[one_plus[times_b[c]]]
+                if b == zero and c == zero and d == a:
+                    counts[1] += 1
+                else:
+                    counts[trace_order[plus_a[d]]] += 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def psl2_spectrum(q: int) -> Psl2Report:
+    """Element orders of PSL2(q) for a prime power q <= 64.
+
+    Every 2x2 matrix over GF(q) with determinant one is visited and its
+    projective order read off its trace by the Cayley-Hamilton recurrence
+    (see psl2_order_counts); the resulting order multiset is checked
+    against |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.  The
+    report is frozen, so each q is enumerated once per process.
+    """
+    if q < 2 or q > _PSL2_MAX_Q:
+        raise ValueError(f"q must be a prime power in [2, {_PSL2_MAX_Q}]")
+    tables = field_tables(q)  # raises ValueError unless q is a prime power
+    ((p, k),) = factorize(q).pairs
+    counts = psl2_order_counts(q, *tables)
     sl2_size = q * (q - 1) * (q + 1)
     if sum(counts) != sl2_size:
         raise AssertionError("enumeration missed determinant-one matrices")

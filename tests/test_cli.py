@@ -89,6 +89,31 @@ def test_coclique(capsys):
     )
 
 
+def _first_primes(n):
+    primes = []
+    m = 2
+    while len(primes) < n:
+        if all(m % p for p in primes):
+            primes.append(m)
+        m += 1
+    return primes
+
+
+def test_coclique_library_value_error_exits_2(capsys):
+    gens = ",".join(map(str, _first_primes(70)))
+    code, out, err = run(capsys, "coclique", "--gens", gens)
+    assert code == 2
+    assert out == ""
+    assert err == "error: coclique search supports at most 64 vertices\n"
+
+
+def test_product_overflow_exits_2(capsys):
+    code, out, err = run(capsys, "product", "4611686018427387847", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: lcm(4611686018427387847,3) exceeds the 64-bit range\n"
+
+
 def test_db_query_lemma8(capsys):
     code, out, _ = run(capsys, "db", "query", "--lemma", "8")
     assert code == 0

@@ -15,6 +15,7 @@ from gkspec.groups import (
 )
 from gkspec.linact import action_order
 from gkspec.orderset import J4_ORDER, OrderSet, factorize, j4_spectrum
+from gkspec.verify import run_checks
 
 
 # -- the three-prime witness -----------------------------------------------------
@@ -187,6 +188,14 @@ def test_psl2_rejects_bad_q():
         psl2_spectrum(65)
     with pytest.raises(ValueError):
         psl2_spectrum(1)
+
+
+def test_psl2_spectrum_is_memoized():
+    assert psl2_spectrum(23) is psl2_spectrum(23)
+    psl2_spectrum.cache_clear()
+    assert run_checks().ok
+    # q = 23, 29, 32, 43: the db.load crosschecks reuse the psl2.* results
+    assert psl2_spectrum.cache_info().misses == 4
 
 
 def test_parse_psl2_name():

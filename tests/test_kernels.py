@@ -1,4 +1,5 @@
-"""Differential tests: compiled kernels against the pure-Python reference."""
+"""Differential tests: compiled kernels against the pure-Python reference,
+and the PSL2 trace recurrence against a power-iteration oracle."""
 
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from gkspec import _fallback
 from gkspec.gf import make_field
+from gkspec.groups import field_tables, psl2_order_counts
 
 try:
     from gkspec import _speedups
@@ -56,33 +58,81 @@ def test_gf_geom_sum_agreement(p, k):
         )
 
 
-def _field_tables(q):
-    from gkspec.orderset import factorize
+def power_iteration_counts(q, mul, add, neg, one, zero):
+    """Orders of all determinant-one 2x2 matrices over a q-element field.
 
-    ((p, k),) = factorize(q).pairs
-    f = make_field(p, k)
-    elems = [f.element_at(n) for n in range(q)]
-    index = {e.coeffs: n for n, e in enumerate(elems)}
-    mul = [index[(a * b).coeffs] for a in elems for b in elems]
-    add = [index[(a + b).coeffs] for a in elems for b in elems]
-    neg = [index[(-a).coeffs] for a in elems]
-    return mul, add, neg, index[f.one.coeffs], index[f.zero.coeffs]
+    mul and add are flat row-major q*q tables over element indices, neg the
+    negation table, one/zero the indices of the field constants.  For every
+    matrix (a b / c d) with a*d - b*c = 1 the least e >= 1 with the e-th
+    power scalar is tallied; returns a list where entry e counts matrices
+    of projective order e.
+
+    The determinant-one matrices are enumerated directly: for a != 0 the
+    entry d is determined by (a, b, c), and for a = 0 the constraint forces
+    c = -1/b with d free.  Same multiset as rejection over all quadruples.
+
+    Test oracle: repeated 2x2 multiplication, independent of the trace
+    recurrence in gkspec.groups.psl2_order_counts.
+    """
+    counts = [0] * (4 * q + 8)
+    limit = len(counts) - 1
+    inv = [None] * q
+    for x in range(q):
+        for y in range(q):
+            if mul[x * q + y] == one:
+                inv[x] = y
+                break
+
+    def tally(a, b, c, d):
+        wa, wb, wc, wd = a, b, c, d
+        e = 1
+        while not (wb == zero and wc == zero and wa == wd):
+            na = add[mul[wa * q + a] * q + mul[wb * q + c]]
+            nb = add[mul[wa * q + b] * q + mul[wb * q + d]]
+            nc = add[mul[wc * q + a] * q + mul[wd * q + c]]
+            nd = add[mul[wc * q + b] * q + mul[wd * q + d]]
+            wa, wb, wc, wd = na, nb, nc, nd
+            e += 1
+            if e > limit:
+                raise RuntimeError("matrix order exceeded sane bound")
+        counts[e] += 1
+
+    for a in range(q):
+        if a == zero:
+            for b in range(q):
+                if b == zero:
+                    continue  # det would be 0
+                c = neg[inv[b]]
+                for d in range(q):
+                    tally(a, b, c, d)
+            continue
+        ainv = inv[a]
+        for b in range(q):
+            for c in range(q):
+                d = mul[ainv * q + add[one * q + mul[b * q + c]]]
+                tally(a, b, c, d)
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_psl2_counts_match_power_iteration(q):
+    tables = field_tables(q)
+    assert psl2_order_counts(q, *tables) == power_iteration_counts(q, *tables)
 
 
 @needs_compiled
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_psl2_counts_agreement(q):
-    mul, add, neg, one, zero = _field_tables(q)
-    fast = _speedups.psl2_order_counts(q, mul, add, neg, one, zero)
-    slow = _fallback.psl2_order_counts(q, mul, add, neg, one, zero)
+    tables = field_tables(q)
+    fast = _speedups.psl2_order_counts(q, *tables)
+    slow = power_iteration_counts(q, *tables)
     assert list(fast) == list(slow)
     assert sum(fast) == q * (q - 1) * (q + 1)
 
 
 def test_fallback_counts_total_is_sl2_size():
     for q in (2, 3, 5, 7):
-        mul, add, neg, one, zero = _field_tables(q)
-        counts = _fallback.psl2_order_counts(q, mul, add, neg, one, zero)
+        counts = power_iteration_counts(q, *field_tables(q))
         assert sum(counts) == q * (q - 1) * (q + 1)
 
 
