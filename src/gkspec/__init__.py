@@ -7,7 +7,6 @@ with selection filters.  The CLI (``gkspec``) exposes ad-hoc queries plus
 a one-shot verification report over the embedded data.
 """
 
-from ._core import backend_name
 from .orderset import (
     Factorization,
     OrderSet,
@@ -23,7 +22,6 @@ __all__ = [
     "Factorization",
     "OrderSet",
     "PrimeGraph",
-    "backend_name",
     "build_gk",
     "factorize",
     "j4_spectrum",

@@ -3,7 +3,13 @@
 Polynomials are lists of integer coefficients in {0, ..., p-1}, ascending
 degree, with no trailing zeros ([] is the zero polynomial).  Only the
 operations needed by the field constructor and the minimal-polynomial
-routine are provided; everything is exact modular arithmetic.
+routine are provided; everything is exact modular arithmetic on Python
+integers, so no p is too large.
+
+mulmod and powmod are the GF(p^k) kernels behind gkspec.gf: they take and
+return fixed-length coefficient tuples, k = deg(modulus) slots each, rather
+than trimmed lists.  They are the only implementation of field
+multiplication and powering in the package.
 """
 
 
@@ -70,26 +76,30 @@ def lcm(a, b, p):
 
 
 def mulmod(a, b, modulus, p):
-    """a*b reduced by a monic modulus, returned padded to deg(modulus) slots."""
+    """Product of two coefficient tuples modulo a monic modulus.
+
+    a, b have length k = deg(modulus); the result is a length-k tuple.
+    """
     k = len(modulus) - 1
-    out = [0] * (2 * k - 1 if k > 0 else 1)
-    for i, x in enumerate(a):
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        x = a[i]
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
+            for j in range(k):
+                prod[i + j] = (prod[i + j] + x * b[j]) % p
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i]
         if c:
-            for j in range(k + 1):
-                out[i - k + j] = (out[i - k + j] - c * modulus[j]) % p
-    return out[:k]
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+    return tuple(prod[:k])
 
 
 def powmod(a, e, modulus, p):
-    """a**e reduced by a monic modulus (square and multiply)."""
+    """a**e modulo a monic modulus by square-and-multiply; a has length k, e >= 0."""
     k = len(modulus) - 1
-    result = [1] + [0] * (k - 1)
-    base = list(a[:k]) + [0] * (k - len(a))
+    result = (1,) + (0,) * (k - 1)
+    base = a
     while e:
         if e & 1:
             result = mulmod(result, base, modulus, p)
@@ -137,7 +147,7 @@ def is_irreducible(modulus, p):
         return True
     if modulus[0] == 0:
         return False  # root at zero
-    x = [0, 1]
+    x = (0, 1) + (0,) * (k - 2)
     t = x
     for _ in range(k):
         t = powmod(t, p, modulus, p)

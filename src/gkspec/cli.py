@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import atlasdb, verify
-from ._core import backend_name
 from .orderset import OrderSet, product_spectrum, wreath2_spectrum
 from .primegraph import build_gk
 
@@ -133,7 +132,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = {
             "overall": "pass" if report.ok else "fail",
-            "backend": backend_name(),
+            "backend": "pure",  # kept so stored reports keep their shape
             "checks": report.to_json_obj(),
         }
         if args.timestamp:

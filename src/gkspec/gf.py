@@ -7,9 +7,9 @@ smallest irreducible on the coefficient vector (c0, c1, ..., c_{k-1}, 1),
 so repeated construction always yields the same field.  Nothing downstream
 depends on the particular modulus, only on the isomorphism type.
 
-Coefficients are machine residues; the multiplication kernel is provided
-by gkspec._core (compiled when available).  Fields and elements are
-immutable and safe to share between threads.
+Coefficients are Python integers, so arithmetic is exact for every p;
+multiplication and powering are gkspec._poly.mulmod and powmod.  Fields
+and elements are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _poly
-from ._core import gf_mul, gf_pow
 from .orderset import INT64_MAX, factorize, _is_prime
 
 
@@ -125,13 +124,13 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
         f = self.field
-        return FieldElement(f, gf_mul(self.coeffs, other.coeffs, f.modulus, f.p))
+        return FieldElement(f, _poly.mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        return FieldElement(f, gf_pow(self.coeffs, e, f.modulus, f.p))
+        return FieldElement(f, _poly.powmod(self.coeffs, e, f.modulus, f.p))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:

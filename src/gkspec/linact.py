@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import gcd
 
 from . import _poly
-from ._core import gf_geom_sum
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime
 
@@ -291,22 +290,21 @@ def t_sum_map(h: LinearAction, m: int) -> GFMatrix:
     if m < 1:
         raise ValueError("m must be >= 1")
     f = h.field
-    cols = []
-    for b in f.basis():
-        acc = f.zero
-        w = b
-        for _ in range(m):
-            acc = acc + w
-            w = h.apply(w)
-        cols.append(acc.coeffs)
+    cols = [_t_sum_on(h, m, b).coeffs for b in f.basis()]
     return GFMatrix(f.p, tuple(tuple(col[i] for col in cols) for i in range(f.k)))
 
 
 @lru_cache(maxsize=4096)
 def _geom_sum(u: FieldElement, m: int) -> FieldElement:
-    """1 + u + ... + u^(m-1); for multiplications this is the whole T-sum."""
+    """1 + u + ... + u^(m-1); for multiplications this is the whole T-sum.
+
+    Closed form: m * 1 when u = 1, else (u^m - 1)/(u - 1).
+    """
     f = u.field
-    return FieldElement(f, gf_geom_sum(u.coeffs, m, f.modulus, f.p))
+    one = f.one
+    if u == one:
+        return f.scalar(m)
+    return (u**m - one) / (u - one)
 
 
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:

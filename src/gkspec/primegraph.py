@@ -59,8 +59,6 @@ class PrimeGraph:
         n = len(self.vertices)
         if n == 0:
             return []
-        if n > 64:
-            raise ValueError("coclique search supports at most 64 vertices")
         index = {v: i for i, v in enumerate(self.vertices)}
         adj = [0] * n
         for p, q in self.edges:
@@ -84,38 +82,38 @@ class PrimeGraph:
                 count += 1
             return count
 
-        best = 0
-
-        def search(mask: int, size: int):
-            nonlocal best
-            if size + cover_bound(mask) <= best:
-                return
-            if not mask:
-                best = max(best, size)
-                return
-            v = (mask & -mask).bit_length() - 1
-            search(mask & ~adj[v] & ~(1 << v), size + 1)
-            search(mask & ~(1 << v), size)
-
+        # depth-first branch and bound on an explicit stack, so the vertex
+        # count is not limited by the interpreter's recursion depth; the
+        # "take v" branch is pushed last so it is explored first
         full = (1 << n) - 1
-        search(full, 0)
+        best = 0
+        stack = [(full, 0)]
+        while stack:
+            mask, size = stack.pop()
+            if size + cover_bound(mask) <= best:
+                continue
+            if not mask:
+                best = size
+                continue
+            v = (mask & -mask).bit_length() - 1
+            stack.append((mask & ~(1 << v), size))
+            stack.append((mask & ~adj[v] & ~(1 << v), size + 1))
         alpha = best
 
         found: list[tuple[int, ...]] = []
-
-        def collect(mask: int, chosen: int, size: int):
+        stack = [(full, 0, 0)]
+        while stack:
+            mask, chosen, size = stack.pop()
             if size == alpha:
                 found.append(
                     tuple(self.vertices[i] for i in range(n) if chosen >> i & 1)
                 )
-                return
+                continue
             if size + cover_bound(mask) < alpha:
-                return
+                continue
             v = (mask & -mask).bit_length() - 1
-            collect(mask & ~adj[v] & ~(1 << v), chosen | (1 << v), size + 1)
-            collect(mask & ~(1 << v), chosen, size)
-
-        collect(full, 0, 0)
+            stack.append((mask & ~(1 << v), chosen, size))
+            stack.append((mask & ~adj[v] & ~(1 << v), chosen | (1 << v), size + 1))
         return sorted(found)
 
     def dot(self) -> str:

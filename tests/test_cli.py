@@ -99,12 +99,23 @@ def _first_primes(n):
     return primes
 
 
-def test_coclique_library_value_error_exits_2(capsys):
-    gens = ",".join(map(str, _first_primes(70)))
-    code, out, err = run(capsys, "coclique", "--gens", gens)
+def test_coclique_beyond_64_vertices(capsys):
+    primes = _first_primes(70)
+    code, out, err = run(capsys, "coclique", "--gens", ",".join(map(str, primes)))
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "independence number: 70\n" f"coclique: {','.join(map(str, primes))}\n"
+    )
+
+
+def test_db_check_library_value_error_exits_2(tmp_path, capsys):
+    db = tmp_path / "l2_6.db"
+    db.write_text("group L2(6)\norder 2 3\npi 2,3\n")
+    code, out, err = run(capsys, "db", "check", "--db", str(db))
     assert code == 2
     assert out == ""
-    assert err == "error: coclique search supports at most 64 vertices\n"
+    assert err == "error: 6 is not a prime power\n"
 
 
 def test_product_overflow_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Prime graph construction and exact coclique search."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -173,6 +174,19 @@ def test_max_cocliques_bruteforce_up_to_16_vertices():
             )
             g = PrimeGraph(vertices, edges)
             assert g.max_cocliques() == brute_force_bitmask(g)
+
+
+def test_max_cocliques_deeper_than_the_recursion_limit():
+    # an edgeless graph makes the search as deep as the vertex count
+    n = sys.getrecursionlimit() + 100
+    vertices = []
+    m = 2
+    while len(vertices) < n:
+        if all(m % p for p in vertices if p * p <= m):
+            vertices.append(m)
+        m += 1
+    g = PrimeGraph(tuple(vertices), frozenset())
+    assert g.max_cocliques() == [tuple(vertices)]
 
 
 def test_coclique_outputs_are_maximum_and_maximal():
