@@ -12,6 +12,8 @@ than trimmed lists.  They are the only implementation of field
 multiplication and powering in the package.
 """
 
+from .orderset import prime_divisors
+
 
 def trim(coeffs):
     """Drop trailing zero coefficients."""
@@ -153,7 +155,7 @@ def is_irreducible(modulus, p):
         t = powmod(t, p, modulus, p)
     if trim([(t[i] - (1 if i == 1 else 0)) % p for i in range(k)]):
         return False
-    for r in _prime_divisors(k):
+    for r in prime_divisors(k):
         t = x
         for _ in range(k // r):
             t = powmod(t, p, modulus, p)
@@ -162,16 +164,3 @@ def is_irreducible(modulus, p):
             return False
     return True
 
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -36,6 +37,24 @@ def test_spectrum_rejects_zero(capsys):
     code, _, err = run(capsys, "spectrum", "0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "n, members, pi, sigma",
+    [
+        (1000000000000000003, 2, "1000000000000000003", 1),  # prime
+        (4611686014132420609, 3, "2147483647", 1),  # (2^31 - 1)^2
+        (4611685975477714963, 4, "2147483629,2147483647", 2),
+    ],
+)
+def test_spectrum_of_large_values_in_bounded_time(capsys, n, members, pi, sigma):
+    # trial division needed minutes for these; the bound leaves a wide margin
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", str(n))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == f"maximal: {n}\nmembers: {members}\npi: {pi}\nsigma: {sigma}\n"
+    assert elapsed < 2.0
 
 
 def test_product(capsys):

@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkspec.orderset import (
     Factorization,
@@ -11,6 +13,8 @@ from gkspec.orderset import (
     J4_ORDER,
     J4_SPECTRUM_GENERATORS,
     OrderSet,
+    _divisors,
+    _is_prime,
     factorize,
     j4_spectrum,
     j4xj4_spectrum,
@@ -24,6 +28,40 @@ PI_2 = {7, 11, 23, 29, 31, 37, 43}
 
 def brute_divisors(n):
     return {d for d in range(1, n + 1) if n % d == 0}
+
+
+# Trial division up to sqrt(n), the library's former method, kept as the
+# oracle for the Miller-Rabin and Pollard-rho code that replaced it.
+
+def trial_is_prime(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def trial_factorize(n):
+    pairs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                e += 1
+                n //= d
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 # -- factorize ----------------------------------------------------------------
@@ -52,6 +90,59 @@ def test_factorize_roundtrip_random():
         for p, e in f.pairs:
             assert e >= 1
             assert factorize(p).pairs == ((p, 1),)
+
+
+def test_is_prime_matches_trial_division_below_2_17():
+    assert [n for n in range(2**17) if _is_prime(n)] == [
+        n for n in range(2**17) if trial_is_prime(n)
+    ]
+
+
+def test_is_prime_across_the_miller_rabin_threshold():
+    # below 2^20 the table decides, from 2^20 on Miller-Rabin does
+    for n in range(2**20 - 3000, 2**20 + 3000):
+        assert _is_prime(n) == trial_is_prime(n), n
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    for n in (561, 41041, 825265):  # Carmichael numbers
+        assert not _is_prime(n)
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7, and
+    # 3825123056546413051 to every prime base up to 31, so only base 37
+    # exposes it
+    assert trial_factorize(3215031751) == ((151, 1), (751, 1), (28351, 1))
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert factorize(3825123056546413051).pairs == (
+        (149491, 1), (747451, 1), (34233211, 1)
+    )
+
+
+def test_factorize_matches_trial_division_on_hard_cofactors():
+    # products of two primes above 2^10, squares and cubes of such primes,
+    # and such products times a small part: cofactors that Pollard rho
+    # must split
+    rng = random.Random(707)
+    primes = [p for p in range(1031, 40000) if trial_is_prime(p)]
+    for _ in range(80):
+        p, q = rng.choice(primes), rng.choice(primes)
+        for n in (p * q, p * p, p**3, rng.randrange(1, 2**16) * p * q):
+            assert factorize(n).pairs == trial_factorize(n), n
+
+
+def test_divisors_match_brute_force():
+    rng = random.Random(808)
+    for n in [1, 2, 720720, 999983, 2**19] + [rng.randrange(1, 10**6) for _ in range(12)]:
+        assert _divisors(n) == sorted(brute_divisors(n)), n
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.integers(1, INT64_MAX))
+def test_factorize_roundtrip_int64(n):
+    f = factorize(n)  # Factorization checks every prime with _is_prime
+    assert f.value() == n
+    # factors below 2^40 are checked against the oracle as well
+    assert all(p >= 2**40 or trial_is_prime(p) for p in f.primes)
 
 
 def test_j4_order_reconstructs():
