@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import Psl2Report, parse_psl2_name, psl2_spectrum
+from .groups import PSL2_MAX_Q, Psl2Report, parse_psl2_name, psl2_spectrum
 from .orderset import Factorization, OrderSet, _is_prime, factorize
 
 
@@ -184,7 +184,7 @@ def parse_records(text: str) -> list[GroupRecord]:
         elif key == "mu":
             try:
                 current["mu"] = OrderSet.from_generators(_parse_ints(rest, line_no))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(line_no, str(exc)) from None
         elif key == "pi":
             current["pi"] = _parse_ints(rest, line_no)
@@ -209,15 +209,11 @@ def serialize_records(records) -> str:
     return "\n".join(r.serialize() for r in records)
 
 
-def load_embedded() -> list[GroupRecord]:
-    """The corpus shipped with the package."""
-    text = (
-        resources.files("gkspec").joinpath("data/simple_groups.db").read_text("utf-8")
-    )
-    return parse_records(text)
-
-
-def load_path(path) -> list[GroupRecord]:
+def load(path=None) -> list[GroupRecord]:
+    """The records in the database file at path; None reads the shipped corpus."""
+    if path is None:
+        data = resources.files("gkspec").joinpath("data/simple_groups.db")
+        return parse_records(data.read_text("utf-8"))
     with open(path, encoding="utf-8") as fh:
         return parse_records(fh.read())
 
@@ -314,16 +310,16 @@ def record_from_psl2(report: Psl2Report) -> GroupRecord:
     )
 
 
-def crosscheck_record(record: GroupRecord, max_q: int = 64) -> CrosscheckReport:
+def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     """Re-derive a record from an independent oracle where one exists.
 
-    Groups of type L2(q) with q <= max_q are recomputed by matrix
+    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by matrix
     enumeration; any disagreement in order, pi, mu or flags is a hard
     CrosscheckError.  Everything else is reported as cited data (its
     internal consistency was already validated at construction).
     """
     q = parse_psl2_name(record.name)
-    if q is None or q > max_q:
+    if q is None or q > PSL2_MAX_Q:
         return CrosscheckReport(
             record.name, "cited", "no in-range oracle; cited data, internally consistent"
         )

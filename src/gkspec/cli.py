@@ -30,9 +30,7 @@ def _parse_orderset(text: str) -> OrderSet:
 
 def _load_db(path):
     try:
-        if path is None:
-            return atlasdb.load_embedded()
-        return atlasdb.load_path(path)
+        return atlasdb.load(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load database: {exc}") from None
 

@@ -61,11 +61,6 @@ class FiniteField:
             n //= self.p
         return FieldElement(self, tuple(coeffs))
 
-    def elements(self):
-        """All field elements in lexicographic coefficient order."""
-        for n in range(self.order):
-            yield self.element_at(n)
-
     def basis(self):
         """The polynomial basis 1, x, ..., x^(k-1)."""
         for j in range(self.k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product as iter_product
 from math import gcd
 
@@ -75,6 +75,7 @@ class SemidirectSpec:
         return semidirect_spectrum(self.summands, self.acting_elements())
 
 
+@cache
 def build_remark_group() -> SemidirectSpec:
     """The tightness witness: GF(3^16)+ x GF(3^4)+ acted on by C17 x C5.
 
@@ -145,9 +146,6 @@ class GammaSemilinearGroup:
     actions: tuple[LinearAction, ...]
     frobenius_config: bool
 
-    def action_elements(self) -> list[ActionGroupElement]:
-        return [ActionGroupElement((a,)) for a in self.actions]
-
 
 def build_gamma_frobenius(
     p: int, k: int, kernel_order: int, complement_order: int | None = None
@@ -194,7 +192,7 @@ class Psl2Report:
         return self.spectrum.maximal_elements
 
 
-_PSL2_MAX_Q = 64
+PSL2_MAX_Q = 64  # largest q that psl2_spectrum enumerates
 
 
 def field_tables(q: int) -> tuple[list[int], list[int], list[int], int, int]:
@@ -264,7 +262,7 @@ def psl2_order_counts(q, mul, add, neg, one, zero) -> list[int]:
     return counts
 
 
-@lru_cache(maxsize=None)
+@cache
 def psl2_spectrum(q: int) -> Psl2Report:
     """Element orders of PSL2(q) for a prime power q <= 64.
 
@@ -274,8 +272,8 @@ def psl2_spectrum(q: int) -> Psl2Report:
     against |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.  The
     report is frozen, so each q is enumerated once per process.
     """
-    if q < 2 or q > _PSL2_MAX_Q:
-        raise ValueError(f"q must be a prime power in [2, {_PSL2_MAX_Q}]")
+    if q < 2 or q > PSL2_MAX_Q:
+        raise ValueError(f"q must be a prime power in [2, {PSL2_MAX_Q}]")
     tables = field_tables(q)  # raises ValueError unless q is a prime power
     ((p, k),) = factorize(q).pairs
     counts = psl2_order_counts(q, *tables)

@@ -158,9 +158,6 @@ class LinearAction:
     def apply(self, x: FieldElement) -> FieldElement:
         return self.mult * self.field.frobenius(x, self.galois_exp)
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        return self.apply(x)
-
     def compose(self, other: "LinearAction") -> "LinearAction":
         """self after other; the normal form is closed under composition."""
         if self.field != other.field:

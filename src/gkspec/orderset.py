@@ -21,6 +21,7 @@ the signed 64-bit range raises OverflowError instead of wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from math import gcd, isqrt
 
@@ -295,9 +296,6 @@ class OrderSet:
         return "{" + self.serialize() + "}"
 
 
-TRIVIAL = OrderSet((1,))
-
-
 def _lcm_checked(a: int, b: int) -> int:
     v = a // gcd(a, b) * b
     if v > INT64_MAX:
@@ -339,11 +337,13 @@ J4_ORDER = Factorization(
 )
 
 
+@cache
 def j4_spectrum() -> OrderSet:
     """The element-order spectrum of J4."""
     return OrderSet.from_generators(J4_SPECTRUM_GENERATORS)
 
 
+@cache
 def j4xj4_spectrum() -> OrderSet:
     """The element-order spectrum of J4 x J4 (lcm closure of the above)."""
     s = j4_spectrum()

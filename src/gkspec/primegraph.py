@@ -3,8 +3,9 @@
 The prime graph of a spectrum has the primes of the spectrum as vertices,
 with p adjacent to q whenever p*q is a member.  Cocliques (independent
 sets) of this graph drive the structural arguments the toolkit verifies,
-so the search here is exact: branch and bound with a greedy clique-cover
-bound, returning every maximum coclique in canonical sorted order.
+so the search here is exact: a single branch-and-bound pass with a greedy
+clique-cover bound collects every maximum coclique, returned in canonical
+sorted order.
 
 Graphs are immutable; the search is deterministic.
 """
@@ -42,8 +43,9 @@ class PrimeGraph:
     def is_coclique(self, primes) -> bool:
         """True iff no two distinct members of primes are adjacent."""
         ps = sorted(set(primes))
+        vset = set(self.vertices)
         for p in ps:
-            if p not in set(self.vertices):
+            if p not in vset:
                 raise ValueError(f"{p} is not a vertex of this graph")
         for i, p in enumerate(ps):
             for q in ps[i + 1:]:
@@ -82,39 +84,29 @@ class PrimeGraph:
                 count += 1
             return count
 
-        # depth-first branch and bound on an explicit stack, so the vertex
+        # one depth-first branch and bound on an explicit stack, so the vertex
         # count is not limited by the interpreter's recursion depth; the
-        # "take v" branch is pushed last so it is explored first
-        full = (1 << n) - 1
+        # "take v" branch is pushed last so it is explored first.  Ties with
+        # the best size so far are kept, so every optimum reaches a leaf.
         best = 0
-        stack = [(full, 0)]
-        while stack:
-            mask, size = stack.pop()
-            if size + cover_bound(mask) <= best:
-                continue
-            if not mask:
-                best = size
-                continue
-            v = (mask & -mask).bit_length() - 1
-            stack.append((mask & ~(1 << v), size))
-            stack.append((mask & ~adj[v] & ~(1 << v), size + 1))
-        alpha = best
-
-        found: list[tuple[int, ...]] = []
-        stack = [(full, 0, 0)]
+        found: list[int] = []
+        stack = [((1 << n) - 1, 0, 0)]
         while stack:
             mask, chosen, size = stack.pop()
-            if size == alpha:
-                found.append(
-                    tuple(self.vertices[i] for i in range(n) if chosen >> i & 1)
-                )
+            if size + cover_bound(mask) < best:
                 continue
-            if size + cover_bound(mask) < alpha:
+            if not mask:
+                if size > best:
+                    best, found = size, []
+                found.append(chosen)
                 continue
             v = (mask & -mask).bit_length() - 1
             stack.append((mask & ~(1 << v), chosen, size))
             stack.append((mask & ~adj[v] & ~(1 << v), chosen | (1 << v), size + 1))
-        return sorted(found)
+        return sorted(
+            tuple(self.vertices[i] for i in range(n) if chosen >> i & 1)
+            for chosen in found
+        )
 
     def dot(self) -> str:
         """DOT text: vertices as decimal primes, each edge listed once."""

@@ -1,16 +1,19 @@
 """One-shot verification: every finite computation the argument rests on.
 
 Each check has a stable id and a citation key so the report can be audited
-line by line.  Checks are pure functions of embedded data plus a fixed RNG
-seed, so output is identical across runs.  A check either returns a detail
-string (pass) or raises CheckFailure (fail); unexpected exceptions are
-reported as failures too, never swallowed.
+line by line.  Each check is a function of the run's one input, the record
+database path (None for the embedded corpus); everything else comes from
+embedded data, memoized library builders and a fixed RNG seed, so output
+is identical across runs.  A check either returns a detail string (pass)
+or raises CheckFailure (fail); unexpected exceptions are reported as
+failures too, never swallowed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from . import atlasdb, groups, orderset, primegraph
 from .gf import make_field, subgroup_generator, element_order
@@ -25,7 +28,7 @@ from .linact import (
     semidirect_spectrum,
     t_sum_map,
 )
-from .orderset import OrderSet, j4_spectrum, product_spectrum, wreath2_spectrum
+from .orderset import OrderSet, j4_spectrum, j4xj4_spectrum, wreath2_spectrum
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
@@ -75,46 +78,10 @@ class VerificationReport:
         ]
 
 
-class _Context:
-    """Shared lazily-built inputs so checks do not recompute spectra."""
-
-    def __init__(self, db_path=None):
-        self._db_path = db_path
-        self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
-    def j4(self) -> OrderSet:
-        return self._get("j4", j4_spectrum)
-
-    @property
-    def j4xj4(self) -> OrderSet:
-        return self._get("j4xj4", lambda: product_spectrum(self.j4, self.j4))
-
-    @property
-    def gk_j4(self):
-        return self._get("gk_j4", lambda: primegraph.build_gk(self.j4))
-
-    @property
-    def remark(self):
-        return self._get("remark", groups.build_remark_group)
-
-    @property
-    def remark_spectrum(self) -> OrderSet:
-        return self._get("remark_spectrum", lambda: self.remark.spectrum())
-
-    @property
-    def db(self):
-        def load():
-            if self._db_path is None:
-                return atlasdb.load_embedded()
-            return atlasdb.load_path(self._db_path)
-
-        return self._get("db", load)
+@cache
+def _remark_spectrum() -> OrderSet:
+    """The witness spectrum, read by three checks and built once per process."""
+    return groups.build_remark_group().spectrum()
 
 
 def _require(cond: bool, message: str):
@@ -124,26 +91,28 @@ def _require(cond: bool, message: str):
 
 # -- spectrum data -----------------------------------------------------------
 
-def _check_spectrum_count(ctx):
-    members = ctx.j4.members()
+def _check_spectrum_count(db_path):
+    j4 = j4_spectrum()
+    members = j4.members()
     _require(len(members) == 31, f"expected 31 members, found {len(members)}")
     _require(
-        ctx.j4.maximal_elements == orderset.J4_SPECTRUM_GENERATORS,
+        j4.maximal_elements == orderset.J4_SPECTRUM_GENERATORS,
         "the generator list is not its own divisibility antichain",
     )
     return "spectrum from 14 generators expands to exactly 31 members"
 
 
-def _check_spectrum_membership(ctx):
+def _check_spectrum_membership(db_path):
+    j4 = j4_spectrum()
     for n in (66, 44):
-        _require(ctx.j4.contains(n), f"{n} missing from the spectrum")
+        _require(j4.contains(n), f"{n} missing from the spectrum")
     for n in (9, 25, 46, 55):
-        _require(not ctx.j4.contains(n), f"{n} wrongly present in the spectrum")
+        _require(not j4.contains(n), f"{n} wrongly present in the spectrum")
     return "contains 66 and 44; excludes 9, 25, 46 and 55"
 
 
-def _check_spectrum_primes(ctx):
-    got = ctx.j4.pi()
+def _check_spectrum_primes(db_path):
+    got = j4_spectrum().pi()
     want = orderset.J4_ORDER.primes
     _require(got == want, f"prime set {got} differs from the order primes {want}")
     return "ten primes, matching the factored group order"
@@ -151,17 +120,18 @@ def _check_spectrum_primes(ctx):
 
 # -- product spectrum --------------------------------------------------------
 
-def _check_product_membership(ctx):
-    _require(ctx.j4xj4.contains(2310), "2310 = lcm(66,35) missing from the product")
+def _check_product_membership(db_path):
+    product = j4xj4_spectrum()
+    _require(product.contains(2310), "2310 = lcm(66,35) missing from the product")
     for n in (9, 25, 32):
-        _require(not ctx.j4xj4.contains(n), f"{n} wrongly present in the product")
+        _require(not product.contains(n), f"{n} wrongly present in the product")
     return "2310 present; 9, 25 and 32 absent"
 
 
-def _check_product_oracle(ctx):
+def _check_product_oracle(db_path):
     from math import gcd
 
-    members = ctx.j4.members()
+    members = j4_spectrum().members()
     brute: set[int] = set()
     for x in members:
         for y in members:
@@ -173,29 +143,30 @@ def _check_product_oracle(ctx):
                     brute.add(v // d)
                 d += 1
     _require(
-        sorted(brute) == ctx.j4xj4.members(),
+        sorted(brute) == j4xj4_spectrum().members(),
         "lcm-closure differs from the double-enumeration oracle",
     )
     return f"matches the brute-force oracle on all {len(brute)} members"
 
 
-def _check_product_sigma(ctx):
-    s = ctx.j4xj4.sigma()
+def _check_product_sigma(db_path):
+    s = j4xj4_spectrum().sigma()
     _require(s == 5, f"sigma of the product is {s}, expected 5")
     return "no member has more than five prime divisors; five is attained"
 
 
-def _check_restricted_sigma(ctx):
+def _check_restricted_sigma(db_path):
+    product = j4xj4_spectrum()
     for name, primes in (("pi1", PI_1), ("pi2", PI_2)):
-        v = ctx.j4xj4.restricted_sigma(primes)
+        v = product.restricted_sigma(primes)
         _require(v == 2, f"restricted sigma over {name} is {v}, expected 2")
     return "every member meets each odd-prime block in at most two primes"
 
 
 # -- prime graphs ------------------------------------------------------------
 
-def _check_graph_cocliques(ctx):
-    g = ctx.gk_j4
+def _check_graph_cocliques(db_path):
+    g = primegraph.build_gk(j4_spectrum())
     _require(g.adjacent(2, 11), "2 and 11 should be adjacent (44 is a member)")
     _require(not g.adjacent(29, 31), "29 and 31 should not be adjacent")
     _require(g.is_coclique(RHO), "29, 31, 37, 43 should be pairwise non-adjacent")
@@ -207,8 +178,8 @@ def _check_graph_cocliques(ctx):
     return "independence number 7; the two seven-prime sets are the maximum cocliques"
 
 
-def _check_graph_product_complete(ctx):
-    g = primegraph.build_gk(ctx.j4xj4)
+def _check_graph_product_complete(db_path):
+    g = primegraph.build_gk(j4xj4_spectrum())
     n = len(g.vertices)
     _require(n == 10, f"product graph has {n} vertices, expected 10")
     _require(
@@ -224,23 +195,24 @@ def _check_graph_product_complete(ctx):
 
 # -- excluded orders and the wreath distinguisher -----------------------------
 
-def _check_excluded_orders(ctx):
-    present = [n for n in CONTRADICTION_ORDERS if ctx.j4xj4.contains(n)]
+def _check_excluded_orders(db_path):
+    product = j4xj4_spectrum()
+    present = [n for n in CONTRADICTION_ORDERS if product.contains(n)]
     _require(not present, f"contradiction orders unexpectedly present: {present}")
     return f"all {len(CONTRADICTION_ORDERS)} contradiction orders are outside the product"
 
 
-def _check_wreath(ctx):
-    wr = wreath2_spectrum(ctx.j4)
+def _check_wreath(db_path):
+    wr = wreath2_spectrum(j4_spectrum())
     _require(wr.contains(32), "32 missing from the wreath spectrum")
-    _require(not ctx.j4xj4.contains(32), "32 wrongly present in the product")
+    _require(not j4xj4_spectrum().contains(32), "32 wrongly present in the product")
     return "32 separates the wreath spectrum from the product spectrum"
 
 
 # -- the three-prime witness --------------------------------------------------
 
-def _check_remark_spectrum(ctx):
-    s = ctx.remark_spectrum
+def _check_remark_spectrum(db_path):
+    s = _remark_spectrum()
     _require(
         s.members() == [1, 3, 5, 15, 17, 51, 85],
         f"witness spectrum is {s.members()}",
@@ -250,25 +222,23 @@ def _check_remark_spectrum(ctx):
     return "spectrum {1,3,5,15,17,51,85}; primes {3,5,17}; sigma 2"
 
 
-def _check_remark_hypotheses(ctx):
-    report = groups.check_proposition_hypotheses(ctx.remark_spectrum)
+def _check_remark_hypotheses(db_path):
+    report = groups.check_proposition_hypotheses(_remark_spectrum())
     _require(report.cond1_ok, f"divisibility condition fails: {report.cond1_failures}")
     _require(report.cond2_ok, f"pair-membership condition fails: {report.cond2_failures}")
     _require(len(report.pi) == 3 and report.bound_ok, "prime-count bound not met with equality")
     return "both hypotheses hold and the three-prime bound is attained"
 
 
-def _check_remark_sampling(ctx):
+def _check_remark_sampling(db_path):
     rng = random.Random(SAMPLE_SEED)
-    spec = ctx.remark
-    structural = set(ctx.remark_spectrum.members())
+    spec = groups.build_remark_group()
+    structural = set(_remark_spectrum().members())
     actors = spec.acting_elements()
     fields = spec.summands
     seen = set()
     for _ in range(10**4):
-        v = tuple(
-            f.element(tuple(rng.randrange(f.p) for _ in range(f.k))) for f in fields
-        )
+        v = tuple(f.element_at(rng.randrange(f.order)) for f in fields)
         h = actors[rng.randrange(len(actors))]
         o = semidirect_element_order(v, h)
         if o not in structural:
@@ -283,7 +253,7 @@ def _check_remark_sampling(ctx):
 
 # -- matrix-enumeration oracles ----------------------------------------------
 
-def _check_psl2_23(ctx):
+def _check_psl2_23(db_path):
     r = groups.psl2_spectrum(23)
     _require(
         r.spectrum.members() == [1, 2, 3, 4, 6, 11, 12, 23],
@@ -305,21 +275,21 @@ def _psl2_intersection_check(q, targets, expected):
     return f"target primes {{{','.join(map(str, expected))}}}; order {r.group_order}"
 
 
-def _check_psl2_32(ctx):
+def _check_psl2_32(db_path):
     return _psl2_intersection_check(32, (11, 23, 29, 31, 37, 43), (11, 31))
 
 
-def _check_psl2_43(ctx):
+def _check_psl2_43(db_path):
     return _psl2_intersection_check(43, (11, 23, 29, 31, 37, 43), (11, 43))
 
 
-def _check_psl2_29(ctx):
+def _check_psl2_29(db_path):
     return _psl2_intersection_check(29, (5, 23, 29, 37, 43), (5, 29))
 
 
 # -- linear actions at desk scale ----------------------------------------------
 
-def _check_linact_galois(ctx):
+def _check_linact_galois(db_path):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
     _require(fixed_space_dim(phi) == 1, "Galois fixed space should be the prime subfield")
@@ -327,7 +297,7 @@ def _check_linact_galois(ctx):
     return "Galois map: fixed dimension 1, minimal polynomial x^11 - 1"
 
 
-def _check_linact_order22(ctx):
+def _check_linact_order22(db_path):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
     gal = [ActionGroupElement((phi.power(j),)) for j in range(11)]
@@ -340,7 +310,7 @@ def _check_linact_order22(ctx):
     return "the field extended by its Galois group has elements of order 22"
 
 
-def _check_linact_kernel(ctx):
+def _check_linact_kernel(db_path):
     f = make_field(2, 11)
     zeta = subgroup_generator(f, 23)
     _require(element_order(zeta) == 23, "kernel generator should have order 23")
@@ -356,7 +326,7 @@ def _check_linact_kernel(ctx):
     return "23 acts freely: spectrum {1,2,23}, no 46; 23:11 is Frobenius"
 
 
-def _check_frobenius_arithmetic(ctx):
+def _check_frobenius_arithmetic(db_path):
     for kernel, complement in ((2048, 23), (23, 11), (3**16, 17)):
         _require(
             frobenius_arith_check(kernel, complement),
@@ -367,8 +337,8 @@ def _check_frobenius_arithmetic(ctx):
 
 # -- database filters ----------------------------------------------------------
 
-def _check_db_load(ctx):
-    db = ctx.db
+def _check_db_load(db_path):
+    db = atlasdb.load(db_path)
     _require(len(db) >= 16, f"corpus has {len(db)} records, expected at least 16")
     verified = 0
     for record in db:
@@ -398,26 +368,26 @@ _LEMMA9_EXPECTED = (
 )
 
 
-def _check_db_lemma8(ctx):
-    result = atlasdb.run_filter(ctx.db, atlasdb.LEMMA_QUERIES["8"])
+def _check_db_lemma8(db_path):
+    result = atlasdb.run_filter(atlasdb.load(db_path), atlasdb.LEMMA_QUERIES["8"])
     _require(result.matches == _LEMMA8_EXPECTED, f"filter returned {result.matches}")
     _require(not result.insufficient, f"undecidable records: {result.insufficient}")
     return "exactly the seven listed groups with the stated prime intersections"
 
 
-def _check_db_lemma9(ctx):
-    result = atlasdb.run_filter(ctx.db, atlasdb.LEMMA_QUERIES["9"])
+def _check_db_lemma9(db_path):
+    result = atlasdb.run_filter(atlasdb.load(db_path), atlasdb.LEMMA_QUERIES["9"])
     _require(result.matches == _LEMMA9_EXPECTED, f"filter returned {result.matches}")
     _require(not result.insufficient, f"undecidable records: {result.insufficient}")
     return "exactly the five listed groups with the stated prime intersections"
 
 
-def _check_db_insufficient(ctx):
+def _check_db_insufficient(db_path):
     from dataclasses import replace
 
     stripped = [
         replace(r, has9=None, has25=None, mu=None) if r.name == "M23" else r
-        for r in ctx.db
+        for r in atlasdb.load(db_path)
     ]
     result = atlasdb.run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     _require(
@@ -462,14 +432,16 @@ CHECKS = (
 
 
 def run_checks(only: str | None = None, db_path=None) -> VerificationReport:
-    """Run the registered checks (optionally those whose id contains `only`)."""
-    ctx = _Context(db_path=db_path)
+    """Run the registered checks (optionally those whose id contains `only`).
+
+    db_path names a record database; None reads the embedded corpus.
+    """
     results = []
     for check_id, citation, fn in CHECKS:
         if only and only not in check_id:
             continue
         try:
-            detail = fn(ctx)
+            detail = fn(db_path)
             results.append(CheckResult(check_id, citation, "pass", detail))
         except CheckFailure as exc:
             results.append(CheckResult(check_id, citation, "fail", str(exc)))

@@ -191,7 +191,7 @@ def test_criterion_9_linear_action_lemmas():
 def test_criterion_10_database_filters():
     from dataclasses import replace
 
-    db = atlasdb.load_embedded()
+    db = atlasdb.load()
     r8 = atlasdb.run_filter(db, atlasdb.LEMMA_QUERIES["8"])
     assert r8.matches == (
         ("J4", (11, 23, 29, 31, 37, 43)),

@@ -12,7 +12,7 @@ from gkspec.atlasdb import (
     ParseError,
     RecordError,
     crosscheck_record,
-    load_embedded,
+    load,
     parse_records,
     record_from_psl2,
     run_filter,
@@ -48,13 +48,13 @@ LEMMA9_EXPECTED = (
 # -- parsing ---------------------------------------------------------------------
 
 def test_embedded_corpus_loads():
-    db = load_embedded()
+    db = load()
     assert {r.name for r in db} == EXPECTED_NAMES
     assert len(db) == 16
 
 
 def test_roundtrip():
-    db = load_embedded()
+    db = load()
     assert parse_records(serialize_records(db)) == db
 
 
@@ -88,6 +88,8 @@ def test_parse_positions_errors():
         parse_records("group A\norder 2^x\n")
     with pytest.raises(ParseError):
         parse_records("group A\nmu 4,x\npi 2\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_records("group A\nmu 9223372036854775808\npi 2\n")  # 2^63
     with pytest.raises(ParseError):
         parse_records("group A\n")  # record without pi
 
@@ -116,19 +118,19 @@ def test_record_flag_consistent_with_mu_accepted():
 # -- filters ----------------------------------------------------------------------
 
 def test_lemma_8_filter():
-    result = run_filter(load_embedded(), atlasdb.LEMMA_QUERIES["8"])
+    result = run_filter(load(), atlasdb.LEMMA_QUERIES["8"])
     assert result.matches == LEMMA8_EXPECTED
     assert result.insufficient == ()
 
 
 def test_lemma_9_filter():
-    result = run_filter(load_embedded(), atlasdb.LEMMA_QUERIES["9"])
+    result = run_filter(load(), atlasdb.LEMMA_QUERIES["9"])
     assert result.matches == LEMMA9_EXPECTED
     assert result.insufficient == ()
 
 
 def test_filter_stable_under_permutation():
-    db = load_embedded()
+    db = load()
     rng = random.Random(21)
     for _ in range(20):
         shuffled = db[:]
@@ -147,7 +149,7 @@ def test_filter_rejects_min_hits_zero():
 
 
 def test_missing_flags_mean_insufficient_not_pass():
-    db = load_embedded()
+    db = load()
     stripped = [
         replace(r, has9=None, has25=None) if r.name in ("M23", "M24") else r
         for r in db
@@ -160,7 +162,7 @@ def test_missing_flags_mean_insufficient_not_pass():
 def test_single_missing_flag_is_already_insufficient():
     # removing only has25 leaves 25-membership undecidable for a record
     # without stored generators
-    db = load_embedded()
+    db = load()
     stripped = [replace(r, has25=None) if r.name == "U3(11)" else r for r in db]
     result = run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     assert "U3(11)" in result.insufficient
@@ -169,7 +171,7 @@ def test_single_missing_flag_is_already_insufficient():
 
 def test_mu_decides_exclusion_when_flags_absent():
     # J4 keeps its stored generators, so stripping the flags stays decidable
-    db = load_embedded()
+    db = load()
     stripped = [replace(r, has9=None, has25=None) if r.name == "J4" else r for r in db]
     result = run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     assert result.matches == LEMMA8_EXPECTED
@@ -177,7 +179,7 @@ def test_mu_decides_exclusion_when_flags_absent():
 
 
 def test_excluded_order_true_flag_rejects():
-    db = load_embedded()
+    db = load()
     by_name = {r.name: r for r in db}
     assert by_name["Co3"].has9 is True
     result = run_filter(db, atlasdb.LEMMA_QUERIES["8"])
@@ -185,14 +187,14 @@ def test_excluded_order_true_flag_rejects():
 
 
 def test_ambient_pi_excludes_foreign_primes():
-    by_name = {r.name: r for r in load_embedded()}
+    by_name = {r.name: r for r in load()}
     assert not set(by_name["Sz(128)"].pi) <= set(atlasdb.LEMMA_QUERIES["8"].ambient_pi)
 
 
 # -- crosschecks ---------------------------------------------------------------------
 
 def test_crosscheck_l2_records_verified():
-    db = load_embedded()
+    db = load()
     statuses = {r.name: crosscheck_record(r).status for r in db}
     assert statuses["L2(23)"] == "verified"
     assert statuses["L2(29)"] == "verified"
@@ -203,7 +205,7 @@ def test_crosscheck_l2_records_verified():
 
 
 def test_crosscheck_detects_tampering():
-    good = next(r for r in load_embedded() if r.name == "L2(23)")
+    good = next(r for r in load() if r.name == "L2(23)")
     bad = replace(good, mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
     with pytest.raises(CrosscheckError):
         crosscheck_record(bad)

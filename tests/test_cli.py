@@ -2,12 +2,14 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from gkspec.cli import main
 
 J4_GENS = "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
+EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify.json"
 
 
 def run(capsys, *argv):
@@ -245,3 +247,10 @@ def test_full_verify_passes(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].startswith("overall: PASS")
+    # the JSON report, less its backend line, is the one the benchmark gates on
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 0
+    report = "".join(
+        line for line in out.splitlines(keepends=True) if '"backend"' not in line
+    )
+    assert report == EXPECTED_VERIFY.read_text("utf-8")
