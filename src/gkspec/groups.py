@@ -166,10 +166,11 @@ def build_gamma_frobenius(
         raise ValueError("complement order must divide the extension degree")
     step = k // c
     zeta = subgroup_generator(field, m)
+    powers = [field.one]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * zeta)
     actions = tuple(
-        LinearAction(field, zeta**i, (step * e) % k)
-        for i in range(m)
-        for e in range(c)
+        LinearAction(field, u, (step * e) % k) for u in powers for e in range(c)
     )
     fpf = c > 1 and all(
         gcd(p ** ((step * e) % k) - 1, m) == 1 for e in range(1, c)
@@ -207,11 +208,11 @@ def field_tables(q: int) -> tuple[list[int], list[int], list[int], int, int]:
     ((p, k),) = fac.pairs
     field = make_field(p, k)
     elems = [field.element_at(n) for n in range(q)]
-    index = {e.coeffs: n for n, e in enumerate(elems)}
-    mul = [index[(a * b).coeffs] for a in elems for b in elems]
-    add = [index[(a + b).coeffs] for a in elems for b in elems]
-    neg = [index[(-a).coeffs] for a in elems]
-    return mul, add, neg, index[field.one.coeffs], index[field.zero.coeffs]
+    index = {e.value: n for n, e in enumerate(elems)}
+    mul = [index[(a * b).value] for a in elems for b in elems]
+    add = [index[(a + b).value] for a in elems for b in elems]
+    neg = [index[(-a).value] for a in elems]
+    return mul, add, neg, index[field.one.value], index[field.zero.value]
 
 
 def psl2_order_counts(q, mul, add, neg, one, zero) -> list[int]:

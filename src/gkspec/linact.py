@@ -226,12 +226,16 @@ def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
 
     Krylov method: for each basis vector, row-reduce the iterated images
     until a dependency appears, giving that vector's monic annihilator; the
-    minimal polynomial is the lcm of the annihilators.
+    minimal polynomial is the lcm of the annihilators.  That lcm divides
+    the minimal polynomial, whose degree is at most k, so the scan stops
+    as soon as the lcm reaches degree k.
     """
     p = m.p
     k = m.size
     minpoly: list[int] = [1]
     for j0 in range(k):
+        if len(minpoly) > k:
+            break
         v = [1 if i == j0 else 0 for i in range(k)]
         rows: list[tuple[list[int], list[int]]] = []  # (echelon vector, combo)
 

@@ -69,6 +69,15 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             last = p
 
+    @classmethod
+    def _trusted(cls, pairs) -> "Factorization":
+        """A Factorization of pairs already known valid, without re-checking.
+
+        For factorize, which has proved every prime it returns."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "pairs", pairs)
+        return f
+
     def value(self) -> int:
         n = 1
         for p, e in self.pairs:
@@ -155,7 +164,8 @@ def factorize(n: int) -> Factorization:
 
     The primes below 2^10 are divided out, a cofactor below 2^20 is then
     prime, and a larger one is split by Pollard rho until Miller-Rabin
-    passes every part, so the time is bounded for every n in range.
+    passes every part, so the time is bounded for every n in range.  Each
+    prime is tested once: the result skips the Factorization prime check.
     """
     if n < 1:
         raise ValueError("factorize requires a positive integer")
@@ -182,7 +192,7 @@ def factorize(n: int) -> Factorization:
                 stack += (d, m // d)
     elif n > 1:
         exps[n] = 1
-    return Factorization(tuple(sorted(exps.items())))
+    return Factorization._trusted(tuple(sorted(exps.items())))
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

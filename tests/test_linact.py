@@ -1,6 +1,7 @@
 """Semilinear actions, T-sums, semidirect element orders and spectra."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -160,6 +161,51 @@ def test_minimal_polynomial_annihilates():
                 acc = acc.add(GFMatrix(m.p, tuple(tuple(c * x % m.p for x in row) for row in power.rows)))
             power = power.mul(m)
         assert acc.is_zero
+
+
+def enumerated_minimal_polynomial(rows, p):
+    """The first monic g, by increasing degree and then lexicographically,
+    with g(M) = 0.
+
+    Test oracle: plain list arithmetic on the powers of M, independent of
+    the Krylov scan and its early stop in gkspec.linact.minimal_polynomial.
+    """
+    k = len(rows)
+    powers = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for _ in range(k):
+        a = powers[-1]
+        powers.append(
+            [[sum(a[i][t] * rows[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
+        )
+    for d in range(1, k + 1):
+        for tail in iproduct(range(p), repeat=d):
+            g = tail + (1,)
+            if all(
+                sum(c * powers[n][i][j] for n, c in enumerate(g)) % p == 0
+                for i in range(k)
+                for j in range(k)
+            ):
+                return g
+    raise AssertionError("no annihilating polynomial of degree <= k")
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2)])
+def test_minimal_polynomial_matches_enumeration(p, k):
+    f = make_field(p, k)
+    rng = random.Random(17 + p)
+    multipliers = [f.scalar(a) for a in range(1, p)]  # the prime subfield
+    multipliers += [_random_element(f, rng) for _ in range(12)]
+    degrees = set()
+    for u in multipliers:
+        if u.is_zero:
+            continue
+        for e in range(k):
+            m = LinearAction(f, u, e).matrix()
+            mp = minimal_polynomial(m)
+            assert mp == enumerated_minimal_polynomial(m.rows, p), (u, e)
+            degrees.add(len(mp) - 1)
+    # both the early stop at degree k and lcms that never reach it occur
+    assert k in degrees and min(degrees) < k
 
 
 def test_lemma2_dichotomy_on_instance_corpus():

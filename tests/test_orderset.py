@@ -130,6 +130,23 @@ def test_factorize_matches_trial_division_on_hard_cofactors():
             assert factorize(n).pairs == trial_factorize(n), n
 
 
+def test_factorize_output_passes_public_validation():
+    # factorize builds its result without the Factorization prime check;
+    # the public constructor, which checks, must accept the same pairs
+    rng = random.Random(707)
+    primes = [p for p in range(1031, 40000) if trial_is_prime(p)]
+    cases = [1000000000000000003, (2**31 - 1) ** 2, 2147483629 * 2147483647]
+    for _ in range(20):
+        p, q = rng.choice(primes), rng.choice(primes)
+        cases += [p * q, p * p, p**3, rng.randrange(1, 2**16) * p * q]
+    for n in cases:
+        f = factorize(n)
+        assert Factorization(f.pairs) == f and f.value() == n, n
+    assert factorize(cases[0]).pairs == ((1000000000000000003, 1),)
+    assert factorize(cases[1]).pairs == ((2147483647, 2),)
+    assert factorize(cases[2]).pairs == ((2147483629, 1), (2147483647, 1))
+
+
 def test_divisors_match_brute_force():
     rng = random.Random(808)
     for n in [1, 2, 720720, 999983, 2**19] + [rng.randrange(1, 10**6) for _ in range(12)]:
@@ -139,8 +156,9 @@ def test_divisors_match_brute_force():
 @settings(max_examples=300, deadline=2000)
 @given(st.integers(1, INT64_MAX))
 def test_factorize_roundtrip_int64(n):
-    f = factorize(n)  # Factorization checks every prime with _is_prime
+    f = factorize(n)
     assert f.value() == n
+    assert all(_is_prime(p) for p in f.primes)
     # factors below 2^40 are checked against the oracle as well
     assert all(p >= 2**40 or trial_is_prime(p) for p in f.primes)
 
@@ -153,6 +171,8 @@ def test_j4_order_reconstructs():
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime
+    with pytest.raises(ValueError):
+        Factorization(((2147483629 * 2147483647, 1),))  # composite past the prime table
     with pytest.raises(ValueError):
         Factorization(((3, 1), (2, 1)))  # not increasing
     with pytest.raises(ValueError):
