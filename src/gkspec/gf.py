@@ -50,12 +50,14 @@ class FiniteField:
     modulus: tuple[int, ...]  # length k+1, ascending, monic
 
     def __post_init__(self):
-        # Kernel constants and tables: derived from (p, k, modulus), so they
-        # take no part in equality, hashing or repr.
+        # Kernel constants, tables and the hash: derived from (p, k, modulus),
+        # so they take no part in equality or repr.  Every FieldElement hash
+        # hashes its field, so the field's hash is computed once.
         p, k = self.p, self.k
         w = (2 * k * (p - 1) ** 2).bit_length()
         ones = sum(1 << (w * i) for i in range(k))
         constants = {
+            "_hash": hash((p, k, self.modulus)),
             "_w": w,
             "_mask": (1 << w) - 1,  # one slot
             "_low": (1 << (w * k)) - 1,  # the k slots of a reduced element
@@ -82,6 +84,9 @@ class FiniteField:
         for _ in range(k - 2):
             images.append(self._mul(images[-1], xp))
         object.__setattr__(self, "_frobenius_images", tuple(images))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

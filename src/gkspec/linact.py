@@ -12,14 +12,20 @@ a direct sum of field summands, and the exact order formula for elements
 for m the order of h and T_m = 1 + h + ... + h^(m-1), so the order is m
 when T_m kills v and p*m otherwise.
 
+Whether T_m kills v is read off the order of h, for any multiple m of it.
+With t = k / gcd(e, k), h^t is multiplication by some c, and
+T_m = (1 + c + ... + c^(m/t - 1)) * T_t.  As c^(m/t) = 1, the factor is 0
+when c != 1, which is exactly when the order of h is not t, and (m/t) * 1
+when c = 1.  So T_m kills v when the order of h is not t, or p divides
+m/t, or T_t(v) = 0, a sum of at most k terms.
+
 Everything here is immutable and reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import _poly
 from .gf import FieldElement, FiniteField, element_order
@@ -189,11 +195,13 @@ class LinearAction:
 
     def matrix(self) -> GFMatrix:
         """The k x k matrix over GF(p) in the polynomial basis."""
-        f = self.field
-        cols = [self.apply(b).coeffs for b in f.basis()]
-        return GFMatrix(
-            f.p, tuple(tuple(col[i] for col in cols) for i in range(f.k))
-        )
+        return _basis_matrix(self.field, self.apply)
+
+
+def _basis_matrix(field: FiniteField, linear_map) -> GFMatrix:
+    """Matrix of a GF(p)-linear map on the field: column j is the image of x^j."""
+    cols = [linear_map(b).coeffs for b in field.basis()]
+    return GFMatrix(field.p, tuple(zip(*cols)))
 
 
 def action_order(h: LinearAction) -> int:
@@ -290,47 +298,29 @@ def t_sum_map(h: LinearAction, m: int) -> GFMatrix:
     """Matrix of the truncated sum 1 + h + h^2 + ... + h^(m-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    f = h.field
-    cols = [_t_sum_on(h, m, b).coeffs for b in f.basis()]
-    return GFMatrix(f.p, tuple(tuple(col[i] for col in cols) for i in range(f.k)))
-
-
-@lru_cache(maxsize=4096)
-def _geom_sum(u: FieldElement, m: int) -> FieldElement:
-    """1 + u + ... + u^(m-1); for multiplications this is the whole T-sum.
-
-    Closed form: m * 1 when u = 1, else (u^m - 1)/(u - 1).
-    """
-    f = u.field
-    one = f.one
-    if u == one:
-        return f.scalar(m)
-    return (u**m - one) / (u - one)
+    return _basis_matrix(h.field, lambda b: _t_sum_on(h, m, b))
 
 
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
-    """T_m applied to a single vector; closed form for pure multiplications."""
-    if h.galois_exp == 0:
-        return _geom_sum(h.mult, m) * v
-    f = h.field
-    acc = f.zero
-    w = v
+    """T_m applied to a single vector, by its defining sum."""
+    acc = h.field.zero
     for _ in range(m):
-        acc = acc + w
-        w = h.apply(w)
+        acc = acc + v
+        v = h.apply(v)
     return acc
 
 
-def _t_sum_is_zero(h: LinearAction, m: int) -> bool:
-    """Whether T_m vanishes on the whole field summand.
+def _t_sum_kills(h: LinearAction, order: int, m: int, vectors) -> bool:
+    """Whether T_m kills every one of the vectors.
 
-    By linearity T_m is zero iff it kills every basis vector; for a pure
-    multiplication T_m is multiplication by the geometric sum, which is
-    zero as a map iff that sum is the zero element.
+    order is action_order(h) and m a multiple of it; the rule is the one in
+    the module docstring.
     """
-    if h.galois_exp == 0:
-        return _geom_sum(h.mult, m).is_zero
-    return all(_t_sum_on(h, m, b).is_zero for b in h.field.basis())
+    f = h.field
+    t = f.k // gcd(h.galois_exp, f.k)
+    if order != t or (m // t) % f.p == 0:
+        return True
+    return all(_t_sum_on(h, t, v).is_zero for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -359,11 +349,7 @@ class ActionGroupElement:
         return all(c.is_identity for c in self.components)
 
     def order(self) -> int:
-        m = 1
-        for c in self.components:
-            o = action_order(c)
-            m = m // gcd(m, o) * o
-        return m
+        return lcm(*(action_order(c) for c in self.components))
 
     def compose(self, other: "ActionGroupElement") -> "ActionGroupElement":
         return ActionGroupElement(
@@ -395,8 +381,11 @@ def semidirect_element_order(v, h) -> int:
     for x, c in zip(vv, hh.components):
         if x.field != c.field:
             raise ValueError("vector summand does not match the acted-on field")
-    m = hh.order()
-    if all(_t_sum_on(c, m, x).is_zero for c, x in zip(hh.components, vv)):
+    orders = [action_order(c) for c in hh.components]
+    m = lcm(*orders)
+    if all(
+        _t_sum_kills(c, o, m, (x,)) for c, o, x in zip(hh.components, orders, vv)
+    ):
         return m
     return hh.characteristic * m
 
@@ -429,9 +418,13 @@ def semidirect_spectrum(summands, elements) -> OrderSet:
             raise ValueError("acting element does not match the summand list")
         if any(c.field != f for c, f in zip(hh.components, summands)):
             raise ValueError("acting element does not match the summand list")
-        m = hh.order()
+        orders = [action_order(c) for c in hh.components]
+        m = lcm(*orders)
         gens.add(m)
-        if not all(_t_sum_is_zero(c, m) for c in hh.components):
+        if not all(
+            _t_sum_kills(c, o, m, c.field.basis())
+            for c, o in zip(hh.components, orders)
+        ):
             gens.add(p * m)
     return OrderSet.from_generators(gens)
 

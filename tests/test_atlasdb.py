@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkspec import atlasdb
 from gkspec.atlasdb import (
@@ -92,6 +94,31 @@ def test_parse_positions_errors():
         parse_records("group A\nmu 9223372036854775808\npi 2\n")  # 2^63
     with pytest.raises(ParseError):
         parse_records("group A\n")  # record without pi
+
+
+# database-shaped text: lines of a known (or unknown) key followed by tokens
+# that are near misses of valid values, mixed with arbitrary text
+_TOKENS = st.one_of(
+    st.integers(-5, 2**70).map(str),
+    st.sampled_from(["has9", "has25", "true", "false", "2^3", "3^0", "^", "#", "X"]),
+    st.text(max_size=6),
+)
+_LINES = st.builds(
+    lambda key, sep, tokens: key + " " + sep.join(tokens),
+    st.sampled_from(["group", "order", "mu", "pi", "flag", "note", "bogus", ""]),
+    st.sampled_from([" ", ",", "^"]),
+    st.lists(_TOKENS, max_size=4),
+)
+_DB_TEXT = st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join))
+
+
+@settings(max_examples=200, deadline=500)
+@given(_DB_TEXT)
+def test_parse_records_raises_only_parse_or_record_errors(text):
+    try:
+        parse_records(text)
+    except (ParseError, RecordError):
+        pass
 
 
 def test_record_invariants():

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from gkspec.gf import make_field, element_order, subgroup_generator
+from gkspec.gf import FiniteField, make_field, element_order, subgroup_generator
 from gkspec.orderset import factorize
 
 
@@ -22,6 +22,17 @@ def test_make_field_determinism():
     a = make_field(3, 4)
     b = make_field(3, 4)
     assert a is b or a.modulus == b.modulus
+
+
+def test_separately_built_equal_fields_hash_alike():
+    for p, k in ((2, 11), (3, 4), (23, 1)):
+        a = make_field(p, k)
+        b = FiniteField(p, k, a.modulus)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == f"FiniteField(p={p}, k={k}, modulus={a.modulus})"
+        x, y = a.element_at(a.order - 1), b.element_at(b.order - 1)
+        assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
+    assert hash(make_field(3, 4)) != hash(FiniteField(3, 4, (2, 0, 0, 1, 1)))
 
 
 def test_make_field_rejects():

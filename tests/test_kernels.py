@@ -1,17 +1,15 @@
 """Differential tests against independent oracles: packed GF(p^k)
 arithmetic and the field constructor against the coefficient-tuple kernels
-they replaced, the closed-form geometric sum against direct accumulation,
-field arithmetic at a large prime against Python's modular integers, and
-the PSL2 trace recurrence against power iteration."""
+they replaced, field arithmetic at a large prime against Python's modular
+integers, and the PSL2 trace recurrence against power iteration."""
 
 import random
 
 import pytest
 
 from gkspec._poly import gcd, trim
-from gkspec.gf import make_field, subgroup_generator
+from gkspec.gf import make_field
 from gkspec.groups import field_tables, psl2_order_counts
-from gkspec.linact import _geom_sum
 from gkspec.orderset import prime_divisors
 
 # The coefficient-tuple kernels below were the library's GF(p^k) multiply,
@@ -157,39 +155,6 @@ SEMIDIRECT_SHAPES = (
 @pytest.mark.parametrize("p,k", [shape[:2] for shape in SEMIDIRECT_SHAPES])
 def test_make_field_modulus_matches_lexicographic_search(p, k):
     assert make_field(p, k).modulus == lexicographic_modulus(p, k)
-
-
-def accumulated_geom_sum(u, m):
-    """1 + u + ... + u^(m-1) by direct accumulation.
-
-    Test oracle: m multiplications and additions, independent of the
-    closed form (u^m - 1)/(u - 1) in gkspec.linact._geom_sum.
-    """
-    f = u.field
-    acc = f.zero
-    x = f.one
-    for _ in range(m):
-        acc = acc + x
-        x = x * u
-    return acc
-
-
-@pytest.mark.parametrize("p,k,n", [(2, 11, 23), (3, 4, 16), (3, 16, 17)])
-def test_geom_sum_matches_accumulation(p, k, n):
-    f = make_field(p, k)
-    for m in range(0, 3 * p + 2):
-        assert _geom_sum(f.one, m) == f.scalar(m % p) == accumulated_geom_sum(f.one, m)
-    # u of order n: the sum vanishes exactly at multiples of n
-    u = subgroup_generator(f, n)
-    assert _geom_sum(u, n).is_zero and _geom_sum(u, 2 * n).is_zero
-    for m in (1, 2, n - 1, n + 1, 2 * n + 3):
-        s = _geom_sum(u, m)
-        assert s == accumulated_geom_sum(u, m) and not s.is_zero
-    rng = random.Random(33)
-    for _ in range(100):
-        u = f.element([rng.randrange(p) for _ in range(k)])
-        m = rng.randrange(0, 120)
-        assert _geom_sum(u, m) == accumulated_geom_sum(u, m), (u, m)
 
 
 BIG_P = 1099511627689  # a prime near 2^40: products of residues exceed 64 bits

@@ -20,6 +20,7 @@ from gkspec.linact import (
     semidirect_element_order,
     semidirect_spectrum,
     t_sum_map,
+    _t_sum_kills,
 )
 
 F2_11 = make_field(2, 11)
@@ -246,6 +247,27 @@ def test_t_sum_telescoping_random():
             mat = h.matrix()
             t = t_sum_map(h, m)
             assert mat.sub(ident).mul(t) == mat.pow(m).sub(ident)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
+    # every action x -> u x^(p^e) and every vector of a small field; the
+    # oracle sums the matrices A^0 + ... + A^(m-1) of h directly
+    field = make_field(p, k)
+    vectors = [field.element_at(n) for n in range(field.order)]
+    ident = GFMatrix.identity(p, k)
+    for u, e in iproduct(vectors[1:], range(k)):
+        h = LinearAction(field, u, e)
+        o = action_order(h)
+        a = h.matrix()
+        for m in (o, 2 * o, p * o):
+            t_sum, power = ident.sub(ident), ident
+            for _ in range(m):
+                t_sum, power = t_sum.add(power), power.mul(a)
+            assert _t_sum_kills(h, o, m, field.basis()) == t_sum.is_zero, (h, m)
+            for v in vectors:
+                killed = not any(t_sum.matvec(v.coeffs))
+                assert _t_sum_kills(h, o, m, (v,)) == killed, (h, m, v)
 
 
 # -- semidirect element orders ------------------------------------------------------------
