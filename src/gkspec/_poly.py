@@ -2,7 +2,7 @@
 
 Polynomials are lists of integer coefficients in {0, ..., p-1}, ascending
 degree, with no trailing zeros ([] is the zero polynomial).  Only the
-operations needed by the field constructor (gcd, inverses) and the
+operations needed by the field constructor (gcd) and the
 minimal-polynomial routine (lcm) are provided; everything is exact modular
 arithmetic on Python integers, so no p is too large.  Field multiplication
 and powering live in gkspec.gf, on packed integers.
@@ -70,28 +70,3 @@ def lcm(a, b, p):
     inv = pow(q[-1], p - 2, p)
     return [(x * inv) % p for x in q]
 
-
-def invmod(a, modulus, p):
-    """Inverse of a modulo a monic irreducible modulus (extended Euclid)."""
-    a = trim(a)
-    if not a:
-        raise ZeroDivisionError("inverse of zero polynomial")
-    r0, r1 = list(modulus), a
-    s0, s1 = [], [1]
-    while r1:
-        q, r = divmod_(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, trim([(x - y) % p for x, y in _zip_pad(s0, mul(q, s1, p))])
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo the given modulus")
-    c = pow(r0[0], p - 2, p)
-    k = len(modulus) - 1
-    out = [(x * c) % p for x in s0]
-    return out[:k] + [0] * (k - len(out))
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)

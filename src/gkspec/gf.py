@@ -258,6 +258,10 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
+    @property
+    def is_one(self) -> bool:
+        return self.value == 1
+
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
         f = self.field
@@ -282,10 +286,10 @@ class FieldElement:
         return FieldElement(f, f._pow(self.value, e))
 
     def inverse(self) -> "FieldElement":
+        """x^(q-2), as x^(q-1) = 1 for nonzero x."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        f = self.field
-        return FieldElement(f, f._pack(_poly.invmod(self.coeffs, f.modulus, f.p)))
+        return self ** (self.field.order - 2)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import product as iter_product
 from math import gcd
 
-from .gf import FieldElement, FiniteField, make_field, subgroup_generator
+from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
 from .linact import ActionGroupElement, LinearAction, semidirect_spectrum
 from .orderset import Factorization, OrderSet, factorize
 
@@ -27,8 +27,8 @@ from .orderset import Factorization, OrderSet, factorize
 class SemidirectSpec:
     """Field summands acted on by a product of cyclic unit groups.
 
-    Actor j multiplies on summand j by a chosen element of exact order
-    actor_orders[j] and acts trivially on every other summand.
+    Actor j multiplies on summand j by generators[j], an element of exact
+    order actor_orders[j], and acts trivially on every other summand.
     """
 
     summands: tuple[FiniteField, ...]
@@ -36,14 +36,17 @@ class SemidirectSpec:
     generators: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        if len(self.summands) != len(self.actor_orders):
-            raise ValueError("one actor order per summand is required")
+        n = len(self.summands)
+        if len(self.actor_orders) != n or len(self.generators) != n:
+            raise ValueError("one actor order and one generator per summand are required")
         size = 1
         for f, m, g in zip(self.summands, self.actor_orders, self.generators):
             if (f.order - 1) % m != 0:
                 raise ValueError(f"{m} does not divide |{f}| - 1")
             if g.field != f:
                 raise ValueError("generator lives in the wrong summand")
+            if element_order(g) != m:
+                raise ValueError(f"generator does not have order {m}")
             size *= m
         if size > 10**5:
             raise ValueError("acting group too large to enumerate")

@@ -12,12 +12,23 @@ a direct sum of field summands, and the exact order formula for elements
 for m the order of h and T_m = 1 + h + ... + h^(m-1), so the order is m
 when T_m kills v and p*m otherwise.
 
-Whether T_m kills v is read off the order of h, for any multiple m of it.
-With t = k / gcd(e, k), h^t is multiplication by some c, and
-T_m = (1 + c + ... + c^(m/t - 1)) * T_t.  As c^(m/t) = 1, the factor is 0
-when c != 1, which is exactly when the order of h is not t, and (m/t) * 1
-when c = 1.  So T_m kills v when the order of h is not t, or p divides
-m/t, or T_t(v) = 0, a sum of at most k terms.
+Every fact about h used here is read off one closure (Lidl and
+Niederreiter, Finite Fields, on norms and Hilbert's Theorem 90).  With
+g = gcd(e, k) and t = k / g, h^t is multiplication by the norm
+c = u * u^(p^g) * ... * u^(p^((t-1)g)) of u down to GF(p^g), and no
+smaller positive power of h is a multiplication.  So:
+
+- the order of h is t * ord(c);
+- for m a multiple of that order, T_m = (1 + c + ... + c^(m/t - 1)) * T_t,
+  and the factor is 0 when c != 1 (as c^(m/t) = 1) and m/t when c = 1;
+  so T_m kills v when c != 1, or p divides m/t, or T_t(v) = 0, a sum of
+  at most k terms;
+- the fixed space of h is x0 * GF(p^g) for some x0 != 0 when c = 1
+  (Hilbert 90), of dimension g over GF(p), and 0 otherwise;
+- h^j has closure c^(j / gcd(j, t)), so a componentwise action of order n
+  is fixed-point-free (no nontrivial power fixes a nonzero vector) exactly
+  when every component has order n and, for each component, every prime
+  of its t divides ord(c).
 
 Everything here is immutable and reentrant.
 """
@@ -29,9 +40,7 @@ from math import gcd, lcm
 
 from . import _poly
 from .gf import FieldElement, FiniteField, element_order
-from .orderset import OrderSet, _is_prime
-
-_ORDER_SCAN_LIMIT = 10**4
+from .orderset import OrderSet, _is_prime, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -102,28 +111,6 @@ class GFMatrix:
     def matvec(self, v) -> list[int]:
         p = self.p
         return [sum(r[j] * v[j] for j in range(self.size)) % p for r in self.rows]
-
-    def rank(self) -> int:
-        p = self.p
-        m = [list(row) for row in self.rows]
-        k = self.size
-        r = 0
-        for c in range(k):
-            pivot = next((i for i in range(r, k) if m[i][c] % p), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = pow(m[r][c], p - 2, p)
-            m[r] = [(x * inv) % p for x in m[r]]
-            for i in range(k):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(k)]
-            r += 1
-        return r
-
-    def kernel_dim(self) -> int:
-        return self.size - self.rank()
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -204,29 +191,32 @@ def _basis_matrix(field: FiniteField, linear_map) -> GFMatrix:
     return GFMatrix(field.p, tuple(zip(*cols)))
 
 
-def action_order(h: LinearAction) -> int:
-    """Least m >= 1 with h^m the identity.
+def _closure(h: LinearAction) -> tuple[int, FieldElement]:
+    """(t, c) with t = k / gcd(e, k) and h^t multiplication by c.
 
-    For a pure multiplication this is the multiplicative order of the
-    multiplier.  Otherwise the Galois part must first close up (after
-    t = k / gcd(e, k) steps), leaving a pure multiplication whose order
-    finishes the count.
+    c is the norm u * u^(p^g) * ... * u^(p^((t-1)g)), g = gcd(e, k); see
+    the module docstring.  A multiplication (t = 1) costs nothing.
     """
-    if h.galois_exp == 0:
-        return element_order(h.mult) if h.mult != h.field.one else 1
-    t = h.field.k // gcd(h.galois_exp, h.field.k)
-    closed = h.power(t)
-    if closed.galois_exp != 0:
-        raise AssertionError("Galois part failed to close")
-    if closed.mult == h.field.one:
-        return t
-    return t * element_order(closed.mult)
+    f = h.field
+    g = gcd(h.galois_exp, f.k)
+    c = conjugate = h.mult
+    for _ in range(f.k // g - 1):
+        conjugate = f.frobenius(conjugate, g)
+        c = c * conjugate
+    return f.k // g, c
+
+
+def action_order(h: LinearAction) -> int:
+    """Least m >= 1 with h^m the identity: t * ord(c) for the closure (t, c)."""
+    t, c = _closure(h)
+    return t * element_order(c)
 
 
 def fixed_space_dim(h: LinearAction) -> int:
-    """GF(p)-dimension of the fixed space of h (kernel of h - identity)."""
-    m = h.matrix()
-    return m.sub(GFMatrix.identity(m.p, m.size)).kernel_dim()
+    """GF(p)-dimension of the fixed space of h: gcd(e, k) when the closure
+    c is 1, else 0 (module docstring)."""
+    t, c = _closure(h)
+    return h.field.k // t if c.is_one else 0
 
 
 def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
@@ -310,15 +300,14 @@ def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     return acc
 
 
-def _t_sum_kills(h: LinearAction, order: int, m: int, vectors) -> bool:
+def _t_sum_kills(h: LinearAction, closure, m: int, vectors) -> bool:
     """Whether T_m kills every one of the vectors.
 
-    order is action_order(h) and m a multiple of it; the rule is the one in
-    the module docstring.
+    closure is _closure(h) and m a multiple of the order of h; the rule is
+    the one in the module docstring.
     """
-    f = h.field
-    t = f.k // gcd(h.galois_exp, f.k)
-    if order != t or (m // t) % f.p == 0:
+    t, c = closure
+    if not c.is_one or (m // t) % h.field.p == 0:
         return True
     return all(_t_sum_on(h, t, v).is_zero for v in vectors)
 
@@ -339,10 +328,6 @@ class ActionGroupElement:
         chars = {c.field.p for c in self.components}
         if len(chars) != 1:
             raise ValueError("summands must share the characteristic")
-
-    @property
-    def characteristic(self) -> int:
-        return self.components[0].field.p
 
     @property
     def is_identity(self) -> bool:
@@ -368,64 +353,61 @@ def _as_vector(v) -> tuple[FieldElement, ...]:
     return v if isinstance(v, tuple) else (v,)
 
 
+def _order_and_t_sum(h, summands, vectors) -> tuple[int, bool]:
+    """The order m of an acting element and whether T_m kills the vectors.
+
+    summands lists the fields acted on and vectors, one iterable per
+    summand, the vectors of each; every component's closure is computed
+    once.
+    """
+    hh = _as_group_element(h)
+    if len(hh.components) != len(summands) or any(
+        c.field != f for c, f in zip(hh.components, summands)
+    ):
+        raise ValueError("acting element does not match the summands")
+    closures = [_closure(c) for c in hh.components]
+    m = lcm(*(t * element_order(c) for t, c in closures))
+    kills = all(
+        _t_sum_kills(c, closure, m, vs)
+        for c, closure, vs in zip(hh.components, closures, vectors)
+    )
+    return m, kills
+
+
 def semidirect_element_order(v, h) -> int:
     """Order of the pair (v, h) in (sum of summands) x| (acting group).
 
     With m the order of h, (v, h)^m = (T_m(v), 1); the pair has order m
     when T_m(v) = 0 and p*m otherwise, p the common characteristic.
     """
-    hh = _as_group_element(h)
     vv = _as_vector(v)
-    if len(vv) != len(hh.components):
-        raise ValueError("vector and action have different numbers of summands")
-    for x, c in zip(vv, hh.components):
-        if x.field != c.field:
-            raise ValueError("vector summand does not match the acted-on field")
-    orders = [action_order(c) for c in hh.components]
-    m = lcm(*orders)
-    if all(
-        _t_sum_kills(c, o, m, (x,)) for c, o, x in zip(hh.components, orders, vv)
-    ):
-        return m
-    return hh.characteristic * m
+    m, kills = _order_and_t_sum(h, [x.field for x in vv], [(x,) for x in vv])
+    return m if kills else vv[0].field.p * m
 
 
 def semidirect_spectrum(summands, elements) -> OrderSet:
     """Exact element-order spectrum of V x| H.
 
     summands lists the field summands of V and elements every member of the
-    (abelian) acting group H as ActionGroupElement values.  The spectrum is
-    {1} with, when V is nonzero, the characteristic p, together with every
-    acting order m and p*m for each h whose T-sum is not the zero map.
-
-    With no summands the group is H alone; pass the element orders of H as
-    plain integers in that case.
+    (abelian) acting group H as ActionGroupElement values; V must be
+    nonzero.  The spectrum is the closure of {1, p}, p the characteristic,
+    with every acting order m, or p*m for each h whose T-sum is not the
+    zero map.
     """
     summands = tuple(summands)
+    if not summands:
+        raise ValueError("at least one summand is required")
     elements = list(elements)
     if len(elements) > 10**5:
         raise ValueError("acting group too large to enumerate")
-    if not summands:
-        orders = [int(x) for x in elements]
-        return OrderSet.from_generators(orders + [1])
     p = summands[0].p
     if any(f.p != p for f in summands):
         raise ValueError("summands must share the characteristic")
+    bases = [tuple(f.basis()) for f in summands]
     gens = {1, p}
     for h in elements:
-        hh = _as_group_element(h)
-        if len(hh.components) != len(summands):
-            raise ValueError("acting element does not match the summand list")
-        if any(c.field != f for c, f in zip(hh.components, summands)):
-            raise ValueError("acting element does not match the summand list")
-        orders = [action_order(c) for c in hh.components]
-        m = lcm(*orders)
-        gens.add(m)
-        if not all(
-            _t_sum_kills(c, o, m, c.field.basis())
-            for c, o in zip(hh.components, orders)
-        ):
-            gens.add(p * m)
+        m, kills = _order_and_t_sum(h, summands, bases)
+        gens.add(m if kills else p * m)
     return OrderSet.from_generators(gens)
 
 
@@ -433,23 +415,19 @@ def is_fixed_point_free(h) -> bool:
     """Whether every nontrivial power of h fixes only zero.
 
     This is the defining property of the acting side of a Frobenius
-    configuration.  Exhaustive over the order of h, so the order must stay
-    within a scan limit.
+    configuration.  It is read off the closures (t, c) of the components
+    (module docstring): every component must have the order n of h, and
+    every prime of each t must divide the order of its c.  The cost does
+    not grow with n.
     """
     hh = _as_group_element(h)
     if hh.is_identity:
         raise ValueError("the identity has the whole space as fixed points")
-    n = hh.order()
-    if n > _ORDER_SCAN_LIMIT:
-        raise ValueError("order too large for the exhaustive fixed-point scan")
-    current = hh
-    for _ in range(1, n):
-        # fixed space of a componentwise action is the sum of the
-        # component fixed spaces
-        if any(fixed_space_dim(c) > 0 for c in current.components):
-            return False
-        current = current.compose(hh)
-    return True
+    orders = [(t, element_order(c)) for t, c in map(_closure, hh.components)]
+    n = lcm(*(t * d for t, d in orders))
+    return all(
+        t * d == n and all(d % r == 0 for r in prime_divisors(t)) for t, d in orders
+    )
 
 
 def frobenius_arith_check(kernel_order: int, complement_order: int) -> bool:

@@ -1,11 +1,16 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkspec.atlasdb import LEMMA_QUERIES
 from gkspec.cli import main
 
 J4_GENS = "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
@@ -254,3 +259,56 @@ def test_full_verify_passes(capsys):
         line for line in out.splitlines(keepends=True) if '"backend"' not in line
     )
     assert report == EXPECTED_VERIFY.read_text("utf-8")
+
+
+# -- exit-code contract under generated argv --------------------------------------
+
+NUMBER = st.one_of(
+    st.integers(-3, 2**16), st.integers(2**62, 2**64), st.sampled_from(["", "x", "1.5", " 7"])
+).map(str)
+GENS = st.lists(NUMBER, min_size=1, max_size=4).map(",".join)
+OPTIONAL = st.one_of(st.just([]), st.sampled_from([["--bogus"], ["-h"], ["extra"]]))
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from the subcommand grammar, with values and flags that are
+    sometimes wrong, missing or extra."""
+    command = draw(st.sampled_from(["spectrum", "product", "wreath2", "gk", "coclique", "db", "verify"]))
+    if command in ("spectrum", "wreath2"):
+        args = [draw(GENS)]
+    elif command == "product":
+        args = draw(st.lists(GENS, min_size=1, max_size=2))
+    elif command in ("gk", "coclique"):
+        args = draw(_option("--gens", GENS))
+        args += draw(_option("--group", st.sampled_from(["J4", "L2(23)", "U3(11)", "M99"])))
+        args += draw(_option("--db", st.just("no-such-records.db")))
+        if command == "gk":
+            args += draw(st.sampled_from([[], ["--dot"]]))
+    elif command == "db":
+        args = draw(
+            st.sampled_from([["list"], ["check"], ["query"], ["query", "--lemma", "7"]])
+            | st.sampled_from(sorted(LEMMA_QUERIES)).map(lambda n: ["query", "--lemma", n])
+        )
+        args += draw(_option("--db", st.just("no-such-records.db")))
+    else:
+        # a narrow --only keeps each example short; the full report is
+        # covered by the tests above
+        only = draw(st.sampled_from(["linact", "frobenius", "psl2.q23", "db.lemma8", "no-such-check"]))
+        args = ["--only", only] + draw(st.sampled_from([[], ["--json"]]))
+    return [command] + args + draw(OPTIONAL)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(cli_argv())
+def test_cli_exit_code_is_always_0_1_or_2(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -67,6 +67,19 @@ def test_semidirect_spec_validation():
         SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))  # too large
 
 
+def test_semidirect_spec_checks_every_generator():
+    remark = build_remark_group()
+    summands, gens = remark.summands, remark.generators
+    assert SemidirectSpec(summands, (17, 5), gens).spectrum().members() == [1, 3, 5, 15, 17, 51, 85]
+    with pytest.raises(ValueError):
+        SemidirectSpec(summands, (17, 5), gens[:1])  # one generator short
+    with pytest.raises(ValueError):
+        # the identity is no generator of order 17: the spectrum would lose 17, 51, 85
+        SemidirectSpec(summands, (17, 5), (summands[0].one, gens[1]))
+    with pytest.raises(ValueError):
+        SemidirectSpec(summands, (17, 5), (gens[0], gens[1] ** 5))
+
+
 # -- GammaL1 configurations --------------------------------------------------------
 
 def test_gamma_23_11():

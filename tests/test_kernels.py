@@ -130,6 +130,9 @@ def test_packed_arithmetic_matches_tuple_kernels(p, k):
     assert (top * top).coeffs == mulmod(top.coeffs, top.coeffs, modulus, p)
     assert (top + top).coeffs == ((p - 2) % p,) * k
     assert (-top).coeffs == (1 % p,) * k and (-f.zero).is_zero
+    # inverses, multiplied back by the oracle
+    for x in [f.one, top] + [f.element_at(rng.randrange(1, f.order)) for _ in range(50)]:
+        assert mulmod(x.coeffs, x.inverse().coeffs, modulus, p) == f.one.coeffs
 
 
 # (p, k, kernel order, complement order) of the semidirect benchmark workload

@@ -1,7 +1,9 @@
 """Semilinear actions, T-sums, semidirect element orders and spectra."""
 
 import random
+from functools import cache
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 
@@ -20,6 +22,7 @@ from gkspec.linact import (
     semidirect_element_order,
     semidirect_spectrum,
     t_sum_map,
+    _closure,
     _t_sum_kills,
 )
 
@@ -258,16 +261,16 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     ident = GFMatrix.identity(p, k)
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
-        o = action_order(h)
+        o, closure = action_order(h), _closure(h)
         a = h.matrix()
         for m in (o, 2 * o, p * o):
             t_sum, power = ident.sub(ident), ident
             for _ in range(m):
                 t_sum, power = t_sum.add(power), power.mul(a)
-            assert _t_sum_kills(h, o, m, field.basis()) == t_sum.is_zero, (h, m)
+            assert _t_sum_kills(h, closure, m, field.basis()) == t_sum.is_zero, (h, m)
             for v in vectors:
                 killed = not any(t_sum.matvec(v.coeffs))
-                assert _t_sum_kills(h, o, m, (v,)) == killed, (h, m, v)
+                assert _t_sum_kills(h, closure, m, (v,)) == killed, (h, m, v)
 
 
 # -- semidirect element orders ------------------------------------------------------------
@@ -348,8 +351,11 @@ def test_semidirect_spectrum_frobenius_kernel():
 
 
 def test_semidirect_spectrum_trivial_module():
-    spec = semidirect_spectrum((), [1, 17, 17, 17])
-    assert spec.members() == [1, 17]
+    # V = 0 is not a semidirect product this function describes
+    with pytest.raises(ValueError):
+        semidirect_spectrum((), [1, 17, 17, 17])
+    with pytest.raises(ValueError):
+        semidirect_spectrum((), [])
 
 
 def test_semidirect_spectrum_validation():
@@ -375,6 +381,124 @@ def test_is_fixed_point_free():
     )
     with pytest.raises(ValueError):
         is_fixed_point_free(LinearAction.identity(F2_11))
+
+
+# Test oracles for the closed forms read off the closure (t, c): plain-list
+# matrix arithmetic on the powers of h, independent of norms and closures.
+
+def plain_rank(rows, p):
+    """Rank over GF(p) of a list-of-rows matrix, by row reduction."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        for i in range(len(m)):
+            if i != rank and m[i][c] % p:
+                f = m[i][c] * inv
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def plain_fixed_dim(rows, p):
+    """Dimension of the fixed space of a matrix: k - rank(A - I)."""
+    k = len(rows)
+    return k - plain_rank([[(x - (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(rows)], p)
+
+
+@cache
+def power_scans(p, k, exponents=None):
+    """Every action u x^(p^e) of GF(p^k), e in exponents (default all),
+    with the fixed-space dimensions of its powers h^0, h^1, ..., h^(o-1),
+    o the order of h: the matrix of h is multiplied up, with plain lists,
+    until it returns to the identity."""
+    field = make_field(p, k)
+    ident = [[int(i == j) for j in range(k)] for i in range(k)]
+    scans = []
+    for n, e in iproduct(range(1, field.order), exponents or range(k)):
+        h = LinearAction(field, field.element_at(n), e)
+        a = h.matrix().rows
+        dims, power = [], ident
+        while not dims or power != ident:
+            dims.append(plain_fixed_dim(power, p))
+            power = [[sum(r[t] * a[t][j] for t in range(k)) % p for j in range(k)] for r in power]
+            assert len(dims) <= k * field.order
+        scans.append((h, dims))
+    return scans
+
+
+CLOSED_FORM_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("p,k", CLOSED_FORM_FIELDS)
+def test_action_order_matches_power_scan_exhaustive(p, k):
+    for h, dims in power_scans(p, k):
+        assert action_order(h) == len(dims), h
+
+
+@pytest.mark.parametrize("p,k", CLOSED_FORM_FIELDS)
+def test_fixed_space_dim_matches_plain_rank_exhaustive(p, k):
+    for h, _ in power_scans(p, k):
+        assert fixed_space_dim(h) == plain_fixed_dim(h.matrix().rows, p), h
+
+
+@pytest.mark.parametrize("p,k", CLOSED_FORM_FIELDS)
+def test_is_fixed_point_free_matches_power_scan_exhaustive(p, k):
+    verdicts = set()
+    for h, dims in power_scans(p, k):
+        if not h.is_identity:
+            free = not any(dims[1:])
+            assert is_fixed_point_free(h) == free, h
+            verdicts.add(free)
+    assert verdicts == {False, True}
+
+
+def test_is_fixed_point_free_needs_every_prime_of_t():
+    # on GF(3^6) with e = 1, t = 6 and c lies in GF(3); no such h is
+    # fixed-point-free, though those with c = -1 fix nothing themselves
+    scans = power_scans(3, 6, (1,))
+    assert any(dims[1] == 0 for _, dims in scans)
+    for h, dims in scans:
+        assert any(dims[1:]), h  # the oracle's verdict
+        assert not is_fixed_point_free(h), h
+
+
+def test_is_fixed_point_free_two_summands_exhaustive():
+    # every action on GF(2^4) + GF(2^2): h^j fixes a nonzero vector when
+    # either component power does
+    for (h1, d1), (h2, d2) in iproduct(power_scans(2, 4), power_scans(2, 2)):
+        h = ActionGroupElement((h1, h2))
+        if h.is_identity:
+            continue
+        n = lcm(len(d1), len(d2))
+        assert h.order() == n
+        free = not any(d1[j % len(d1)] or d2[j % len(d2)] for j in range(1, n))
+        assert is_fixed_point_free(h) == free, h
+
+
+def test_is_fixed_point_free_beyond_ten_thousand():
+    # h = z x^(3^8) on GF(3^16), z primitive: h^2 multiplies by the norm of
+    # z, a generator of GF(3^8)*, so h has order 2 * 6560.  The oracle uses
+    # that h^j fixes a vector only if h^(n/r) does for some prime r | n
+    f = make_field(3, 16)
+    h = LinearAction(f, subgroup_generator(f, f.order - 1), 8)
+    n = action_order(h)
+    assert n == 13120
+    assert all(plain_fixed_dim(h.power(n // r).matrix().rows, 3) == 0 for r in (2, 5, 41))
+    assert is_fixed_point_free(h)
+    # with a second summand of order 3 the element's cube fixes (0, 1)
+    f216 = make_field(2, 16)
+    z = LinearAction.multiplication(subgroup_generator(f216, f216.order - 1))
+    assert action_order(z) == 65535
+    assert all(plain_fixed_dim(z.power(65535 // r).matrix().rows, 2) == 0 for r in (3, 5, 17, 257))
+    assert is_fixed_point_free(z)
+    w = LinearAction.multiplication(subgroup_generator(make_field(2, 2), 3))
+    assert w.power(3).is_identity
+    assert not is_fixed_point_free(ActionGroupElement((z, w)))
 
 
 def test_lemma1_instance_gamma_23_11():

@@ -362,6 +362,49 @@ def test_sigma_subadditive_random():
         assert product_spectrum(a, b).sigma() <= a.sigma() + b.sigma()
 
 
+# Values straddling 2^63: large ones around the bound and smaller ones whose
+# lcm with a large one may or may not overflow.
+NEAR_INT64 = st.one_of(
+    st.integers(INT64_MAX - 2**40, INT64_MAX + 2**40),
+    st.integers(2**29, 2**34),
+    st.integers(1, 2**8),
+)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.lists(NEAR_INT64, min_size=1, max_size=3), st.lists(NEAR_INT64, min_size=1, max_size=3))
+def test_orderset_laws_near_int64_max(xs, ys):
+    if max(xs + ys) > INT64_MAX:
+        with pytest.raises(OverflowError):
+            OrderSet.from_generators(xs + ys)
+        with pytest.raises(OverflowError):
+            OrderSet.parse(",".join(map(str, xs + ys)))
+        return
+    a, b = OrderSet.from_generators(xs), OrderSet.from_generators(ys)
+    assert OrderSet.from_generators(a.maximal_elements) == a
+    assert OrderSet.parse(a.serialize()) == a
+    assert all(a.contains(x) for x in xs) and not a.contains(max(xs) + 1)
+    lcms = {x // gcd(x, y) * y for x in a.maximal_elements for y in b.maximal_elements}
+    if max(lcms) > INT64_MAX:
+        with pytest.raises(OverflowError):
+            product_spectrum(a, b)
+        with pytest.raises(OverflowError):
+            product_spectrum(b, a)
+    else:
+        ab = product_spectrum(a, b)
+        assert ab == product_spectrum(b, a) == OrderSet.from_generators(lcms)
+        assert a.issubset(ab) and b.issubset(ab)
+        assert ab.pi() == tuple(sorted(set(a.pi()) | set(b.pi())))
+    assert product_spectrum(a, OrderSet((1,))) == a
+    squares = {x // gcd(x, y) * y for x in a.maximal_elements for y in a.maximal_elements}
+    doubled = {2 * m for m in a.maximal_elements}
+    if max(squares | doubled) > INT64_MAX:
+        with pytest.raises(OverflowError):
+            wreath2_spectrum(a)
+    else:
+        assert wreath2_spectrum(a) == OrderSet.from_generators(squares | doubled)
+
+
 def test_int64_boundary_values_ok():
     s = OrderSet.from_generators([INT64_MAX])
     assert s.contains(INT64_MAX)
