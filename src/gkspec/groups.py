@@ -16,10 +16,10 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 
 from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
-from .linact import ActionGroupElement, LinearAction, semidirect_spectrum
+from .linact import ENUMERATION_LIMIT, ActionGroupElement, LinearAction, semidirect_spectrum
 from .orderset import Factorization, OrderSet, factorize
 
 
@@ -39,7 +39,6 @@ class SemidirectSpec:
         n = len(self.summands)
         if len(self.actor_orders) != n or len(self.generators) != n:
             raise ValueError("one actor order and one generator per summand are required")
-        size = 1
         for f, m, g in zip(self.summands, self.actor_orders, self.generators):
             if (f.order - 1) % m != 0:
                 raise ValueError(f"{m} does not divide |{f}| - 1")
@@ -47,8 +46,7 @@ class SemidirectSpec:
                 raise ValueError("generator lives in the wrong summand")
             if element_order(g) != m:
                 raise ValueError(f"generator does not have order {m}")
-            size *= m
-        if size > 10**5:
+        if self.acting_group_size > ENUMERATION_LIMIT:
             raise ValueError("acting group too large to enumerate")
 
     @classmethod
@@ -61,10 +59,7 @@ class SemidirectSpec:
 
     @property
     def acting_group_size(self) -> int:
-        size = 1
-        for m in self.actor_orders:
-            size *= m
-        return size
+        return prod(self.actor_orders)
 
     def acting_elements(self) -> list[ActionGroupElement]:
         """Every element of the acting group, componentwise multiplications."""

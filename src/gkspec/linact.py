@@ -3,8 +3,8 @@
 Every action in scope has the shape x -> u * x^(p^e) for a nonzero field
 element u and a Galois exponent e; that family is closed under composition
 and inversion, so actions are kept in this normal form and only realized
-as k x k matrices over GF(p) when a kernel or minimal-polynomial
-computation needs them.
+as k x k matrices over GF(p) by minimal_polynomial and t_sum_map, which
+back verify's linact.galois and linact.kernel checks.
 
 On top of single-field actions sit tuples of them acting componentwise on
 a direct sum of field summands, and the exact order formula for elements
@@ -42,17 +42,16 @@ from . import _poly
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
 
+# The most acting elements semidirect_spectrum enumerates.
+ENUMERATION_LIMIT = 10**5
+
 
 @dataclass(frozen=True)
 class GFMatrix:
-    """Dense matrix over GF(p), rows of residues.  Printable row-major."""
+    """Dense matrix over GF(p), rows of residues."""
 
     p: int
     rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def identity(cls, p: int, k: int) -> "GFMatrix":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
     @property
     def size(self) -> int:
@@ -62,58 +61,9 @@ class GFMatrix:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.rows)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == GFMatrix.identity(self.p, self.size)
-
-    def add(self, other: "GFMatrix") -> "GFMatrix":
-        p = self.p
-        return GFMatrix(
-            p,
-            tuple(
-                tuple((a + b) % p for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
-
-    def sub(self, other: "GFMatrix") -> "GFMatrix":
-        p = self.p
-        return GFMatrix(
-            p,
-            tuple(
-                tuple((a - b) % p for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
-
-    def mul(self, other: "GFMatrix") -> "GFMatrix":
-        p = self.p
-        k = self.size
-        cols = list(zip(*other.rows))
-        return GFMatrix(
-            p,
-            tuple(
-                tuple(sum(r[t] * c[t] for t in range(k)) % p for c in cols)
-                for r in self.rows
-            ),
-        )
-
-    def pow(self, e: int) -> "GFMatrix":
-        result = GFMatrix.identity(self.p, self.size)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
-
     def matvec(self, v) -> list[int]:
         p = self.p
         return [sum(r[j] * v[j] for j in range(self.size)) % p for r in self.rows]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -255,10 +205,8 @@ def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
             combo[deg] = 1
             rw, rcombo = reduce(w, combo)
             if all(x == 0 for x in rw):
-                ann = _poly.trim(rcombo)
-                inv = pow(ann[-1], p - 2, p)
-                ann = [(x * inv) % p for x in ann]
-                minpoly = _poly.lcm(minpoly, ann, p)
+                # monic already: combo[deg] = 1, and every echelon row is of lower degree
+                minpoly = _poly.lcm(minpoly, _poly.trim(rcombo), p)
                 break
             lead = next(i for i, x in enumerate(rw) if x)
             c = pow(rw[lead], p - 2, p)
@@ -398,7 +346,7 @@ def semidirect_spectrum(summands, elements) -> OrderSet:
     if not summands:
         raise ValueError("at least one summand is required")
     elements = list(elements)
-    if len(elements) > 10**5:
+    if len(elements) > ENUMERATION_LIMIT:
         raise ValueError("acting group too large to enumerate")
     p = summands[0].p
     if any(f.p != p for f in summands):

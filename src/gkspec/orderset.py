@@ -331,10 +331,7 @@ def wreath2_spectrum(a: OrderSet) -> OrderSet:
     closure of {2m : m maximal in a}.
     """
     gens = set(product_spectrum(a, a).maximal_elements)
-    for m in a.maximal_elements:
-        if 2 * m > INT64_MAX:
-            raise OverflowError(f"2*{m} exceeds the 64-bit range")
-        gens.add(2 * m)
+    gens.update(2 * m for m in a.maximal_elements)
     return OrderSet.from_generators(gens)
 
 

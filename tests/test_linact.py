@@ -3,7 +3,7 @@
 import random
 from functools import cache
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +11,6 @@ from gkspec.gf import make_field, element_order, subgroup_generator
 from gkspec.groups import build_gamma_frobenius, build_remark_group
 from gkspec.linact import (
     ActionGroupElement,
-    GFMatrix,
     LinearAction,
     action_order,
     fixed_space_dim,
@@ -44,6 +43,27 @@ def _random_action(field, rng):
         u = _random_element(field, rng)
         if not u.is_zero:
             return LinearAction(field, u, rng.randrange(field.k))
+
+
+# Plain-list matrix arithmetic over GF(p) for the oracles below, independent
+# of gkspec.linact.GFMatrix; a matrix is a sequence of rows.
+
+def plain_identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def plain_mul(a, b, p):
+    """The product a * b."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in a]
+
+
+def plain_combination(coeffs, mats, p):
+    """The sum of c * M over the pairs (c, M) of coeffs and mats."""
+    return [
+        [sum(c * x for c, x in zip(coeffs, entries)) % p for entries in zip(*rows)]
+        for rows in zip(*mats)
+    ]
 
 
 # -- construction and composition --------------------------------------------------
@@ -154,17 +174,14 @@ def test_minpoly_preconditions():
 
 def test_minimal_polynomial_annihilates():
     rng = random.Random(16)
+    p = F3_4.p
     for _ in range(100):
-        h = _random_action(F3_4, rng)
-        m = h.matrix()
+        m = _random_action(F3_4, rng).matrix()
         mp = minimal_polynomial(m)
-        acc = GFMatrix(m.p, tuple(tuple(0 for _ in row) for row in m.rows))
-        power = GFMatrix.identity(m.p, m.size)
-        for c in mp:
-            if c:
-                acc = acc.add(GFMatrix(m.p, tuple(tuple(c * x % m.p for x in row) for row in power.rows)))
-            power = power.mul(m)
-        assert acc.is_zero
+        powers = [plain_identity(F3_4.k)]
+        for _ in mp[1:]:
+            powers.append(plain_mul(powers[-1], m.rows, p))
+        assert not any(map(any, plain_combination(mp, powers, p)))
 
 
 def enumerated_minimal_polynomial(rows, p):
@@ -175,20 +192,13 @@ def enumerated_minimal_polynomial(rows, p):
     the Krylov scan and its early stop in gkspec.linact.minimal_polynomial.
     """
     k = len(rows)
-    powers = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    powers = [plain_identity(k)]
     for _ in range(k):
-        a = powers[-1]
-        powers.append(
-            [[sum(a[i][t] * rows[t][j] for t in range(k)) % p for j in range(k)] for i in range(k)]
-        )
+        powers.append(plain_mul(powers[-1], rows, p))
     for d in range(1, k + 1):
         for tail in iproduct(range(p), repeat=d):
             g = tail + (1,)
-            if all(
-                sum(c * powers[n][i][j] for n, c in enumerate(g)) % p == 0
-                for i in range(k)
-                for j in range(k)
-            ):
+            if not any(map(any, plain_combination(g, powers, p))):
                 return g
     raise AssertionError("no annihilating polynomial of degree <= k")
 
@@ -212,6 +222,47 @@ def test_minimal_polynomial_matches_enumeration(p, k):
     assert k in degrees and min(degrees) < k
 
 
+def closed_form_minimal_polynomial(h):
+    """mu_c(x^t) for h = u x^(p^e): t = k / gcd(e, k), h^t is multiplication
+    by c, and mu_c is the product of y - r over the distinct conjugates
+    r = c^(p^i) of c, the minimal polynomial of c over GF(p).
+
+    Test oracle: c comes from LinearAction.power, not from the closure.
+    """
+    f = h.field
+    t = f.k // gcd(h.galois_exp, f.k)
+    ht = h.power(t)
+    assert ht.galois_exp == 0
+    conjugates = [ht.mult]
+    while conjugates[-1] ** f.p != ht.mult:
+        conjugates.append(conjugates[-1] ** f.p)
+    mu = [f.one]  # ascending coefficients, field elements
+    for r in conjugates:
+        mu = [a - r * b for a, b in zip([f.zero] + mu, mu + [f.zero])]
+    poly = [0] * (t * len(conjugates) + 1)
+    for i, a in enumerate(mu):
+        assert not any(a.coeffs[1:])  # mu_c lies over GF(p)
+        poly[i * t] = a.coeffs[0]
+    return tuple(poly)
+
+
+# (p, k) of the semidirect benchmark workload's fields
+SEMIDIRECT_FIELDS = (
+    (2, 11), (3, 16), (3, 4), (2, 8), (2, 10), (2, 12), (2, 16), (3, 8),
+    (3, 12), (5, 4), (5, 6), (5, 10), (7, 4), (7, 6), (7, 9),
+)
+
+
+@pytest.mark.parametrize("p,k", SEMIDIRECT_FIELDS)
+def test_minimal_polynomial_matches_closed_form(p, k):
+    f = make_field(p, k)
+    rng = random.Random(100 * p + k)
+    for e in range(k):
+        for u in [f.one] + [f.element_at(rng.randrange(1, f.order)) for _ in range(2)]:
+            h = LinearAction(f, u, e)
+            assert minimal_polynomial(h.matrix()) == closed_form_minimal_polynomial(h), (u, e)
+
+
 def test_lemma2_dichotomy_on_instance_corpus():
     # wherever the minimal polynomial is exactly x^s - 1, the fixed space is
     # nontrivial; instances with prime order in the constructed corpus
@@ -231,7 +282,7 @@ def test_lemma2_dichotomy_on_instance_corpus():
 # -- T-sums -----------------------------------------------------------------------------
 
 def test_t_sum_base_cases():
-    assert t_sum_map(GALOIS, 1).is_identity
+    assert list(map(list, t_sum_map(GALOIS, 1).rows)) == plain_identity(11)
     assert t_sum_map(MULT23, 23).is_zero
     trace = t_sum_map(GALOIS, 11)
     assert not trace.is_zero
@@ -243,13 +294,16 @@ def test_t_sum_base_cases():
 def test_t_sum_telescoping_random():
     rng = random.Random(17)
     for field in (F2_11, F3_4):
-        ident = GFMatrix.identity(field.p, field.k)
+        p, ident = field.p, plain_identity(field.k)
         for _ in range(150):
             h = _random_action(field, rng)
             m = rng.randrange(1, 12)
-            mat = h.matrix()
-            t = t_sum_map(h, m)
-            assert mat.sub(ident).mul(t) == mat.pow(m).sub(ident)
+            a = h.matrix().rows
+            power = ident
+            for _ in range(m):
+                power = plain_mul(power, a, p)
+            lhs = plain_mul(plain_combination((1, -1), (a, ident), p), t_sum_map(h, m).rows, p)
+            assert lhs == plain_combination((1, -1), (power, ident), p)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
@@ -258,19 +312,21 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     # oracle sums the matrices A^0 + ... + A^(m-1) of h directly
     field = make_field(p, k)
     vectors = [field.element_at(n) for n in range(field.order)]
-    ident = GFMatrix.identity(p, k)
+    columns = list(zip(*(v.coeffs for v in vectors)))  # every vector, as a k x q matrix
+    ident = plain_identity(k)
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
         o, closure = action_order(h), _closure(h)
-        a = h.matrix()
+        a = h.matrix().rows
         for m in (o, 2 * o, p * o):
-            t_sum, power = ident.sub(ident), ident
+            t_sum, power = [[0] * k for _ in range(k)], ident
             for _ in range(m):
-                t_sum, power = t_sum.add(power), power.mul(a)
-            assert _t_sum_kills(h, closure, m, field.basis()) == t_sum.is_zero, (h, m)
-            for v in vectors:
-                killed = not any(t_sum.matvec(v.coeffs))
-                assert _t_sum_kills(h, closure, m, (v,)) == killed, (h, m, v)
+                t_sum = plain_combination((1, 1), (t_sum, power), p)
+                power = plain_mul(power, a, p)
+            assert _t_sum_kills(h, closure, m, field.basis()) == (not any(map(any, t_sum))), (h, m)
+            images = list(zip(*plain_mul(t_sum, columns, p)))
+            for v, image in zip(vectors, images):
+                assert _t_sum_kills(h, closure, m, (v,)) == (not any(image)), (h, m, v)
 
 
 # -- semidirect element orders ------------------------------------------------------------
@@ -407,7 +463,7 @@ def plain_rank(rows, p):
 def plain_fixed_dim(rows, p):
     """Dimension of the fixed space of a matrix: k - rank(A - I)."""
     k = len(rows)
-    return k - plain_rank([[(x - (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(rows)], p)
+    return k - plain_rank(plain_combination((1, -1), (rows, plain_identity(k)), p), p)
 
 
 @cache
@@ -417,7 +473,7 @@ def power_scans(p, k, exponents=None):
     o the order of h: the matrix of h is multiplied up, with plain lists,
     until it returns to the identity."""
     field = make_field(p, k)
-    ident = [[int(i == j) for j in range(k)] for i in range(k)]
+    ident = plain_identity(k)
     scans = []
     for n, e in iproduct(range(1, field.order), exponents or range(k)):
         h = LinearAction(field, field.element_at(n), e)
@@ -425,7 +481,7 @@ def power_scans(p, k, exponents=None):
         dims, power = [], ident
         while not dims or power != ident:
             dims.append(plain_fixed_dim(power, p))
-            power = [[sum(r[t] * a[t][j] for t in range(k)) % p for j in range(k)] for r in power]
+            power = plain_mul(power, a, p)
             assert len(dims) <= k * field.order
         scans.append((h, dims))
     return scans
