@@ -55,7 +55,11 @@ class GroupRecord:
     pi is always present.  order, mu and the two membership flags are
     optional; when present they must be mutually consistent (validated at
     construction): pi equals the primes of order, the primes of mu lie in
-    pi, and each flag agrees with mu membership.
+    pi, and each flag agrees with mu membership.  By Lagrange's theorem an
+    element order divides |G|, so with order present each mu generator's
+    prime exponents are at most those of order, and a true has9 (has25)
+    needs 3^2 (5^2) to divide it; exponents are compared, not values, as
+    |G| may exceed 2^63.
     """
 
     name: str
@@ -76,11 +80,23 @@ class GroupRecord:
         for p in self.pi:
             if not _is_prime(p):
                 raise RecordError(self.name, f"{p} in pi is not prime")
-        if self.order is not None and self.order.primes != self.pi:
-            raise RecordError(self.name, "pi does not match the primes of order")
+        if self.order is not None:
+            if self.order.primes != self.pi:
+                raise RecordError(self.name, "pi does not match the primes of order")
+            for flag_value, r, n in ((self.has9, 3, 9), (self.has25, 5, 25)):
+                if flag_value and self.order.exponent(r) < 2:
+                    raise RecordError(
+                        self.name, f"flag has{n} true but {n} does not divide the order"
+                    )
         if self.mu is not None:
             if not set(self.mu.pi()) <= set(self.pi):
                 raise RecordError(self.name, "mu has primes outside pi")
+            if self.order is not None:
+                for m in self.mu.maximal_elements:
+                    if any(e > self.order.exponent(r) for r, e in factorize(m).pairs):
+                        raise RecordError(
+                            self.name, f"mu generator {m} does not divide the order"
+                        )
             for flag_value, n in ((self.has9, 9), (self.has25, 25)):
                 if flag_value is not None and flag_value != self.mu.contains(n):
                     raise RecordError(

@@ -50,13 +50,15 @@ class FiniteField:
     modulus: tuple[int, ...]  # length k+1, ascending, monic
 
     def __post_init__(self):
-        # Kernel constants, tables and the hash: derived from (p, k, modulus),
-        # so they take no part in equality or repr.  Every FieldElement hash
-        # hashes its field, so the field's hash is computed once.
+        # The order p^k, kernel constants, tables and the hash: derived from
+        # (p, k, modulus), so they take no part in equality or repr.  Every
+        # FieldElement hash hashes its field, so the field's hash is computed
+        # once.
         p, k = self.p, self.k
         w = (2 * k * (p - 1) ** 2).bit_length()
         ones = sum(1 << (w * i) for i in range(k))
         constants = {
+            "order": p**k,
             "_hash": hash((p, k, self.modulus)),
             "_w": w,
             "_mask": (1 << w) - 1,  # one slot
@@ -87,10 +89,6 @@ class FiniteField:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def order(self) -> int:
-        return self.p**self.k
 
     # -- packed kernel ----------------------------------------------------------
 

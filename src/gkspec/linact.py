@@ -30,7 +30,13 @@ smaller positive power of h is a multiplication.  So:
   when every component has order n and, for each component, every prime
   of its t divides ord(c).
 
-Everything here is immutable and reentrant.
+The part of this that depends on h alone, its order m and the components
+whose T_t must still be evaluated (c = 1 and p not dividing m/t), is an
+acting element's plan (_order_plan).  An ActionGroupElement computes it
+once, on first use, and keeps it, so each further element order costs a
+check of the summands and those T_t evaluations; a bare LinearAction's
+plan is computed per call.  The plan is a pure function of the element,
+so everything here stays immutable in value and reentrant.
 """
 
 from __future__ import annotations
@@ -240,24 +246,41 @@ def t_sum_map(h: LinearAction, m: int) -> GFMatrix:
 
 
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
-    """T_m applied to a single vector, by its defining sum."""
-    acc = h.field.zero
-    for _ in range(m):
-        acc = acc + v
+    """T_m applied to a single vector, by its defining sum (m >= 1)."""
+    acc = v
+    for _ in range(m - 1):
         v = h.apply(v)
+        acc = acc + v
     return acc
 
 
-def _t_sum_kills(h: LinearAction, closure, m: int, vectors) -> bool:
-    """Whether T_m kills every one of the vectors.
+def _t_sum_pending(closures, m: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (j, t_j) whose T_(t_j) decides whether T_m kills summand j.
 
-    closure is _closure(h) and m a multiple of the order of h; the rule is
-    the one in the module docstring.
+    closures lists the closures (t_j, c_j) of the components and m is a
+    multiple of every component order; by the rule in the module docstring
+    T_m kills every vector of summand j unless c_j = 1 and p does not
+    divide m / t_j, and then it kills v exactly when T_(t_j)(v) = 0.
     """
-    t, c = closure
-    if not c.is_one or (m // t) % h.field.p == 0:
-        return True
-    return all(_t_sum_on(h, t, v).is_zero for v in vectors)
+    return tuple(
+        (j, t) for j, (t, c) in enumerate(closures) if c.is_one and (m // t) % p
+    )
+
+
+def _t_sum_kills(components, pending, vectors) -> bool:
+    """Whether T_m kills the vectors, pending being _t_sum_pending's pairs
+    for m; vectors holds one iterable per summand."""
+    return all(
+        _t_sum_on(components[j], t, x).is_zero for j, t in pending for x in vectors[j]
+    )
+
+
+def _order_plan(components) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(m, pending): the order m of a componentwise action, the lcm of the
+    t_j * ord(c_j), and the _t_sum_pending pairs for that m."""
+    closures = [_closure(c) for c in components]
+    m = lcm(*(t * element_order(c) for t, c in closures))
+    return m, _t_sum_pending(closures, m, components[0].field.p)
 
 
 @dataclass(frozen=True)
@@ -265,7 +288,10 @@ class ActionGroupElement:
     """Componentwise action on a direct sum of field summands.
 
     Every summand must share the characteristic; the element's order is the
-    lcm of the component orders.
+    lcm of the component orders.  The order and the T-sum plan (_order_plan)
+    depend on the element alone, so they are computed on first use and kept
+    outside the dataclass fields: equality, hashing and repr never see
+    them, and two threads racing to fill them store the same value.
     """
 
     components: tuple[LinearAction, ...]
@@ -281,8 +307,15 @@ class ActionGroupElement:
     def is_identity(self) -> bool:
         return all(c.is_identity for c in self.components)
 
+    def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        try:
+            return self.__dict__["_cached_plan"]
+        except KeyError:
+            plan = self.__dict__["_cached_plan"] = _order_plan(self.components)
+            return plan
+
     def order(self) -> int:
-        return lcm(*(action_order(c) for c in self.components))
+        return self._plan()[0]
 
     def compose(self, other: "ActionGroupElement") -> "ActionGroupElement":
         return ActionGroupElement(
@@ -305,21 +338,17 @@ def _order_and_t_sum(h, summands, vectors) -> tuple[int, bool]:
     """The order m of an acting element and whether T_m kills the vectors.
 
     summands lists the fields acted on and vectors, one iterable per
-    summand, the vectors of each; every component's closure is computed
-    once.
+    summand, the vectors of each.  An ActionGroupElement's plan is computed
+    once and kept; a bare LinearAction's is computed for this call.
     """
-    hh = _as_group_element(h)
-    if len(hh.components) != len(summands) or any(
-        c.field != f for c, f in zip(hh.components, summands)
+    grouped = isinstance(h, ActionGroupElement)
+    components = h.components if grouped else (h,)
+    if len(components) != len(summands) or any(
+        c.field is not f and c.field != f for c, f in zip(components, summands)
     ):
         raise ValueError("acting element does not match the summands")
-    closures = [_closure(c) for c in hh.components]
-    m = lcm(*(t * element_order(c) for t, c in closures))
-    kills = all(
-        _t_sum_kills(c, closure, m, vs)
-        for c, closure, vs in zip(hh.components, closures, vectors)
-    )
-    return m, kills
+    m, pending = h._plan() if grouped else _order_plan(components)
+    return m, not pending or _t_sum_kills(components, pending, vectors)
 
 
 def semidirect_element_order(v, h) -> int:

@@ -136,6 +136,30 @@ def test_record_invariants():
         parse_records("group X\npi 2\n\ngroup X\npi 3\n")
 
 
+def test_record_lagrange_invariants():
+    # a true flag needs r^2 to divide the order; 3 and 5 appear only once here
+    with pytest.raises(RecordError, match="has9"):
+        parse_records("group X\norder 2^3 3 5\npi 2,3,5\nflag has25 true\nflag has9 true\n")
+    with pytest.raises(RecordError, match="has25"):
+        parse_records("group X\norder 2^3 3^2 5\npi 2,3,5\nflag has25 true\n")
+    (r,) = parse_records("group X\norder 2^3 3^2 5^2\npi 2,3,5\nflag has25 true\nflag has9 true\n")
+    assert r.spectrum_has(9) and r.spectrum_has(25)
+    # a false flag is always consistent with the order
+    parse_records("group X\norder 2^3 3 5\npi 2,3,5\nflag has25 false\nflag has9 false\n")
+    # every mu generator divides the order
+    with pytest.raises(RecordError, match="mu generator 16"):
+        parse_records("group X\norder 2^3 3 5\npi 2,3,5\nmu 16,15\n")
+    with pytest.raises(RecordError, match="mu generator 45"):
+        parse_records("group X\norder 2^3 3 5\npi 2,3,5\nmu 8,45\n")
+    parse_records("group X\norder 2^3 3 5\npi 2,3,5\nmu 8,15\n")
+    # exponents are compared, so orders beyond 2^63 (|J4| is about 8.7e19) work
+    big = "order 2^21 3^3 5 7 11^3 23 29 31 37 43\npi 2,3,5,7,11,23,29,31,37,43\n"
+    (j4,) = parse_records("group Y\n" + big + "mu 2097152,1331\n")
+    assert j4.order.value() > 2**63
+    with pytest.raises(RecordError, match="mu generator 4194304"):
+        parse_records("group Y\n" + big + "mu 4194304\n")
+
+
 def test_record_flag_consistent_with_mu_accepted():
     (r,) = parse_records("group X\nmu 9,5\npi 2,3,5\nflag has9 true\n")
     assert r.spectrum_has(9) is True

@@ -1,6 +1,8 @@
 """Semilinear actions, T-sums, semidirect element orders and spectra."""
 
 import random
+import sys
+import threading
 from functools import cache
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -23,6 +25,8 @@ from gkspec.linact import (
     t_sum_map,
     _closure,
     _t_sum_kills,
+    _t_sum_on,
+    _t_sum_pending,
 )
 
 F2_11 = make_field(2, 11)
@@ -323,10 +327,38 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
             for _ in range(m):
                 t_sum = plain_combination((1, 1), (t_sum, power), p)
                 power = plain_mul(power, a, p)
-            assert _t_sum_kills(h, closure, m, field.basis()) == (not any(map(any, t_sum))), (h, m)
+            pending = _t_sum_pending([closure], m, p)
+            kills_basis = _t_sum_kills((h,), pending, [field.basis()])
+            assert kills_basis == (not any(map(any, t_sum))), (h, m)
             images = list(zip(*plain_mul(t_sum, columns, p)))
             for v, image in zip(vectors, images):
-                assert _t_sum_kills(h, closure, m, (v,)) == (not any(image)), (h, m, v)
+                assert _t_sum_kills((h,), pending, [(v,)]) == (not any(image)), (h, m, v)
+
+
+def test_t_sum_on_matches_t_sum_map():
+    # T_1 is the identity; for t > 1 both the single-vector sum and the
+    # matrix of t_sum_map agree with the defining sum of matrix powers
+    rng = random.Random(23)
+    for field in (F2_11, F3_4):
+        p, ident = field.p, plain_identity(field.k)
+        for _ in range(25):
+            h = _random_action(field, rng)
+            a = h.matrix().rows
+            t = _closure(h)[0]
+            for m in sorted({1, 2, t, t + 1}):
+                t_sum, power = [[0] * field.k for _ in range(field.k)], ident
+                for _ in range(m):
+                    t_sum = plain_combination((1, 1), (t_sum, power), p)
+                    power = plain_mul(power, a, p)
+                matrix = t_sum_map(h, m)
+                for _ in range(3):
+                    v = _random_element(field, rng)
+                    got = _t_sum_on(h, m, v)
+                    if m == 1:
+                        assert got == v
+                    assert list(got.coeffs) == matrix.matvec(v.coeffs), (h, m, v)
+                    column = [[x] for x in v.coeffs]
+                    assert [[x] for x in got.coeffs] == plain_mul(t_sum, column, p), (h, m, v)
 
 
 # -- semidirect element orders ------------------------------------------------------------
@@ -381,6 +413,121 @@ def test_order_dichotomy_remark_group_1000_cases():
         got = semidirect_element_order(v, h)
         assert got in (m, p * m)
         assert got == _brute_pair_order(v, h)
+
+
+def _galois_pairs(p, k1, k2):
+    """GF(p^k1) + GF(p^k2) and the componentwise actions u x^(p^e) on it,
+    every Galois exponent on each summand and u either 1 or primitive."""
+    summands = (make_field(p, k1), make_field(p, k2))
+    axes = [
+        [
+            LinearAction(f, u, e)
+            for e in range(f.k)
+            for u in (f.one, subgroup_generator(f, f.order - 1))
+        ]
+        for f in summands
+    ]
+    return summands, [ActionGroupElement(combo) for combo in iproduct(*axes)]
+
+
+def _plan_vectors(summands, rng):
+    """Zero, random, and random with one zero component."""
+    zero = tuple(f.zero for f in summands)
+    full = tuple(_random_element(f, rng) for f in summands)
+    return [zero, full] + [
+        tuple(x if i == j else z for i, (x, z) in enumerate(zip(full, zero)))
+        for j in range(len(summands))
+    ]
+
+
+GALOIS_PAIRS = ((2, 4, 2), (3, 3, 2))
+
+
+@pytest.mark.parametrize("p,k1,k2", GALOIS_PAIRS)
+def test_plan_orders_match_pair_oracle_two_summand_galois(p, k1, k2):
+    # here T_m of an identity component vanishes or not as p divides m or not
+    summands, elements = _galois_pairs(p, k1, k2)
+    rng = random.Random(24)
+    for h in elements:
+        for v in _plan_vectors(summands, rng):
+            assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
+        assert h.order() == _brute_pair_order(tuple(f.zero for f in summands), h)
+
+
+def test_plan_orders_match_pair_oracle_remark_group():
+    spec = build_remark_group()
+    zero = tuple(f.zero for f in spec.summands)
+    rng = random.Random(25)
+    for h in spec.acting_elements():
+        assert h.order() == _brute_pair_order(zero, h)
+        for v in _plan_vectors(spec.summands, rng)[2:]:
+            assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
+
+
+def test_plan_same_whichever_caller_fills_it():
+    spec = build_remark_group()
+    cases = [(spec.summands, spec.acting_elements()[::4])]
+    cases += [_galois_pairs(*shape) for shape in GALOIS_PAIRS]
+    rng = random.Random(26)
+    for summands, elements in cases:
+        for h in elements:
+            vectors = _plan_vectors(summands, rng) + _plan_vectors(summands, rng)[1:]
+            # a fresh element per query never reuses a plan
+            fresh = [
+                semidirect_element_order(v, ActionGroupElement(h.components)) for v in vectors
+            ]
+            fresh_spectrum = semidirect_spectrum(summands, [ActionGroupElement(h.components)])
+            spectrum_first = ActionGroupElement(h.components)
+            assert semidirect_spectrum(summands, [spectrum_first]) == fresh_spectrum
+            assert [semidirect_element_order(v, spectrum_first) for v in vectors] == fresh
+            order_first = ActionGroupElement(h.components)
+            assert [semidirect_element_order(v, order_first) for v in vectors] == fresh
+            assert semidirect_spectrum(summands, [order_first]) == fresh_spectrum
+            assert spectrum_first.order() == order_first.order() == h.order()
+
+
+def test_plan_invisible_to_eq_hash_repr():
+    elements = build_remark_group().acting_elements()[:20] + _galois_pairs(2, 4, 2)[1][:20]
+    for h in elements:
+        planned, bare = ActionGroupElement(h.components), ActionGroupElement(h.components)
+        before = hash(planned)
+        planned.order()
+        assert planned == bare and bare == planned
+        assert hash(planned) == hash(bare) == before
+        assert repr(planned) == repr(bare)
+        assert len({planned, bare}) == 1
+
+
+def test_plan_filled_by_racing_threads():
+    # in each round, threads query the same fresh elements, whose plans are
+    # not yet computed, in the same order; every answer must equal the one
+    # computed on a private element
+    spec = build_remark_group()
+    rng = random.Random(27)
+    vectors = [tuple(_random_element(f, rng) for f in spec.summands) for _ in range(85)]
+    expected = [
+        semidirect_element_order(v, ActionGroupElement(h.components))
+        for v, h in zip(vectors, spec.acting_elements())
+    ]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            shared = spec.acting_elements()
+            results = [None] * 4
+
+            def work(slot):
+                results[slot] = [semidirect_element_order(v, h) for v, h in zip(vectors, shared)]
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_semidirect_order_input_validation():
