@@ -314,7 +314,7 @@ class CrosscheckReport:
 
 
 def record_from_psl2(report: Psl2Report) -> GroupRecord:
-    """A database record built from an enumeration report."""
+    """A database record built from a PSL2(q) trace-census report."""
     return GroupRecord(
         name=f"L2({report.q})",
         pi=report.spectrum.pi(),
@@ -322,17 +322,18 @@ def record_from_psl2(report: Psl2Report) -> GroupRecord:
         mu=report.spectrum,
         has9=report.spectrum.contains(9),
         has25=report.spectrum.contains(25),
-        notes=("spectrum computed by exhaustive matrix enumeration",),
+        notes=("spectrum computed by the PSL2(q) trace census",),
     )
 
 
 def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     """Re-derive a record from an independent oracle where one exists.
 
-    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by matrix
-    enumeration; any disagreement in order, pi, mu or flags is a hard
-    CrosscheckError.  Everything else is reported as cited data (its
-    internal consistency was already validated at construction).
+    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by the trace
+    census (groups.psl2_order_counts); any disagreement in order, pi, mu
+    or flags is a hard CrosscheckError.  Everything else is reported as
+    cited data (its internal consistency was already validated at
+    construction).
     """
     q = parse_psl2_name(record.name)
     if q is None or q > PSL2_MAX_Q:

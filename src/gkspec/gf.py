@@ -29,7 +29,9 @@ unbounded, so arithmetic is exact for every p.
 Each field computes two tables once, when it is built: the k-1 packed
 reductions x^(k+i) mod f and the k packed Frobenius images x^(ip) mod f.
 The Frobenius map x -> x^p is GF(p)-linear, so it is the sum of the
-images of the element's coefficients followed by one mod-p pass.  Fields
+images of the element's coefficients followed by one mod-p pass.  The
+digit table behind element_at is not a field's: fields with the same p and
+slot width share it, and it is built on first use (_digit_chunks).  Fields
 and elements are immutable and safe to share between threads; the
 coefficient tuple of an element is derived on demand (FieldElement.coeffs).
 """
@@ -199,14 +201,26 @@ class FiniteField:
         return FieldElement(self, n % self.p)
 
     def element_at(self, n: int) -> "FieldElement":
-        """n-th element in lexicographic coefficient order (0 <= n < order)."""
+        """n-th element in lexicographic coefficient order (0 <= n < order).
+
+        The base-p digits of n, most significant first, are c_0, ..., c_{k-1}.
+        They are read c at a time (see _digit_chunks), least significant
+        chunk first, into the top slots of a layout of c * ceil(k/c) slots;
+        the slots below the k real ones hold leading zero digits and are
+        shifted out at the end.
+        """
         if not 0 <= n < self.order:
             raise ValueError("index out of range")
+        w, k = self._w, self.k
+        base, table, c = _digit_chunks(self.p, w)
+        padded = c * -(-k // c)
+        shift, step = w * (padded - c), w * c
         v = 0
-        for i in range(self.k - 1, -1, -1):
-            n, c = divmod(n, self.p)
-            v |= c << (self._w * i)
-        return FieldElement(self, v)
+        while n:
+            n, r = divmod(n, base)
+            v |= table[r] << shift
+            shift -= step
+        return FieldElement(self, v >> (w * (padded - k)))
 
     def basis(self):
         """The polynomial basis 1, x, ..., x^(k-1)."""
@@ -332,12 +346,36 @@ def make_field(p: int, k: int) -> FiniteField:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def _digit_chunks(p: int, w: int) -> tuple[int, range | list[int], int]:
+    """(p^c, table, c) for reading c base-p digits at once, c largest with
+    p^c <= 256 (at least 1).
+
+    table[r] packs the c digits of r into c slots of width w, the most
+    significant digit in slot 0.  For c = 1 that is r itself, so the table
+    is range(p) and costs nothing however large p is.  Built on the first
+    element_at call for a (p, w), never when a field is constructed.
+    """
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    if c == 1:
+        return p, range(p), 1
+    table = [0]
+    for i in range(c):
+        table = [t | (d << (w * i)) for t in table for d in range(p)]
+    return p**c, table, c
+
+
 @lru_cache(maxsize=8192)
 def element_order(x: FieldElement) -> int:
     """Multiplicative order of a nonzero element.
 
-    Computed by factoring q-1 and descending through its prime divisors,
-    so the result is exact: x^m = 1 and x^(m/r) != 1 for every prime r | m.
+    By prime powers (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.4.3): for each r^e exactly dividing q-1, m loses
+    its whole r-part and y = x^m is tested; while y != 1, m gains one r and
+    y becomes y^r.  y has order r^(v_r(ord x)), so m ends as the order.
+    After e steps y is 1 by Lagrange, so that last power is skipped.
     """
     if x.is_zero:
         raise ValueError("zero has no multiplicative order")
@@ -345,10 +383,15 @@ def element_order(x: FieldElement) -> int:
     m = f.order - 1
     if m == 0:
         return 1
-    one = f.one
-    for r in factorize(m).primes:
-        while m % r == 0 and x ** (m // r) == one:
-            m //= r
+    for r, e in factorize(m).pairs:
+        m //= r**e
+        y = f._pow(x.value, m)
+        while y != 1:
+            m *= r
+            e -= 1
+            if not e:
+                break
+            y = f._pow(y, r)
     return m
 
 

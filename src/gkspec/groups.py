@@ -3,9 +3,10 @@
 Three families live here: semidirect products of field summands by cyclic
 unit-multiplication groups (including the three-prime tightness witness),
 semilinear kernel-complement groups inside GammaL1(p^k) such as 23:11 on
-GF(2^11), and PSL2(q) spectra obtained by enumerating every determinant-one
-matrix, each order read off its trace.  The enumeration is the oracle;
-closed-form order counts serve only as consistency checks.  Hall
+GF(2^11), and PSL2(q) spectra from a census of SL2(q) by trace: the number
+of determinant-one matrices of each trace and the order each trace forces.
+No matrix is visited; full enumeration survives only as a test oracle,
+and the closed-form group order serves only as a consistency check.  Hall
 arithmetic and the hypothesis checker for the two-condition spectrum
 criterion round out the module.
 """
@@ -13,6 +14,7 @@ criterion round out the module.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iter_product
@@ -178,7 +180,7 @@ def build_gamma_frobenius(
 
 @dataclass(frozen=True)
 class Psl2Report:
-    """Spectrum of PSL2(q) from exhaustive matrix enumeration."""
+    """Spectrum of PSL2(q) from the trace census of SL2(q)."""
 
     q: int
     p: int
@@ -191,73 +193,56 @@ class Psl2Report:
         return self.spectrum.maximal_elements
 
 
-PSL2_MAX_Q = 64  # largest q that psl2_spectrum enumerates
+PSL2_MAX_Q = 64  # largest q that psl2_spectrum computes
 
 
-def field_tables(q: int) -> tuple[list[int], list[int], list[int], int, int]:
-    """Arithmetic of GF(q) on element indices 0..q-1 (see FiniteField.element_at).
+def _trace_counts(field: FiniteField) -> list[tuple[FieldElement, int]]:
+    """(t, number of determinant-one 2x2 matrices with trace t) for every t.
 
-    Returns (mul, add, neg, one, zero): mul and add are flat row-major q*q
-    tables, neg the negation table, one/zero the indices of the constants.
+    A matrix (a b / c d) with trace t has d = t - a, and det = 1 asks
+    bc = a*d - 1: q - 1 solutions (b, c) when a*d != 1, and 2q - 1 when
+    a*d = 1, which happens exactly when a != 0 and a + 1/a = t.  So trace t
+    has q(q-1) + q * #{a != 0 : a + 1/a = t} matrices.
+    """
+    q = field.order
+    elements = [field.element_at(n) for n in range(q)]
+    roots = Counter((a + a.inverse()).value for a in elements[1:])
+    return [(t, q * (q - 1) + q * roots[t.value]) for t in elements]
+
+
+def psl2_order_counts(q: int) -> list[int]:
+    """Projective orders of all determinant-one 2x2 matrices over GF(q).
+
+    Entry e of the result counts the matrices whose e-th power is scalar
+    and no smaller positive power is.  No matrix is visited: the counts
+    come from the number of matrices of each trace (_trace_counts) and
+    the order of each trace.
+
+    For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
+    with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
+    a non-scalar A has a scalar n-th power exactly when U_n(t) = 0, and
+    its order is fixed by its trace.  The scalars +-I (one of them when p
+    is 2) have order 1; their traces +-2 have U_n(+-2) = +-n, first zero
+    at n = p, so they move from entry p to entry 1.
     """
     fac = factorize(q)
     if len(fac.pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, k),) = fac.pairs
     field = make_field(p, k)
-    elems = [field.element_at(n) for n in range(q)]
-    index = {e.value: n for n, e in enumerate(elems)}
-    mul = [index[(a * b).value] for a in elems for b in elems]
-    add = [index[(a + b).value] for a in elems for b in elems]
-    neg = [index[(-a).value] for a in elems]
-    return mul, add, neg, index[field.one.value], index[field.zero.value]
-
-
-def psl2_order_counts(q, mul, add, neg, one, zero) -> list[int]:
-    """Projective orders of all determinant-one 2x2 matrices over GF(q).
-
-    The arguments are field_tables(q).  Entry e of the result counts the
-    matrices whose e-th power is scalar and no smaller positive power is.
-
-    For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
-    with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
-    a non-scalar A has a scalar n-th power exactly when U_n(t) = 0, and
-    its order is fixed by its trace.  The order of each of the q traces
-    is found once; then every matrix (a b / c d) is still visited, as
-    +-I (order 1) or by its trace a + d.  For a != 0 the entry d is
-    determined by (a, b, c); for a = 0 the determinant forces c = -1/b
-    with d free, and the trace is d.
-    """
     counts = [0] * (4 * q + 8)
     limit = len(counts) - 1
-    trace_order = []
-    for t in range(q):
-        u_prev, u, n = zero, one, 1
-        while u != zero:
-            u_prev, u = u, add[mul[t * q + u] * q + neg[u_prev]]
+    for t, matrices in _trace_counts(field):
+        u_prev, u, n = field.zero, field.one, 1
+        while not u.is_zero:
+            u_prev, u = u, t * u - u_prev
             n += 1
             if n > limit:
                 raise RuntimeError("matrix order exceeded sane bound")
-        trace_order.append(n)
-    one_plus = add[one * q:(one + 1) * q]
-    for a in range(q):
-        plus_a = add[a * q:(a + 1) * q]
-        if a == zero:
-            for b in range(q):
-                if b != zero:
-                    for d in range(q):
-                        counts[trace_order[plus_a[d]]] += 1
-            continue
-        ainv = mul[a * q:(a + 1) * q].index(one)
-        times_ainv = mul[ainv * q:(ainv + 1) * q]
-        for b in range(q):
-            times_b = mul[b * q:(b + 1) * q]
-            for c in range(q):
-                d = times_ainv[one_plus[times_b[c]]]
-                if b == zero and c == zero and d == a:
-                    counts[1] += 1
-                else:
-                    counts[trace_order[plus_a[d]]] += 1
+        counts[n] += matrices
+    scalars = 1 if p == 2 else 2
+    counts[p] -= scalars
+    counts[1] += scalars
     return counts
 
 
@@ -265,20 +250,18 @@ def psl2_order_counts(q, mul, add, neg, one, zero) -> list[int]:
 def psl2_spectrum(q: int) -> Psl2Report:
     """Element orders of PSL2(q) for a prime power q <= 64.
 
-    Every 2x2 matrix over GF(q) with determinant one is visited and its
-    projective order read off its trace by the Cayley-Hamilton recurrence
-    (see psl2_order_counts); the resulting order multiset is checked
-    against |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.  The
-    report is frozen, so each q is enumerated once per process.
+    The projective order of every determinant-one matrix is counted by
+    trace (see psl2_order_counts), and the counts are checked against
+    |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.  The report is
+    frozen, so each q is computed once per process.
     """
     if q < 2 or q > PSL2_MAX_Q:
         raise ValueError(f"q must be a prime power in [2, {PSL2_MAX_Q}]")
-    tables = field_tables(q)  # raises ValueError unless q is a prime power
+    counts = psl2_order_counts(q)  # raises ValueError unless q is a prime power
     ((p, k),) = factorize(q).pairs
-    counts = psl2_order_counts(q, *tables)
     sl2_size = q * (q - 1) * (q + 1)
     if sum(counts) != sl2_size:
-        raise AssertionError("enumeration missed determinant-one matrices")
+        raise AssertionError("trace census missed determinant-one matrices")
     d = gcd(2, q - 1)
     orders = [e for e, c in enumerate(counts) if c]
     return Psl2Report(

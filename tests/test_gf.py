@@ -2,10 +2,11 @@
 
 import random
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
-from gkspec.gf import FiniteField, make_field, element_order, subgroup_generator
+from gkspec.gf import FiniteField, _digit_chunks, make_field, element_order, subgroup_generator
 from gkspec.orderset import factorize
 
 
@@ -180,6 +181,23 @@ def test_element_order_exactness_random():
         element_order(make_field(2, 5).zero)
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 2), (43, 1)])
+def test_element_order_exhaustive_against_repeated_multiplication(p, k):
+    f = make_field(p, k)
+    for n in range(1, f.order):
+        x = f.element_at(n)
+        y, m = x, 1
+        while not y.is_one:
+            y, m = y * x, m + 1
+        assert element_order(x) == m, x
+
+
+def test_element_order_of_powers_of_order17_generator():
+    g = subgroup_generator(make_field(3, 16), 17)
+    for i in range(2 * 17):
+        assert element_order(g**i) == 17 // gcd(i, 17)
+
+
 def test_subgroup_generator_orders():
     assert element_order(subgroup_generator(make_field(3, 16), 17)) == 17
     assert element_order(subgroup_generator(make_field(3, 4), 5)) == 5
@@ -242,3 +260,39 @@ def test_element_at_lexicographic():
     assert seq[0] == (0, 0)
     assert seq[1] == (0, 1)
     assert seq[3] == (1, 0)
+
+
+def _digit_by_digit(f, n):
+    """Coefficients of the n-th element by definition: the k base-p digits
+    of n, most significant first."""
+    coeffs = []
+    for _ in range(f.k):
+        n, c = divmod(n, f.p)
+        coeffs.append(c)
+    return tuple(reversed(coeffs))
+
+
+# k a multiple of the chunk length c or not, k < c, and c = 1 for p > 16
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, 1), (2, 5), (2, 11), (2, 16), (3, 4), (3, 16), (5, 4), (7, 9), (13, 3),
+     (257, 2), (2**61 - 1, 1)],
+)
+def test_element_at_matches_digit_definition(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    for n in [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(300)]:
+        assert f.element_at(n).coeffs == _digit_by_digit(f, n), n
+    for n in (-1, f.order):
+        with pytest.raises(ValueError):
+            f.element_at(n)
+
+
+def test_digit_chunk_table_is_lazy_and_bounded_for_large_p():
+    calls = _digit_chunks.cache_info()
+    FiniteField(11, 5, make_field(11, 5).modulus)
+    assert _digit_chunks.cache_info() == calls  # building a field builds no table
+    f = make_field(2**61 - 1, 1)
+    assert _digit_chunks(f.p, f._w) == (f.p, range(f.p), 1)
+    sizes = [len(_digit_chunks(p, 9)[1]) for p in (2, 3, 5, 7, 11, 17)]
+    assert sizes == [256, 243, 125, 49, 121, 17]

@@ -147,7 +147,7 @@ def test_gamma_23_11_complement_moves_every_kernel_element():
             assert f.frobenius(x, e) != x
 
 
-# -- PSL2 spectra by enumeration ------------------------------------------------------
+# -- PSL2 spectra from the trace census --------------------------------------------
 
 def test_psl2_23():
     r = psl2_spectrum(23)

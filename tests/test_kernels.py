@@ -1,7 +1,8 @@
 """Differential tests against independent oracles: packed GF(p^k)
 arithmetic and the field constructor against the coefficient-tuple kernels
 they replaced, field arithmetic at a large prime against Python's modular
-integers, and the PSL2 trace recurrence against power iteration."""
+integers, and the PSL2 trace census against full matrix enumeration, which
+is itself checked against power iteration."""
 
 import random
 
@@ -9,8 +10,8 @@ import pytest
 
 from gkspec._poly import gcd, trim
 from gkspec.gf import make_field
-from gkspec.groups import field_tables, psl2_order_counts
-from gkspec.orderset import prime_divisors
+from gkspec.groups import _trace_counts, psl2_order_counts
+from gkspec.orderset import factorize, prime_divisors
 
 # The coefficient-tuple kernels below were the library's GF(p^k) multiply,
 # power and irreducibility test before elements became packed integers;
@@ -175,6 +176,69 @@ def test_large_prime_arithmetic_is_exact():
         assert (x**e).coeffs == (pow(a, e, BIG_P),)
 
 
+# Full enumeration of SL2(q) was the library's PSL2 kernel before the trace
+# census; it stays as the census's oracle, over index tables of GF(q).
+
+
+def field_tables(q):
+    """Arithmetic of GF(q) on element indices 0..q-1 (see FiniteField.element_at).
+
+    Returns (mul, add, neg, one, zero): mul and add are flat row-major q*q
+    tables, neg the negation table, one/zero the indices of the constants.
+    """
+    ((p, k),) = factorize(q).pairs
+    field = make_field(p, k)
+    elems = [field.element_at(n) for n in range(q)]
+    index = {e.value: n for n, e in enumerate(elems)}
+    mul = [index[(a * b).value] for a in elems for b in elems]
+    add = [index[(a + b).value] for a in elems for b in elems]
+    neg = [index[(-a).value] for a in elems]
+    return mul, add, neg, index[field.one.value], index[field.zero.value]
+
+
+def enumerated_order_counts(q, mul, add, neg, one, zero):
+    """Projective orders of all determinant-one 2x2 matrices over GF(q),
+    every matrix visited.
+
+    The arguments are field_tables(q).  The order of each of the q traces
+    comes from the recurrence U_(n+1) = t*U_n - U_(n-1); then every matrix
+    (a b / c d) is visited, as +-I (order 1) or by its trace a + d.  For
+    a != 0 the entry d is determined by (a, b, c); for a = 0 the
+    determinant forces c = -1/b with d free, and the trace is d.
+    """
+    counts = [0] * (4 * q + 8)
+    limit = len(counts) - 1
+    trace_order = []
+    for t in range(q):
+        u_prev, u, n = zero, one, 1
+        while u != zero:
+            u_prev, u = u, add[mul[t * q + u] * q + neg[u_prev]]
+            n += 1
+            if n > limit:
+                raise RuntimeError("matrix order exceeded sane bound")
+        trace_order.append(n)
+    one_plus = add[one * q:(one + 1) * q]
+    for a in range(q):
+        plus_a = add[a * q:(a + 1) * q]
+        if a == zero:
+            for b in range(q):
+                if b != zero:
+                    for d in range(q):
+                        counts[trace_order[plus_a[d]]] += 1
+            continue
+        ainv = mul[a * q:(a + 1) * q].index(one)
+        times_ainv = mul[ainv * q:(ainv + 1) * q]
+        for b in range(q):
+            times_b = mul[b * q:(b + 1) * q]
+            for c in range(q):
+                d = times_ainv[one_plus[times_b[c]]]
+                if b == zero and c == zero and d == a:
+                    counts[1] += 1
+                else:
+                    counts[trace_order[plus_a[d]]] += 1
+    return counts
+
+
 def power_iteration_counts(q, mul, add, neg, one, zero):
     """Orders of all determinant-one 2x2 matrices over a q-element field.
 
@@ -189,7 +253,7 @@ def power_iteration_counts(q, mul, add, neg, one, zero):
     c = -1/b with d free.  Same multiset as rejection over all quadruples.
 
     Test oracle: repeated 2x2 multiplication, independent of the trace
-    recurrence in gkspec.groups.psl2_order_counts.
+    recurrence in enumerated_order_counts and gkspec.groups.psl2_order_counts.
     """
     counts = [0] * (4 * q + 8)
     limit = len(counts) - 1
@@ -234,10 +298,33 @@ def power_iteration_counts(q, mul, add, neg, one, zero):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_psl2_counts_match_power_iteration(q):
     tables = field_tables(q)
-    assert psl2_order_counts(q, *tables) == power_iteration_counts(q, *tables)
+    assert enumerated_order_counts(q, *tables) == power_iteration_counts(q, *tables)
 
 
 def test_fallback_counts_total_is_sl2_size():
     for q in (2, 3, 5, 7):
         counts = power_iteration_counts(q, *field_tables(q))
         assert sum(counts) == q * (q - 1) * (q + 1)
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q).pairs) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_psl2_census_matches_enumeration(q):
+    assert psl2_order_counts(q) == enumerated_order_counts(q, *field_tables(q))
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q % 2])
+def test_trace_census_counts_follow_quadratic_character(q):
+    # SL2(q), q odd, has q^2 + chi(t^2 - 4) * q matrices of trace t, with
+    # chi the quadratic character (chi(0) = 0), read off a set of squares
+    ((p, k),) = factorize(q).pairs
+    field = make_field(p, k)
+    elements = [field.element_at(n) for n in range(q)]
+    squares = {(x * x).value for x in elements}
+    four = field.scalar(4)
+    for t, count in _trace_counts(field):
+        disc = t * t - four
+        chi = 0 if disc.is_zero else (1 if disc.value in squares else -1)
+        assert count == q * q + chi * q, (q, t)
