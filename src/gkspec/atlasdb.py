@@ -357,9 +357,9 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
             problems.append(flag_name)
     if problems:
         raise CrosscheckError(
-            f"record {record.name} disagrees with the enumeration oracle: "
+            f"record {record.name} disagrees with the trace census: "
             + ", ".join(problems)
         )
     return CrosscheckReport(
-        record.name, "verified", f"matches the PSL2({q}) enumeration oracle"
+        record.name, "verified", f"matches the PSL2({q}) trace census"
     )

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _poly
 from .orderset import INT64_MAX, factorize, _is_prime, prime_divisors
 
 
@@ -162,7 +161,14 @@ class FiniteField:
 
     def _is_irreducible(self) -> bool:
         """Rabin's test: x^(p^k) = x and gcd(x^(p^(k/r)) - x, f) = 1 for each
-        prime r dividing k, with x^p computed by the Frobenius tables."""
+        prime r dividing k, with x^p computed by the Frobenius tables.
+
+        Once x^(p^k) = x, f is squarefree and each of its irreducible
+        factors has a degree dividing k, so this ring GF(p)[x]/(f) is a
+        product of fields GF(p^d) (by the CRT), in which a^(p^k - 1) = 1
+        holds exactly for the units.  So each gcd is 1 exactly when
+        (x^(p^(k/r)) - x)^(p^k - 1) is 1, one power in this ring.
+        """
         if self.k == 1:
             return True
         x = 1 << self._w
@@ -176,7 +182,7 @@ class FiniteField:
             for _ in range(self.k // r):
                 t = self._frobenius(t)
             diff = FieldElement(self, t) - FieldElement(self, x)
-            if len(_poly.gcd(diff.coeffs, self.modulus, self.p)) > 1:
+            if not (diff ** (self.order - 1)).is_one:
                 return False
         return True
 
@@ -321,8 +327,9 @@ def make_field(p: int, k: int) -> FiniteField:
 
     Requires p prime, k >= 1 and p^k within the 64-bit range.  The search
     walks monic degree-k polynomials in lexicographic coefficient order,
-    builds each candidate's field and keeps the first one that its own
-    Frobenius map proves irreducible (for k = 1 this is the polynomial x).
+    builds each candidate's field and keeps the first one that
+    FiniteField._is_irreducible accepts, a test run in the candidate's own
+    ring (for k = 1 the modulus is the polynomial x).
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

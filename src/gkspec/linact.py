@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import _poly
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
 
@@ -176,13 +175,15 @@ def fixed_space_dim(h: LinearAction) -> int:
 
 
 def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
-    """Monic minimal polynomial of a matrix over GF(p), ascending coefficients.
+    """Monic minimal polynomial of a matrix A over GF(p), ascending coefficients.
 
-    Krylov method: for each basis vector, row-reduce the iterated images
-    until a dependency appears, giving that vector's monic annihilator; the
-    minimal polynomial is the lcm of the annihilators.  That lcm divides
-    the minimal polynomial, whose degree is at most k, so the scan stops
-    as soon as the lcm reaches degree k.
+    The minimal polynomial is the lcm of the annihilators of the basis
+    vectors, built up one vector at a time without a gcd: for P monic,
+    lcm(P, ann(v)) = P * ann(P(A) v).  So P starts at 1 and, for each basis
+    vector v, P(A) v is computed by Horner and its annihilator Q by row
+    reduction of its Krylov iterates until a dependency appears; then P
+    becomes P * Q.  P divides the minimal polynomial, whose degree is at
+    most k, so the scan stops as soon as P reaches degree k.
     """
     p = m.p
     k = m.size
@@ -191,34 +192,33 @@ def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
         if len(minpoly) > k:
             break
         v = [1 if i == j0 else 0 for i in range(k)]
-        rows: list[tuple[list[int], list[int]]] = []  # (echelon vector, combo)
-
-        def reduce(w, combo):
-            w = list(w)
-            combo = list(combo)
-            for rv, rc in rows:
-                lead = next(i for i, x in enumerate(rv) if x)
-                if w[lead]:
-                    c = w[lead]
-                    w = [(w[i] - c * rv[i]) % p for i in range(k)]
-                    combo = [(combo[i] - c * rc[i]) % p for i in range(len(combo))]
-            return w, combo
-
-        w = v
+        w = v  # P(A) v by Horner; P is monic
+        for c in reversed(minpoly[:-1]):
+            w = [(x + c * y) % p for x, y in zip(m.matvec(w), v)]
+        rows: list[tuple[int, list[int], list[int]]] = []  # (lead, echelon vector, combo)
         deg = 0
         while True:
+            r = w  # A^deg P(A) v, reduced against the earlier iterates
             combo = [0] * (k + 1)
             combo[deg] = 1
-            rw, rcombo = reduce(w, combo)
-            if all(x == 0 for x in rw):
+            for lead, rv, rc in rows:
+                c = r[lead]
+                if c:
+                    r = [(x - c * y) % p for x, y in zip(r, rv)]
+                    combo = [(x - c * y) % p for x, y in zip(combo, rc)]
+            if not any(r):
                 # monic already: combo[deg] = 1, and every echelon row is of lower degree
-                minpoly = _poly.lcm(minpoly, _poly.trim(rcombo), p)
                 break
-            lead = next(i for i, x in enumerate(rw) if x)
-            c = pow(rw[lead], p - 2, p)
-            rows.append(([x * c % p for x in rw], [x * c % p for x in rcombo]))
+            lead = next(i for i, x in enumerate(r) if x)
+            c = pow(r[lead], p - 2, p)
+            rows.append((lead, [x * c % p for x in r], [x * c % p for x in combo]))
             w = m.matvec(w)
             deg += 1
+        product = [0] * (len(minpoly) + deg)
+        for i, a in enumerate(minpoly):
+            for j, b in enumerate(combo[: deg + 1]):
+                product[i + j] = (product[i + j] + a * b) % p
+        minpoly = product
     return tuple(minpoly)
 
 

@@ -92,6 +92,25 @@ def test_modulus_is_lex_smallest_irreducible(p, k):
         assert not _brute_irreducible(candidate, p)
 
 
+IRREDUCIBILITY_SHAPES = (
+    [(2, k) for k in range(2, 10)] + [(3, k) for k in range(2, 7)]
+    + [(5, 2), (5, 3), (7, 2), (7, 3)]
+)
+
+
+@pytest.mark.parametrize("p,k", IRREDUCIBILITY_SHAPES)
+def test_is_irreducible_matches_trial_division_exhaustively(p, k):
+    # every monic degree-k polynomial with a nonzero constant term
+    verdicts = set()
+    for c0 in range(1, p):
+        for tail in iproduct(range(p), repeat=k - 1):
+            f = (c0,) + tail + (1,)
+            want = _brute_irreducible(list(f), p)
+            assert FiniteField(p, k, f)._is_irreducible() == want, f
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 # -- arithmetic laws ---------------------------------------------------------------
 
 def _random_element(field, rng):

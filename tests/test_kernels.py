@@ -2,13 +2,14 @@
 arithmetic and the field constructor against the coefficient-tuple kernels
 they replaced, field arithmetic at a large prime against Python's modular
 integers, and the PSL2 trace census against full matrix enumeration, which
-is itself checked against power iteration."""
+is itself checked against power iteration.  The constructor and its Rabin
+oracle share no polynomial code: the oracle's gcd is its own Euclid below,
+while gkspec.gf decides each gcd by one power in the candidate's ring."""
 
 import random
 
 import pytest
 
-from gkspec._poly import gcd, trim
 from gkspec.gf import make_field
 from gkspec.groups import _trace_counts, psl2_order_counts
 from gkspec.orderset import factorize, prime_divisors
@@ -46,6 +47,30 @@ def powmod(a, e, modulus, p):
         base = mulmod(base, base, modulus, p)
         e >>= 1
     return result
+
+
+def trim(coeffs):
+    """Coefficients without trailing zeros ([] is the zero polynomial)."""
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def gcd(a, b, p):
+    """Monic gcd of two ascending coefficient lists, by Euclid's algorithm."""
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):  # a <- a mod b
+            c = a[-1] * inv % p
+            s = len(a) - len(b)
+            for j, y in enumerate(b):
+                a[s + j] = (a[s + j] - c * y) % p
+            a = trim(a)
+        a, b = b, a
+    inv = pow(a[-1], p - 2, p) if a else 0
+    return [x * inv % p for x in a]
 
 
 def is_irreducible(modulus, p):
