@@ -22,7 +22,10 @@ w = bit_length(2k(p-1)^2), which leaves room for every intermediate sum:
 - a sum or difference holds at most 2p-1 per slot.
 
 Nothing carries from one slot into the next, and one mod-p pass over the
-slots brings each back into [0, p); a sum needs only a slot-parallel
+slots brings each back into [0, p).  That pass reduces every slot at once
+(FiniteField._fold): a mask for p = 2, and otherwise a quotient by p per
+slot from one multiply and one shift, in three groups of lanes spaced far
+enough apart that no two products meet.  A sum needs only a slot-parallel
 conditional subtraction of p (FiniteField._sub_p).  The ints are
 unbounded, so arithmetic is exact for every p.
 
@@ -57,16 +60,24 @@ class FiniteField:
         # once.
         p, k = self.p, self.k
         w = (2 * k * (p - 1) ** 2).bit_length()
-        ones = sum(1 << (w * i) for i in range(k))
+        mask, low = (1 << w) - 1, (1 << (w * k)) - 1
+        ones = low // mask
+        lanes = None
+        if p != 2 and k != 1:  # see _fold
+            s = w + p.bit_length()
+            # a full slot in slots 0, 3, 6, ...: the lane group G_0
+            g0 = mask * (((1 << (3 * w * -(-k // 3))) - 1) // ((1 << (3 * w)) - 1))
+            lanes = (-(-(1 << s) // p), s, g0, (g0 << w) & low, (g0 << (2 * w)) & low)
         constants = {
             "order": p**k,
             "_hash": hash((p, k, self.modulus)),
             "_w": w,
-            "_mask": (1 << w) - 1,  # one slot
-            "_low": (1 << (w * k)) - 1,  # the k slots of a reduced element
+            "_mask": mask,  # one slot
+            "_low": low,  # the k slots of a reduced element
             "_ones": ones,  # 1 in every slot
             "_p_ones": p * ones,  # p in every slot
             "_bias": ((1 << (w - 1)) - p) * ones,  # see _sub_p
+            "_lanes": lanes,
             "_reductions": (),
             "_frobenius_images": (1,),
         }
@@ -102,15 +113,35 @@ class FiniteField:
         return tuple((v >> (w * i)) & mask for i in range(self.k))
 
     def _fold(self, t: int) -> int:
-        """Every slot of t reduced mod p (the mod-p pass)."""
-        p, w, mask = self.p, self._w, self._mask
-        out = 0
-        shift = 0
-        while t:
-            out |= ((t & mask) % p) << shift
-            t >>= w
-            shift += w
-        return out
+        """Every slot of t reduced mod p at once (the mod-p pass).
+
+        Domain: t has at most k slots, each below 2^w.  For p = 2 a slot's
+        residue is its low bit, so the pass is one mask; for k = 1 it is
+        t % p.  Otherwise, with l = bit_length(p), s = w + l and
+        m = ceil(2^s / p), floor(x * m / 2^s) = floor(x / p) for every
+        x < 2^w, as m*p - 2^s < p < 2^l (Granlund and Montgomery, Division
+        by invariant integers using multiplication, 1994).  The slots are
+        split into three lane groups G_j, the slots i = j mod 3, so lanes of
+        a group are 3w >= 2w + l bits apart.  A lane's product x * m is
+        floor(x / p) * 2^s plus a remainder below 2^s; shifted right by s,
+        the quotient (below 2^w) lands in the lane's own slot and the
+        remainder in the two slots below it, outside G_j.  Masking with G_j
+        keeps exactly the group's quotients, and t minus p times all the
+        quotients borrows from no slot.
+        """
+        p = self.p
+        if p == 2:
+            return t & self._ones
+        lanes = self._lanes
+        if lanes is None:
+            return t % p
+        m, s, g0, g1, g2 = lanes
+        q = (
+            ((((t & g0) * m) >> s) & g0)
+            | ((((t & g1) * m) >> s) & g1)
+            | ((((t & g2) * m) >> s) & g2)
+        )
+        return t - p * q
 
     def _sub_p(self, t: int) -> int:
         """t with p subtracted from every slot holding p or more.
@@ -167,22 +198,30 @@ class FiniteField:
         factors has a degree dividing k, so this ring GF(p)[x]/(f) is a
         product of fields GF(p^d) (by the CRT), in which a^(p^k - 1) = 1
         holds exactly for the units.  So each gcd is 1 exactly when
-        (x^(p^(k/r)) - x)^(p^k - 1) is 1, one power in this ring.
+        d^(p^k - 1) is 1 for d = x^(p^(k/r)) - x.  That power is the norm
+        b * b^p * ... * b^(p^(k-1)) of b = d^(p-1), as
+        (p^k - 1) = (p - 1)(1 + p + ... + p^(k-1)): k - 1 Frobenius maps
+        and k - 1 products.
         """
-        if self.k == 1:
+        k = self.k
+        if k == 1:
             return True
         x = 1 << self._w
         t = x
-        for _ in range(self.k):
+        for _ in range(k):
             t = self._frobenius(t)
         if t != x:
             return False
-        for r in prime_divisors(self.k):
+        for r in prime_divisors(k):
             t = x
-            for _ in range(self.k // r):
+            for _ in range(k // r):
                 t = self._frobenius(t)
-            diff = FieldElement(self, t) - FieldElement(self, x)
-            if not (diff ** (self.order - 1)).is_one:
+            b = self._pow(self._sub_p(t + self._p_ones - x), self.p - 1)
+            norm = b
+            for _ in range(k - 1):
+                b = self._frobenius(b)
+                norm = self._mul(norm, b)
+            if norm != 1:
                 return False
         return True
 
@@ -258,10 +297,42 @@ class FiniteField:
         return f"GF({self.p}^{self.k})/modulus=[{','.join(map(str, self.modulus))}]"
 
 
-@dataclass(frozen=True)
 class FieldElement:
+    """An element of a field: the field and the packed coefficients (see the
+    module docstring).
+
+    Immutable, with the equality, hash and repr a frozen dataclass of the
+    two would have.  The constructor stores through the slot descriptors,
+    which is cheaper than a frozen dataclass's object.__setattr__.
+    """
+
+    __slots__ = ("field", "value")
     field: FiniteField
-    value: int  # packed coefficients, see the module docstring
+    value: int
+
+    def __init__(self, field: FiniteField, value: int):
+        _set_field(self, field)
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.value) == (other.field, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.value))
+
+    def __repr__(self) -> str:
+        return f"FieldElement(field={self.field!r}, value={self.value!r})"
 
     def _check_same(self, other: "FieldElement"):
         if self.field is not other.field and self.field != other.field:
@@ -319,6 +390,10 @@ class FieldElement:
 
     def __str__(self) -> str:
         return self.serialize()
+
+
+_set_field = FieldElement.field.__set__
+_set_value = FieldElement.value.__set__
 
 
 @lru_cache(maxsize=None)

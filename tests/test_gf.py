@@ -1,12 +1,22 @@
 """Finite-field arithmetic: construction, axioms, orders, generators."""
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
 import pytest
 
-from gkspec.gf import FiniteField, _digit_chunks, make_field, element_order, subgroup_generator
+from gkspec.gf import (
+    FieldElement,
+    FiniteField,
+    _digit_chunks,
+    element_order,
+    make_field,
+    subgroup_generator,
+)
 from gkspec.orderset import factorize
 
 
@@ -34,6 +44,32 @@ def test_separately_built_equal_fields_hash_alike():
         x, y = a.element_at(a.order - 1), b.element_at(b.order - 1)
         assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
     assert hash(make_field(3, 4)) != hash(FiniteField(3, 4, (2, 0, 0, 1, 1)))
+
+
+@dataclass(frozen=True)
+class _DataclassElement:
+    """The frozen dataclass FieldElement used to be, as the reference."""
+
+    field: FiniteField
+    value: int
+
+
+def test_field_element_behaves_as_a_frozen_dataclass():
+    f = make_field(3, 4)
+    x, y, z = f.element([1, 2, 0, 1]), f.element([1, 2, 0, 1]), f.element([2, 0, 0, 1])
+    ref = _DataclassElement(f, x.value)
+    assert repr(x) == repr(ref).replace("_DataclassElement", "FieldElement")
+    assert hash(x) == hash(ref) == hash(y)
+    assert x == y and x is not y and x != z and not x != y
+    assert x != ref and x != x.value and (x == ref) is False
+    assert x == FieldElement(FiniteField(3, 4, f.modulus), x.value)
+    for name in ("field", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert not hasattr(x, "__dict__") and (x.field, x.value) == (f, ref.value)
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
 
 
 def test_make_field_rejects():

@@ -1,16 +1,17 @@
-"""Differential tests against independent oracles: packed GF(p^k)
-arithmetic and the field constructor against the coefficient-tuple kernels
-they replaced, field arithmetic at a large prime against Python's modular
+"""Differential tests against independent oracles: the packed GF(p^k)
+mod-p pass against the per-slot loop it replaced, packed arithmetic and
+the field constructor against the coefficient-tuple kernels they
+replaced, field arithmetic at a large prime against Python's modular
 integers, and the PSL2 trace census against full matrix enumeration, which
 is itself checked against power iteration.  The constructor and its Rabin
 oracle share no polynomial code: the oracle's gcd is its own Euclid below,
-while gkspec.gf decides each gcd by one power in the candidate's ring."""
+while gkspec.gf decides each gcd by a norm in the candidate's ring."""
 
 import random
 
 import pytest
 
-from gkspec.gf import make_field
+from gkspec.gf import FiniteField, make_field
 from gkspec.groups import _trace_counts, psl2_order_counts
 from gkspec.orderset import factorize, prime_divisors
 
@@ -115,7 +116,48 @@ def lexicographic_modulus(p, k):
     raise AssertionError("no irreducible polynomial")
 
 
+def loop_fold(t, p, w):
+    """Every w-bit slot of t reduced mod p, one slot at a time: the mod-p
+    pass gkspec.gf.FiniteField._fold replaced."""
+    mask = (1 << w) - 1
+    out = 0
+    shift = 0
+    while t:
+        out |= ((t & mask) % p) << shift
+        t >>= w
+        shift += w
+    return out
+
+
+FOLD_PRIMES = (2, 3, 5, 7, 43, 257, 2**31 - 1, 2**61 - 1)
+FOLD_DEGREES = (1, 2, 3, 4, 11, 16)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+@pytest.mark.parametrize("k", FOLD_DEGREES)
+def test_fold_matches_per_slot_loop(p, k):
+    # _fold reads only p, k and the slot width, so any monic modulus will do
+    f = FiniteField(p, k, (1,) + (0,) * (k - 1) + (1,) if k > 1 else (0, 1))
+    w = f._w
+    top = (1 << w) - 1  # the largest slot value the domain allows
+    rng = random.Random(p * 100 + k)
+    special = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, top - top % p, top - 1, top]
+    special = [x for x in special if x <= top]
+    vectors = [[x] * k for x in special]
+    vectors += [[rng.choice(special) for _ in range(k)] for _ in range(100)]
+    vectors += [[p * rng.randrange(top // p + 1) for _ in range(k)] for _ in range(20)]
+    vectors += [[rng.randrange(top + 1) for _ in range(k)] for _ in range(200)]
+    vectors += [[rng.randrange(top + 1)] * rng.randrange(1, k + 1) for _ in range(20)]
+    for slots in vectors:
+        t = sum(x << (w * i) for i, x in enumerate(slots))
+        assert f._fold(t) == loop_fold(t, p, w), slots
+
+
 DIFFERENTIAL_FIELDS = [
+    (2, 5),
+    (3, 4),
+    (7, 4),
+    (43, 2),
     (2, 11),
     (2, 62),
     (3, 16),
