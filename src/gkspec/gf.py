@@ -37,6 +37,14 @@ digit table behind element_at is not a field's: fields with the same p and
 slot width share it, and it is built on first use (_digit_chunks).  Fields
 and elements are immutable and safe to share between threads; the
 coefficient tuple of an element is derived on demand (FieldElement.coeffs).
+
+A multiplicative order (element_order) is found in the element's own
+subfield GF(p^d), d the length of its orbit under the Frobenius map, by
+prime powers of p^d - 1.  Each cofactor power is a product of the
+element's conjugates x^(p^j) raised to the cofactor's base-p digits, with
+the squarings shared among them (Straus's simultaneous exponentiation).
+The factorization of p^d - 1 and the digit rows of its cofactors are built
+once per (p, d), on first use (_order_plan).
 """
 
 from __future__ import annotations
@@ -281,18 +289,6 @@ class FiniteField:
             v = self._frobenius(v)
         return FieldElement(self, v)
 
-    def parse_element(self, text: str) -> "FieldElement":
-        """Inverse of FieldElement.serialize."""
-        try:
-            head, _, body = text.partition(":")
-            p_s, k_s = head.split(",")
-            if int(p_s) != self.p or int(k_s) != self.k:
-                raise ValueError
-            coeffs = [int(t) for t in body.strip("[]").split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad element text {text!r} for {self}") from exc
-        return self.element(coeffs)
-
     def __str__(self) -> str:
         return f"GF({self.p}^{self.k})/modulus=[{','.join(map(str, self.modulus))}]"
 
@@ -449,32 +445,106 @@ def _digit_chunks(p: int, w: int) -> tuple[int, range | list[int], int]:
     return p**c, table, c
 
 
+def _digit_rows(p: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(width, rows) for n >= 1: n has width base-p digits n_j
+    (n = sum_j n_j p^j), and rows[i] lists the j whose digit has bit b - i
+    set, from the top bit b of the largest digit down to bit 0; the
+    exponent layout _conjugate_power reads.
+    """
+    digits = []
+    while n:
+        n, c = divmod(n, p)
+        digits.append(c)
+    rows = tuple(
+        tuple(j for j, c in enumerate(digits) if c >> b & 1)
+        for b in range(max(digits).bit_length() - 1, -1, -1)
+    )
+    return len(digits), rows
+
+
+@lru_cache(maxsize=None)
+def _order_plan(p: int, d: int) -> tuple[int, tuple[tuple[int, int, int, tuple], ...]]:
+    """(reach, entries) for the orders dividing p^d - 1.
+
+    entries holds (r, e, n, rows) for each r^e exactly dividing p^d - 1,
+    primes increasing, with the cofactor n = (p^d - 1) / r^e and its digit
+    rows (_digit_rows).  reach is the most digits a cofactor has, so the
+    conjugates x^(p^j) with j < reach are all the powers need.  The plan
+    depends on (p, d) alone, so it and the factorization of p^d - 1 are
+    computed on the first element_order call that needs them.
+    """
+    q1 = p**d - 1
+    reach, entries = 1, []
+    for r, e in factorize(q1).pairs:
+        n = q1 // r**e
+        width, rows = _digit_rows(p, n)
+        reach = max(reach, width)
+        entries.append((r, e, n, rows))
+    return reach, tuple(entries)
+
+
+def _conjugate_power(f: FiniteField, conjugates, rows) -> int:
+    """x^n for the packed conjugates x, x^p, x^(p^2), ... of an element x
+    and the digit rows of n (see _digit_rows).
+
+    x^n = prod_j (x^(p^j))^(n_j), and Straus's simultaneous exponentiation
+    (Addition chains of vectors, 1964) shares the squarings among the
+    factors: square once per row after the first and multiply in the
+    conjugates the row lists.  That is at most bit_length(p - 1) - 1
+    squarings plus one product per set digit bit.
+    """
+    y = 1
+    for row in rows:
+        if y != 1:
+            y = f._mul(y, y)
+        for j in row:
+            y = conjugates[j] if y == 1 else f._mul(y, conjugates[j])
+    return y
+
+
 @lru_cache(maxsize=8192)
 def element_order(x: FieldElement) -> int:
     """Multiplicative order of a nonzero element.
 
-    By prime powers (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 1.4.3): for each r^e exactly dividing q-1, m loses
-    its whole r-part and y = x^m is tested; while y != 1, m gains one r and
-    y becomes y^r.  y has order r^(v_r(ord x)), so m ends as the order.
-    After e steps y is 1 by Lagrange, so that last power is skipped.
+    First the subfield: x lies in GF(p^d) for d the length of its orbit
+    x, x^p, x^(p^2), ... under the Frobenius map, which divides k.  A
+    proper divisor of k is at most k/2, so if the orbit has not closed
+    after k/2 maps, d = k.  The order of x divides p^d - 1.  Then by prime
+    powers (Cohen, A Course in Computational Algebraic Number Theory,
+    Algorithm 1.4.3): for each r^e exactly dividing p^d - 1,
+    y = x^((p^d - 1) / r^e) has order r^(v_r(ord x)), and while y != 1
+    the order gains one r and y becomes y^r.  After e steps y is 1 by
+    Lagrange, so that last power is skipped.  Each cofactor power is a
+    product of conjugates (_conjugate_power), never a full-length
+    square-and-multiply.  For d = 1 the element is a residue mod p and
+    every power is pow(v, n, p).  In all: at most k - 1 Frobenius maps,
+    and per prime r at most bit_length(p - 1) - 1 squarings, one product
+    per set bit of the cofactor's digits and e - 1 powers by r.
     """
     if x.is_zero:
         raise ValueError("zero has no multiplicative order")
     f = x.field
-    m = f.order - 1
-    if m == 0:
-        return 1
-    for r, e in factorize(m).pairs:
-        m //= r**e
-        y = f._pow(x.value, m)
+    p, v, d = f.p, x.value, f.k
+    conjugates = [v]
+    for j in range(1, d // 2 + 1):
+        w = f._frobenius(conjugates[-1])
+        if w == v:
+            d = j
+            break
+        conjugates.append(w)
+    reach, entries = _order_plan(p, d)
+    while len(conjugates) < reach:
+        conjugates.append(f._frobenius(conjugates[-1]))
+    order = 1
+    for r, e, n, rows in entries:
+        y = pow(v, n, p) if d == 1 else _conjugate_power(f, conjugates, rows)
         while y != 1:
-            m *= r
+            order *= r
             e -= 1
             if not e:
                 break
-            y = f._pow(y, r)
-    return m
+            y = pow(y, r, p) if d == 1 else f._pow(y, r)
+    return order
 
 
 def subgroup_generator(field: FiniteField, m: int) -> FieldElement:

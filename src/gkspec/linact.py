@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
@@ -68,7 +69,7 @@ class GFMatrix:
 
     def matvec(self, v) -> list[int]:
         p = self.p
-        return [sum(r[j] * v[j] for j in range(self.size)) % p for r in self.rows]
+        return [sum(map(mul, r, v)) % p for r in self.rows]
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,17 @@ import pytest
 from gkspec.gf import (
     FieldElement,
     FiniteField,
+    _conjugate_power,
     _digit_chunks,
+    _digit_rows,
+    _order_plan,
     element_order,
     make_field,
     subgroup_generator,
 )
+from gkspec.linact import LinearAction, _closure
 from gkspec.orderset import factorize
+from test_kernels import SEMIDIRECT_SHAPES
 
 
 # -- construction ----------------------------------------------------------------
@@ -251,6 +256,111 @@ def test_element_order_of_powers_of_order17_generator():
     g = subgroup_generator(make_field(3, 16), 17)
     for i in range(2 * 17):
         assert element_order(g**i) == 17 // gcd(i, 17)
+        assert element_order.__wrapped__(g**i) == 17 // gcd(i, 17)
+
+
+def full_exponent_order(x):
+    """The order by Cohen's prime-power loop with every power a
+    square-and-multiply on a divisor of q - 1 (the former element_order,
+    kept as the oracle of the conjugate powers)."""
+    f = x.field
+    m = f.order - 1
+    if m == 0:
+        return 1
+    for r, e in factorize(m).pairs:
+        m //= r**e
+        y = f._pow(x.value, m)
+        while y != 1:
+            m *= r
+            e -= 1
+            if not e:
+                break
+            y = f._pow(y, r)
+    return m
+
+
+# every field of at most 2^12 elements listed here is checked in full
+EXHAUSTIVE_ORDER_FIELDS = [(2, 12), (3, 6), (3, 7), (5, 4), (7, 4), (43, 2), (4093, 1)]
+
+
+@pytest.mark.parametrize("p,k", EXHAUSTIVE_ORDER_FIELDS)
+def test_element_order_exhaustive_by_generator_powers(p, k):
+    f = make_field(p, k)
+    q1 = f.order - 1
+    # the first element whose powers fill the multiplicative group
+    for n in range(1, f.order):
+        g = f.element_at(n)
+        powers = [f.one]
+        while (y := powers[-1] * g) != f.one:
+            powers.append(y)
+        if len(powers) == q1:
+            break
+    assert len(set(powers)) == q1 and f.zero not in powers
+    order = element_order.__wrapped__
+    for i, x in enumerate(powers):
+        assert order(x) == q1 // gcd(i, q1), i
+
+
+ORDER_SHAPES = [shape[:2] for shape in SEMIDIRECT_SHAPES] + [(43, 2), (2, 43), (2**61 - 1, 1)]
+
+
+@pytest.mark.parametrize("p,k", ORDER_SHAPES)
+def test_element_order_certificates_random(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    for _ in range(25):
+        x = f.element_at(rng.randrange(1, f.order))
+        n = element_order.__wrapped__(x)
+        assert (f.order - 1) % n == 0 and x**n == f.one
+        for r in factorize(n).primes:
+            assert x ** (n // r) != f.one
+        assert n == full_exponent_order(x)
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 16), (5, 10), (7, 6), (43, 2)])
+def test_element_order_of_subfield_elements(p, k):
+    f = make_field(p, k)
+    order = element_order.__wrapped__
+    for n in range(1, p):
+        assert order(f.scalar(n)) == next(m for m in range(1, p) if pow(n, m, p) == 1)
+    rng = random.Random(p + k)
+    for g in (g for g in range(1, k) if k % g == 0):
+        # x^((q - 1)/(p^g - 1)) is the norm of x down to GF(p^g)
+        for _ in range(10):
+            x = f.element_at(rng.randrange(1, f.order)) ** ((f.order - 1) // (p**g - 1))
+            assert f.frobenius(x, g) == x
+            assert order(x) == full_exponent_order(x) and (p**g - 1) % order(x) == 0
+    for e in range(k):
+        # the closure of x -> u x^(p^e) lies in GF(p^gcd(e, k))
+        u = f.element_at(rng.randrange(1, f.order))
+        t, c = _closure(LinearAction(f, u, e))
+        assert f.frobenius(c, k // t) == c
+        assert order(c) == full_exponent_order(c) and (p ** (k // t) - 1) % order(c) == 0
+
+
+@pytest.mark.parametrize("p,k", [(2, 11), (3, 4), (3, 16), (5, 10), (7, 9), (43, 2), (2, 43)])
+def test_conjugate_power_matches_square_and_multiply(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * k)
+    exponents = [1, p - 1, p, f.order - 1] + [rng.randrange(1, f.order) for _ in range(40)]
+    for n in exponents:
+        width, rows = _digit_rows(p, n)
+        assert p ** (width - 1) <= n < p**width
+        x = f.element_at(rng.randrange(f.order)).value
+        conjugates = [x]
+        for _ in range(width - 1):
+            conjugates.append(f._frobenius(conjugates[-1]))
+        assert _conjugate_power(f, conjugates, rows) == f._pow(x, n), n
+    # each cofactor of the plans divides p^d - 1 and is laid out as above
+    for d in (d for d in range(1, k + 1) if k % d == 0):
+        reach, entries = _order_plan(p, d)
+        assert [(r, e) for r, e, _, _ in entries] == list(factorize(p**d - 1).pairs)
+        widths = []
+        for r, e, n, rows in entries:
+            width, want = _digit_rows(p, n)
+            assert n * r**e == p**d - 1 and rows == want
+            widths.append(width)
+        assert reach == max(widths, default=1)
 
 
 def test_subgroup_generator_orders():
@@ -294,13 +404,11 @@ def test_multiplicative_group_cyclicity_witness():
 
 # -- serialization ---------------------------------------------------------------------
 
-def test_element_text_roundtrip():
+def test_element_serialize_text():
     f = make_field(3, 4)
     x = f.element((2, 1, 0, 2))
-    assert x.serialize() == "3,4:[2,1,0,2]"
-    assert f.parse_element(x.serialize()) == x
-    with pytest.raises(ValueError):
-        f.parse_element("2,4:[1,0,0,0]")  # wrong characteristic
+    assert x.serialize() == str(x) == "3,4:[2,1,0,2]"
+    assert make_field(2, 5).zero.serialize() == "2,5:[0,0,0,0,0]"
 
 
 def test_field_text_form():
