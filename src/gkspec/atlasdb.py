@@ -113,21 +113,6 @@ class GroupRecord:
             return self.mu.contains(n)
         return None
 
-    def serialize(self) -> str:
-        lines = [f"group {self.name}"]
-        if self.order is not None:
-            lines.append(f"order {self.order}")
-        if self.mu is not None:
-            lines.append(f"mu {self.mu.serialize()}")
-        lines.append("pi " + ",".join(str(p) for p in self.pi))
-        if self.has9 is not None:
-            lines.append(f"flag has9 {'true' if self.has9 else 'false'}")
-        if self.has25 is not None:
-            lines.append(f"flag has25 {'true' if self.has25 else 'false'}")
-        for note in self.notes:
-            lines.append(f"note {note}")
-        return "\n".join(lines) + "\n"
-
 
 def _parse_order(text: str, line_no: int) -> Factorization:
     pairs = []
@@ -219,10 +204,6 @@ def parse_records(text: str) -> list[GroupRecord]:
         dup = next(n for n in names if names.count(n) > 1)
         raise RecordError(dup, "duplicate record name")
     return records
-
-
-def serialize_records(records) -> str:
-    return "\n".join(r.serialize() for r in records)
 
 
 def load(path=None) -> list[GroupRecord]:

@@ -6,9 +6,9 @@ semilinear kernel-complement groups inside GammaL1(p^k) such as 23:11 on
 GF(2^11), and PSL2(q) spectra from a census of SL2(q) by trace: the number
 of determinant-one matrices of each trace and the order each trace forces.
 No matrix is visited; full enumeration survives only as a test oracle,
-and the closed-form group order serves only as a consistency check.  Hall
-arithmetic and the hypothesis checker for the two-condition spectrum
-criterion round out the module.
+and the closed-form group order serves only as a consistency check.  The
+hypothesis checker for the two-condition spectrum criterion rounds out the
+module.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd, prod
 
 from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
 from .linact import ENUMERATION_LIMIT, ActionGroupElement, LinearAction, semidirect_spectrum
-from .orderset import Factorization, OrderSet, factorize
+from .orderset import OrderSet, factorize
 
 
 @dataclass(frozen=True)
@@ -279,23 +279,16 @@ def psl2_order_formula(q: int) -> int:
 
 
 def parse_psl2_name(name: str) -> int | None:
-    """q for names like L2(23) or L2(43^2), else None."""
+    """q for names like L2(23) or L2(43^2), else None.
+
+    None too for a power with base >= 2 and exponent >= 64: that q is at
+    least 2^64, out of every range here, and the power is never built.
+    """
     m = re.fullmatch(r"L2\((\d+)(?:\^(\d+))?\)", name)
     if not m:
         return None
     base = int(m.group(1))
     exp = int(m.group(2)) if m.group(2) else 1
+    if base >= 2 and exp >= 64:
+        return None
     return base**exp
-
-
-def hall_check(group_order: Factorization, subgroup_order: Factorization) -> bool:
-    """Whether a subgroup order is a Hall divisor of a group order.
-
-    The subgroup order must divide the group order; it is Hall exactly when
-    it carries the full power of each of its primes, which makes the index
-    coprime to it.
-    """
-    for prime, e in subgroup_order.pairs:
-        if e > group_order.exponent(prime):
-            raise ValueError("subgroup order does not divide the group order")
-    return all(e == group_order.exponent(p) for p, e in subgroup_order.pairs)

@@ -2,9 +2,10 @@
 
 Every action in scope has the shape x -> u * x^(p^e) for a nonzero field
 element u and a Galois exponent e; that family is closed under composition
-and inversion, so actions are kept in this normal form and only realized
-as k x k matrices over GF(p) by minimal_polynomial and t_sum_map, which
-back verify's linact.galois and linact.kernel checks.
+and inversion, so actions are kept in this normal form.  LinearAction.matrix
+and minimal_polynomial realize an action as a k x k matrix over GF(p) for
+callers that want one; nothing else here builds a matrix, and verify's
+linear-action checks read every fact off the closure below.
 
 On top of single-field actions sit tuples of them acting componentwise on
 a direct sum of field summands, and the exact order formula for elements
@@ -62,10 +63,6 @@ class GFMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.rows)
 
     def matvec(self, v) -> list[int]:
         p = self.p
@@ -137,14 +134,9 @@ class LinearAction:
         return result
 
     def matrix(self) -> GFMatrix:
-        """The k x k matrix over GF(p) in the polynomial basis."""
-        return _basis_matrix(self.field, self.apply)
-
-
-def _basis_matrix(field: FiniteField, linear_map) -> GFMatrix:
-    """Matrix of a GF(p)-linear map on the field: column j is the image of x^j."""
-    cols = [linear_map(b).coeffs for b in field.basis()]
-    return GFMatrix(field.p, tuple(zip(*cols)))
+        """The k x k matrix over GF(p): column j is the image of x^j."""
+        cols = [self.apply(b).coeffs for b in self.field.basis()]
+        return GFMatrix(self.field.p, tuple(zip(*cols)))
 
 
 def _closure(h: LinearAction) -> tuple[int, FieldElement]:
@@ -226,24 +218,20 @@ def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
 def minpoly_equals_xs_minus_1(h: LinearAction, s: int) -> bool:
     """Whether the minimal polynomial of h is exactly x^s - 1.
 
-    Requires s prime and the order of h equal to s.  The minimal polynomial
-    always divides x^s - 1 here; equality holds exactly when its degree
-    reaches s, which in particular needs s <= k.
+    Requires s prime and the order of h equal to s.  The answer is read off
+    the closure (t, c): s = t * ord(c) is prime, so either t = s and c = 1,
+    or t = 1.  When t = s, h^s is the identity while 1, h, ..., h^(s-1)
+    carry s distinct field automorphisms, so by Artin's independence of
+    characters no polynomial of degree below s kills h: the minimal
+    polynomial is x^s - 1.  When t = 1, h is multiplication by c, whose
+    minimal polynomial is the irreducible one of c over GF(p), never x^s - 1
+    (that has the factor x - 1 and degree s >= 2).
     """
     if not _is_prime(s):
         raise ValueError("s must be prime")
     if action_order(h) != s:
         raise ValueError("action order must equal s")
-    p = h.field.p
-    target = tuple([(-1) % p] + [0] * (s - 1) + [1])
-    return minimal_polynomial(h.matrix()) == target
-
-
-def t_sum_map(h: LinearAction, m: int) -> GFMatrix:
-    """Matrix of the truncated sum 1 + h + h^2 + ... + h^(m-1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _basis_matrix(h.field, lambda b: _t_sum_on(h, m, b))
+    return _closure(h)[0] == s
 
 
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:

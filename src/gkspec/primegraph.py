@@ -53,9 +53,6 @@ class PrimeGraph:
                     return False
         return True
 
-    def independence_number(self) -> int:
-        return len(self.max_cocliques()[0]) if self.vertices else 0
-
     def max_cocliques(self) -> list[tuple[int, ...]]:
         """All maximum-cardinality cocliques, each sorted, lexicographic list."""
         n = len(self.vertices)

@@ -18,7 +18,6 @@ from gkspec.atlasdb import (
     parse_records,
     record_from_psl2,
     run_filter,
-    serialize_records,
 )
 from gkspec.groups import psl2_spectrum
 from gkspec.orderset import OrderSet, factorize
@@ -55,11 +54,6 @@ def test_embedded_corpus_loads():
     assert len(db) == 16
 
 
-def test_roundtrip():
-    db = load()
-    assert parse_records(serialize_records(db)) == db
-
-
 def test_parse_single_record():
     text = """
 # comment line
@@ -70,13 +64,23 @@ pi 2,3,11,23
 flag has9 false
 flag has25 false
 note spectrum verified by psl2 oracle
+
+group L2(8)
+mu 2,7,9
+pi 2,3,7
+flag has9 true
 """
-    (r,) = parse_records(text)
+    r, r8 = parse_records(text)
     assert r.name == "L2(23)"
     assert r.order == factorize(6072)
     assert r.mu == OrderSet.from_generators([11, 12, 23])
     assert r.has9 is False and r.has25 is False
     assert r.notes == ("spectrum verified by psl2 oracle",)
+    assert r8.name == "L2(8)"
+    assert r8.order is None and r8.has25 is None and r8.notes == ()
+    assert r8.mu == OrderSet.from_generators([2, 7, 9])
+    assert r8.pi == (2, 3, 7)
+    assert r8.has9 is True
 
 
 def test_parse_positions_errors():

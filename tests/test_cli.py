@@ -144,6 +144,17 @@ def test_db_check_library_value_error_exits_2(tmp_path, capsys):
     assert err == "error: 6 is not a prime power\n"
 
 
+def test_db_check_huge_psl2_name_is_cited(tmp_path, capsys):
+    # q = 7^300000000 is far out of range; deciding so must not build the power
+    db = tmp_path / "huge.db"
+    db.write_text("group L2(7^300000000)\npi 2,3,7\n")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "db", "check", "--db", str(db))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert out.startswith("L2(7^300000000): cited")
+
+
 def test_product_overflow_exits_2(capsys):
     code, out, err = run(capsys, "product", "4611686018427387847", "3")
     assert code == 2

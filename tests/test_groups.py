@@ -8,13 +8,12 @@ from gkspec.groups import (
     build_gamma_frobenius,
     build_remark_group,
     check_proposition_hypotheses,
-    hall_check,
     parse_psl2_name,
     psl2_order_formula,
     psl2_spectrum,
 )
 from gkspec.linact import action_order
-from gkspec.orderset import J4_ORDER, OrderSet, factorize, j4_spectrum
+from gkspec.orderset import OrderSet, factorize, j4_spectrum
 from gkspec.verify import run_checks
 
 
@@ -215,14 +214,8 @@ def test_parse_psl2_name():
     assert parse_psl2_name("L2(23)") == 23
     assert parse_psl2_name("L2(43^2)") == 1849
     assert parse_psl2_name("M23") is None
+    assert parse_psl2_name("L2(2^63)") == 2**63
+    # exponents from 64 up are out of every range; the power is never built
+    assert parse_psl2_name("L2(2^64)") is None
+    assert parse_psl2_name("L2(7^300000000)") is None
 
-
-# -- Hall arithmetic --------------------------------------------------------------------
-
-def test_hall_check():
-    assert hall_check(factorize(6072), factorize(253))  # index 24, coprime
-    assert hall_check(factorize(6072), factorize(6072))
-    assert hall_check(J4_ORDER, factorize(2**21))  # Sylow subgroups are Hall
-    assert not hall_check(factorize(12), factorize(2))  # 2 misses the full 2-part
-    with pytest.raises(ValueError):
-        hall_check(factorize(12), factorize(8))  # 8 does not divide 12

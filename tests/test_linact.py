@@ -22,7 +22,6 @@ from gkspec.linact import (
     minpoly_equals_xs_minus_1,
     semidirect_element_order,
     semidirect_spectrum,
-    t_sum_map,
     _closure,
     _t_sum_kills,
     _t_sum_on,
@@ -68,6 +67,16 @@ def plain_combination(coeffs, mats, p):
         [sum(c * x for c, x in zip(coeffs, entries)) % p for entries in zip(*rows)]
         for rows in zip(*mats)
     ]
+
+
+def plain_t_sum(a, m, p):
+    """The defining sum A^0 + A^1 + ... + A^(m-1) of T_m, for A = a."""
+    k = len(a)
+    t_sum, power = [[0] * k for _ in range(k)], plain_identity(k)
+    for _ in range(m):
+        t_sum = plain_combination((1, 1), (t_sum, power), p)
+        power = plain_mul(power, a, p)
+    return t_sum
 
 
 # -- construction and composition --------------------------------------------------
@@ -156,9 +165,11 @@ def test_fixed_space_dims():
 
 
 def test_minpoly_galois_is_x11_minus_1():
+    # verify's linact.galois instance, against both matrix computations
     assert minpoly_equals_xs_minus_1(GALOIS, 11)
-    mp = minimal_polynomial(GALOIS.matrix())
-    assert mp == tuple([1] + [0] * 10 + [1])  # x^11 + 1 = x^11 - 1 over GF(2)
+    x11_minus_1 = tuple([1] + [0] * 10 + [1])  # x^11 + 1 = x^11 - 1 over GF(2)
+    assert minimal_polynomial(GALOIS.matrix()) == x11_minus_1
+    assert enumerated_minimal_polynomial(GALOIS.matrix().rows, 2) == x11_minus_1
 
 
 def test_minpoly_mult5_degree_capped_below_s():
@@ -283,31 +294,38 @@ def test_lemma2_dichotomy_on_instance_corpus():
     assert checked  # the Galois instances realize the hypothesis
 
 
+@pytest.mark.parametrize(
+    "p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+)
+def test_minpoly_equals_xs_minus_1_matches_matrix(p, k):
+    # every action of prime order s, against the Krylov minimal polynomial
+    # of its matrix; both answers occur on every field
+    f = make_field(p, k)
+    answers = set()
+    for n, e in iproduct(range(1, f.order), range(k)):
+        h = LinearAction(f, f.element_at(n), e)
+        s = action_order(h)
+        if s > 1 and all(s % d for d in range(2, s)):
+            target = tuple([(-1) % p] + [0] * (s - 1) + [1])
+            expected = minimal_polynomial(h.matrix()) == target
+            assert minpoly_equals_xs_minus_1(h, s) == expected, (h, s)
+            answers.add(expected)
+    assert answers == {True, False}
+
+
 # -- T-sums -----------------------------------------------------------------------------
 
 def test_t_sum_base_cases():
-    assert list(map(list, t_sum_map(GALOIS, 1).rows)) == plain_identity(11)
-    assert t_sum_map(MULT23, 23).is_zero
-    trace = t_sum_map(GALOIS, 11)
-    assert not trace.is_zero
-    # the 11-step sum of Frobenius powers is the trace onto GF(2)
-    one_image = trace.matvec(F2_11.one.coeffs)
-    assert tuple(one_image) == F2_11.one.coeffs  # trace of 1 is 11 mod 2 = 1
-
-
-def test_t_sum_telescoping_random():
-    rng = random.Random(17)
-    for field in (F2_11, F3_4):
-        p, ident = field.p, plain_identity(field.k)
-        for _ in range(150):
-            h = _random_action(field, rng)
-            m = rng.randrange(1, 12)
-            a = h.matrix().rows
-            power = ident
-            for _ in range(m):
-                power = plain_mul(power, a, p)
-            lhs = plain_mul(plain_combination((1, -1), (a, ident), p), t_sum_map(h, m).rows, p)
-            assert lhs == plain_combination((1, -1), (power, ident), p)
+    # T_1, and verify's linact.kernel and linact.galois instances, by the
+    # defining sum of matrix powers
+    assert plain_t_sum(GALOIS.matrix().rows, 1, 2) == plain_identity(11)
+    assert not any(map(any, plain_t_sum(MULT23.matrix().rows, 23, 2)))
+    assert all(semidirect_element_order(b, MULT23) == 23 for b in F2_11.basis())
+    # the 11-step sum of Frobenius powers is the trace onto GF(2), and
+    # the trace of 1 is 11 mod 2 = 1
+    trace = plain_t_sum(GALOIS.matrix().rows, 11, 2)
+    assert [row[0] for row in trace] == list(F2_11.one.coeffs)
+    assert _t_sum_on(GALOIS, 11, F2_11.one) == F2_11.one
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
@@ -317,16 +335,12 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     field = make_field(p, k)
     vectors = [field.element_at(n) for n in range(field.order)]
     columns = list(zip(*(v.coeffs for v in vectors)))  # every vector, as a k x q matrix
-    ident = plain_identity(k)
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
         o, closure = action_order(h), _closure(h)
         a = h.matrix().rows
         for m in (o, 2 * o, p * o):
-            t_sum, power = [[0] * k for _ in range(k)], ident
-            for _ in range(m):
-                t_sum = plain_combination((1, 1), (t_sum, power), p)
-                power = plain_mul(power, a, p)
+            t_sum = plain_t_sum(a, m, p)
             pending = _t_sum_pending([closure], m, p)
             kills_basis = _t_sum_kills((h,), pending, [field.basis()])
             assert kills_basis == (not any(map(any, t_sum))), (h, m)
@@ -336,27 +350,22 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
 
 
 def test_t_sum_on_matches_t_sum_map():
-    # T_1 is the identity; for t > 1 both the single-vector sum and the
-    # matrix of t_sum_map agree with the defining sum of matrix powers
+    # T_1 is the identity; for t > 1 the single-vector sum agrees with the
+    # defining sum of matrix powers
     rng = random.Random(23)
     for field in (F2_11, F3_4):
-        p, ident = field.p, plain_identity(field.k)
+        p = field.p
         for _ in range(25):
             h = _random_action(field, rng)
             a = h.matrix().rows
             t = _closure(h)[0]
             for m in sorted({1, 2, t, t + 1}):
-                t_sum, power = [[0] * field.k for _ in range(field.k)], ident
-                for _ in range(m):
-                    t_sum = plain_combination((1, 1), (t_sum, power), p)
-                    power = plain_mul(power, a, p)
-                matrix = t_sum_map(h, m)
+                t_sum = plain_t_sum(a, m, p)
                 for _ in range(3):
                     v = _random_element(field, rng)
                     got = _t_sum_on(h, m, v)
                     if m == 1:
                         assert got == v
-                    assert list(got.coeffs) == matrix.matvec(v.coeffs), (h, m, v)
                     column = [[x] for x in v.coeffs]
                     assert [[x] for x in got.coeffs] == plain_mul(t_sum, column, p), (h, m, v)
 
