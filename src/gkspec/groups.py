@@ -281,14 +281,21 @@ def psl2_order_formula(q: int) -> int:
 def parse_psl2_name(name: str) -> int | None:
     """q for names like L2(23) or L2(43^2), else None.
 
-    None too for a power with base >= 2 and exponent >= 64: that q is at
-    least 2^64, out of every range here, and the power is never built.
+    None too when q >= 2^64, out of every range here.  For a base of more
+    than 20 digits or an exponent of more than 2, leading zeros stripped,
+    that is decided on the digit strings: neither is converted and the
+    power is never built.
     """
     m = re.fullmatch(r"L2\((\d+)(?:\^(\d+))?\)", name)
     if not m:
         return None
-    base = int(m.group(1))
-    exp = int(m.group(2)) if m.group(2) else 1
-    if base >= 2 and exp >= 64:
+    base, exp = (d.lstrip("0") or "0" for d in (m.group(1), m.group(2) or "1"))
+    if exp == "0":
+        return 1
+    if base in ("0", "1"):
+        return int(base)
+    # here base >= 2 and exp >= 1; past these lengths q >= 10^20 or q >= 2^100
+    if len(base) > 20 or len(exp) > 2:
         return None
-    return base**exp
+    q = int(base) ** int(exp)
+    return q if q < 2**64 else None

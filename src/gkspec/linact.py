@@ -31,18 +31,28 @@ smaller positive power of h is a multiplication.  So:
   when every component has order n and, for each component, every prime
   of its t divides ord(c).
 
-The part of this that depends on h alone, its order m and the components
-whose T_t must still be evaluated (c = 1 and p not dividing m/t), is an
-acting element's plan (_order_plan).  An ActionGroupElement computes it
-once, on first use, and keeps it, so each further element order costs a
-check of the summands and those T_t evaluations; a bare LinearAction's
-plan is computed per call.  The plan is a pure function of the element,
-so everything here stays immutable in value and reentrant.
+The part of this that depends on h alone is an acting element's plan
+(_order_plan): its order m and the components whose T_t must still be
+evaluated (c = 1 and p not dividing m/t).  T_m is the zero map exactly
+when no component is pending.  For a pending one T_m = (m/t) * T_t with
+m/t a unit mod p, and T_t is never zero: its t terms h^i = u_i * x^(p^(ie)),
+i < t, carry t distinct field automorphisms, so by Artin's independence of
+characters (Lang, Algebra, VI 4) no sum of them with nonzero u_i vanishes.
+So a semidirect spectrum is read off the plans alone, and a single element
+order evaluates the pending T_t on its one vector, a sum of at most k terms.
+
+A LinearAction is its own one-component element (components == (self,)).
+It and an ActionGroupElement each compute the plan once, on first use, and
+keep it outside the dataclass fields: equality, hashing and repr never see
+it, and threads racing to fill it store the same value.  The plan is a
+pure function of the element, so everything here stays immutable in value
+and reentrant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -59,10 +69,6 @@ class GFMatrix:
 
     p: int
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
     def matvec(self, v) -> list[int]:
         p = self.p
@@ -100,6 +106,14 @@ class LinearAction:
     @property
     def is_identity(self) -> bool:
         return self.galois_exp == 0 and self.mult == self.field.one
+
+    @property
+    def components(self) -> tuple["LinearAction"]:
+        return (self,)
+
+    @cached_property
+    def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        return _order_plan(self.components)
 
     def apply(self, x: FieldElement) -> FieldElement:
         return self.mult * self.field.frobenius(x, self.galois_exp)
@@ -179,7 +193,7 @@ def minimal_polynomial(m: GFMatrix) -> tuple[int, ...]:
     most k, so the scan stops as soon as P reaches degree k.
     """
     p = m.p
-    k = m.size
+    k = len(m.rows)
     minpoly: list[int] = [1]
     for j0 in range(k):
         if len(minpoly) > k:
@@ -243,33 +257,17 @@ def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     return acc
 
 
-def _t_sum_pending(closures, m: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (j, t_j) whose T_(t_j) decides whether T_m kills summand j.
-
-    closures lists the closures (t_j, c_j) of the components and m is a
-    multiple of every component order; by the rule in the module docstring
-    T_m kills every vector of summand j unless c_j = 1 and p does not
-    divide m / t_j, and then it kills v exactly when T_(t_j)(v) = 0.
-    """
-    return tuple(
-        (j, t) for j, (t, c) in enumerate(closures) if c.is_one and (m // t) % p
-    )
-
-
-def _t_sum_kills(components, pending, vectors) -> bool:
-    """Whether T_m kills the vectors, pending being _t_sum_pending's pairs
-    for m; vectors holds one iterable per summand."""
-    return all(
-        _t_sum_on(components[j], t, x).is_zero for j, t in pending for x in vectors[j]
-    )
-
-
 def _order_plan(components) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(m, pending): the order m of a componentwise action, the lcm of the
-    t_j * ord(c_j), and the _t_sum_pending pairs for that m."""
+    t_j * ord(c_j), and the pairs (j, t_j) with c_j = 1 and p not dividing
+    m / t_j.  T_m kills summand j unless j is pending, and then it kills v
+    exactly when T_(t_j)(v) = 0 (module docstring)."""
     closures = [_closure(c) for c in components]
     m = lcm(*(t * element_order(c) for t, c in closures))
-    return m, _t_sum_pending(closures, m, components[0].field.p)
+    p = components[0].field.p
+    return m, tuple(
+        (j, t) for j, (t, c) in enumerate(closures) if c.is_one and (m // t) % p
+    )
 
 
 @dataclass(frozen=True)
@@ -277,10 +275,8 @@ class ActionGroupElement:
     """Componentwise action on a direct sum of field summands.
 
     Every summand must share the characteristic; the element's order is the
-    lcm of the component orders.  The order and the T-sum plan (_order_plan)
-    depend on the element alone, so they are computed on first use and kept
-    outside the dataclass fields: equality, hashing and repr never see
-    them, and two threads racing to fill them store the same value.
+    lcm of the component orders.  The order and the T-sum plan (_plan) are
+    kept as for a LinearAction (module docstring).
     """
 
     components: tuple[LinearAction, ...]
@@ -296,48 +292,21 @@ class ActionGroupElement:
     def is_identity(self) -> bool:
         return all(c.is_identity for c in self.components)
 
+    @cached_property
     def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        try:
-            return self.__dict__["_cached_plan"]
-        except KeyError:
-            plan = self.__dict__["_cached_plan"] = _order_plan(self.components)
-            return plan
+        return _order_plan(self.components)
 
     def order(self) -> int:
-        return self._plan()[0]
-
-    def compose(self, other: "ActionGroupElement") -> "ActionGroupElement":
-        return ActionGroupElement(
-            tuple(a.compose(b) for a, b in zip(self.components, other.components))
-        )
-
-    def apply(self, v: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
-        return tuple(c.apply(x) for c, x in zip(self.components, v))
+        return self._plan[0]
 
 
-def _as_group_element(h) -> ActionGroupElement:
-    return h if isinstance(h, ActionGroupElement) else ActionGroupElement((h,))
-
-
-def _as_vector(v) -> tuple[FieldElement, ...]:
-    return v if isinstance(v, tuple) else (v,)
-
-
-def _order_and_t_sum(h, summands, vectors) -> tuple[int, bool]:
-    """The order m of an acting element and whether T_m kills the vectors.
-
-    summands lists the fields acted on and vectors, one iterable per
-    summand, the vectors of each.  An ActionGroupElement's plan is computed
-    once and kept; a bare LinearAction's is computed for this call.
-    """
-    grouped = isinstance(h, ActionGroupElement)
-    components = h.components if grouped else (h,)
-    if len(components) != len(summands) or any(
-        c.field is not f and c.field != f for c, f in zip(components, summands)
+def _plan_on(h, summands) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The plan of an acting element h whose components act on summands."""
+    if len(h.components) != len(summands) or any(
+        c.field is not f and c.field != f for c, f in zip(h.components, summands)
     ):
         raise ValueError("acting element does not match the summands")
-    m, pending = h._plan() if grouped else _order_plan(components)
-    return m, not pending or _t_sum_kills(components, pending, vectors)
+    return h._plan
 
 
 def semidirect_element_order(v, h) -> int:
@@ -346,19 +315,22 @@ def semidirect_element_order(v, h) -> int:
     With m the order of h, (v, h)^m = (T_m(v), 1); the pair has order m
     when T_m(v) = 0 and p*m otherwise, p the common characteristic.
     """
-    vv = _as_vector(v)
-    m, kills = _order_and_t_sum(h, [x.field for x in vv], [(x,) for x in vv])
-    return m if kills else vv[0].field.p * m
+    vv = v if isinstance(v, tuple) else (v,)
+    m, pending = _plan_on(h, [x.field for x in vv])
+    if any(not _t_sum_on(h.components[j], t, vv[j]).is_zero for j, t in pending):
+        return vv[0].field.p * m
+    return m
 
 
 def semidirect_spectrum(summands, elements) -> OrderSet:
     """Exact element-order spectrum of V x| H.
 
     summands lists the field summands of V and elements every member of the
-    (abelian) acting group H as ActionGroupElement values; V must be
-    nonzero.  The spectrum is the closure of {1, p}, p the characteristic,
-    with every acting order m, or p*m for each h whose T-sum is not the
-    zero map.
+    (abelian) acting group H, as ActionGroupElement or LinearAction values;
+    V must be nonzero.  The spectrum is the closure of {1, p}, p the
+    characteristic, with every acting order m, or p*m for each h whose T_m
+    is not the zero map, that is each h whose plan has a pending pair
+    (module docstring); no T-sum is evaluated.
     """
     summands = tuple(summands)
     if not summands:
@@ -369,11 +341,10 @@ def semidirect_spectrum(summands, elements) -> OrderSet:
     p = summands[0].p
     if any(f.p != p for f in summands):
         raise ValueError("summands must share the characteristic")
-    bases = [tuple(f.basis()) for f in summands]
     gens = {1, p}
     for h in elements:
-        m, kills = _order_and_t_sum(h, summands, bases)
-        gens.add(m if kills else p * m)
+        m, pending = _plan_on(h, summands)
+        gens.add(p * m if pending else m)
     return OrderSet.from_generators(gens)
 
 
@@ -386,10 +357,9 @@ def is_fixed_point_free(h) -> bool:
     every prime of each t must divide the order of its c.  The cost does
     not grow with n.
     """
-    hh = _as_group_element(h)
-    if hh.is_identity:
+    if h.is_identity:
         raise ValueError("the identity has the whole space as fixed points")
-    orders = [(t, element_order(c)) for t, c in map(_closure, hh.components)]
+    orders = [(t, element_order(c)) for t, c in map(_closure, h.components)]
     n = lcm(*(t * d for t, d in orders))
     return all(
         t * d == n and all(d % r == 0 for r in prime_divisors(t)) for t, d in orders

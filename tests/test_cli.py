@@ -145,14 +145,17 @@ def test_db_check_library_value_error_exits_2(tmp_path, capsys):
 
 
 def test_db_check_huge_psl2_name_is_cited(tmp_path, capsys):
-    # q = 7^300000000 is far out of range; deciding so must not build the power
-    db = tmp_path / "huge.db"
-    db.write_text("group L2(7^300000000)\npi 2,3,7\n")
-    t0 = time.perf_counter()
-    code, out, _ = run(capsys, "db", "check", "--db", str(db))
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 0
-    assert out.startswith("L2(7^300000000): cited")
+    # q = 7^300000000 is far out of range; deciding so must not build the
+    # power, nor convert a base or exponent past int()'s 4300-digit limit
+    nines = "9" * 5000
+    for name in ("L2(7^300000000)", f"L2(7^{nines})", f"L2({nines})"):
+        db = tmp_path / "huge.db"
+        db.write_text(f"group {name}\npi 2,3,7\n")
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "db", "check", "--db", str(db))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert out.startswith(f"{name}: cited")
 
 
 def test_product_overflow_exits_2(capsys):

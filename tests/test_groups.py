@@ -218,4 +218,13 @@ def test_parse_psl2_name():
     # exponents from 64 up are out of every range; the power is never built
     assert parse_psl2_name("L2(2^64)") is None
     assert parse_psl2_name("L2(7^300000000)") is None
+    # digits past int()'s 4300-digit conversion limit are never converted
+    nines = "9" * 5000
+    assert parse_psl2_name(f"L2(7^{nines})") is None
+    assert parse_psl2_name(f"L2({nines})") is None
+    assert parse_psl2_name(f"L2({nines}^2)") is None
+    # leading zeros are stripped before any length decides
+    assert parse_psl2_name("L2(0023)") == 23
+    assert parse_psl2_name("L2(007^0002)") == 49
+    assert parse_psl2_name(f"L2({'0' * 5000}43^{'0' * 5000}2)") == 1849
 

@@ -368,7 +368,7 @@ def test_psl2_counts_match_power_iteration(q):
     assert enumerated_order_counts(q, *tables) == power_iteration_counts(q, *tables)
 
 
-def test_fallback_counts_total_is_sl2_size():
+def test_power_iteration_counts_total_is_sl2_size():
     for q in (2, 3, 5, 7):
         counts = power_iteration_counts(q, *field_tables(q))
         assert sum(counts) == q * (q - 1) * (q + 1)

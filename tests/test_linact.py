@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from dataclasses import replace
 from functools import cache
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -23,9 +24,8 @@ from gkspec.linact import (
     semidirect_element_order,
     semidirect_spectrum,
     _closure,
-    _t_sum_kills,
+    _order_plan,
     _t_sum_on,
-    _t_sum_pending,
 )
 
 F2_11 = make_field(2, 11)
@@ -331,25 +331,28 @@ def test_t_sum_base_cases():
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     # every action x -> u x^(p^e) and every vector of a small field; the
-    # oracle sums the matrices A^0 + ... + A^(m-1) of h directly
+    # oracle sums the matrices A^0 + ... + A^(m-1) of h directly, m the
+    # order of h.  T_m is the zero map exactly when the plan has no pending
+    # pair, and the spectrum gains p*m exactly when it is not
     field = make_field(p, k)
     vectors = [field.element_at(n) for n in range(field.order)]
     columns = list(zip(*(v.coeffs for v in vectors)))  # every vector, as a k x q matrix
+    zero_maps = set()
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
-        o, closure = action_order(h), _closure(h)
-        a = h.matrix().rows
-        for m in (o, 2 * o, p * o):
-            t_sum = plain_t_sum(a, m, p)
-            pending = _t_sum_pending([closure], m, p)
-            kills_basis = _t_sum_kills((h,), pending, [field.basis()])
-            assert kills_basis == (not any(map(any, t_sum))), (h, m)
-            images = list(zip(*plain_mul(t_sum, columns, p)))
-            for v, image in zip(vectors, images):
-                assert _t_sum_kills((h,), pending, [(v,)]) == (not any(image)), (h, m, v)
+        m, pending = _order_plan((h,))
+        t_sum = plain_t_sum(h.matrix().rows, m, p)
+        zero_map = not any(map(any, t_sum))
+        assert (not pending) == zero_map, h
+        assert semidirect_spectrum((field,), [h]).contains(p * m) == (not zero_map), h
+        images = list(zip(*plain_mul(t_sum, columns, p)))
+        for v, image in zip(vectors, images):
+            assert semidirect_element_order(v, h) == (p * m if any(image) else m), (h, v)
+        zero_maps.add(zero_map)
+    assert zero_maps == {True, False}
 
 
-def test_t_sum_on_matches_t_sum_map():
+def test_t_sum_on_matches_defining_sum():
     # T_1 is the identity; for t > 1 the single-vector sum agrees with the
     # defining sum of matrix powers
     rng = random.Random(23)
@@ -382,7 +385,10 @@ def test_semidirect_order_base_cases():
 
 def _pair_mul(v, a, w, b):
     """(v, a) * (w, b) in the semidirect product, componentwise actions."""
-    return tuple(x + c.apply(y) for x, c, y in zip(v, a.components, w)), a.compose(b)
+    return (
+        tuple(x + c.apply(y) for x, c, y in zip(v, a.components, w)),
+        ActionGroupElement(tuple(c.compose(d) for c, d in zip(a.components, b.components))),
+    )
 
 
 def _brute_pair_order(v, h):
@@ -454,13 +460,23 @@ GALOIS_PAIRS = ((2, 4, 2), (3, 3, 2))
 
 @pytest.mark.parametrize("p,k1,k2", GALOIS_PAIRS)
 def test_plan_orders_match_pair_oracle_two_summand_galois(p, k1, k2):
-    # here T_m of an identity component vanishes or not as p divides m or not
+    # here T_m of an identity component vanishes or not as p divides m or
+    # not; the spectrum gains p*m exactly when some basis vector of one
+    # summand, zero in the other, has order p*m
     summands, elements = _galois_pairs(p, k1, k2)
+    zero = tuple(f.zero for f in summands)
+    basis = [zero[:j] + (b,) + zero[j + 1:] for j, f in enumerate(summands) for b in f.basis()]
     rng = random.Random(24)
+    gains = set()
     for h in elements:
         for v in _plan_vectors(summands, rng):
             assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
-        assert h.order() == _brute_pair_order(tuple(f.zero for f in summands), h)
+        m = h.order()
+        assert m == _brute_pair_order(zero, h)
+        gain = any(_brute_pair_order(v, h) == p * m for v in basis)
+        assert semidirect_spectrum(summands, [h]).contains(p * m) == gain, h
+        gains.add(gain)
+    assert gains == {True, False}
 
 
 def test_plan_orders_match_pair_oracle_remark_group():
@@ -473,38 +489,44 @@ def test_plan_orders_match_pair_oracle_remark_group():
             assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
 
 
-def test_plan_same_whichever_caller_fills_it():
+def _plan_cases():
+    """(summands, acting elements): the remark group, the two-summand Galois
+    pairs, and the bare LinearActions of 23:11 on GF(2^11)."""
     spec = build_remark_group()
     cases = [(spec.summands, spec.acting_elements()[::4])]
     cases += [_galois_pairs(*shape) for shape in GALOIS_PAIRS]
+    cases.append(((F2_11,), build_gamma_frobenius(2, 11, 23).actions[::3]))
+    return cases
+
+
+def test_plan_same_whichever_caller_fills_it():
+    # replace(h) is an equal element whose plan is not yet computed
     rng = random.Random(26)
-    for summands, elements in cases:
+    for summands, elements in _plan_cases():
         for h in elements:
             vectors = _plan_vectors(summands, rng) + _plan_vectors(summands, rng)[1:]
             # a fresh element per query never reuses a plan
-            fresh = [
-                semidirect_element_order(v, ActionGroupElement(h.components)) for v in vectors
-            ]
-            fresh_spectrum = semidirect_spectrum(summands, [ActionGroupElement(h.components)])
-            spectrum_first = ActionGroupElement(h.components)
+            fresh = [semidirect_element_order(v, replace(h)) for v in vectors]
+            fresh_spectrum = semidirect_spectrum(summands, [replace(h)])
+            spectrum_first = replace(h)
             assert semidirect_spectrum(summands, [spectrum_first]) == fresh_spectrum
             assert [semidirect_element_order(v, spectrum_first) for v in vectors] == fresh
-            order_first = ActionGroupElement(h.components)
+            order_first = replace(h)
             assert [semidirect_element_order(v, order_first) for v in vectors] == fresh
             assert semidirect_spectrum(summands, [order_first]) == fresh_spectrum
-            assert spectrum_first.order() == order_first.order() == h.order()
+            assert spectrum_first._plan == order_first._plan == _order_plan(h.components)
 
 
 def test_plan_invisible_to_eq_hash_repr():
-    elements = build_remark_group().acting_elements()[:20] + _galois_pairs(2, 4, 2)[1][:20]
-    for h in elements:
-        planned, bare = ActionGroupElement(h.components), ActionGroupElement(h.components)
-        before = hash(planned)
-        planned.order()
-        assert planned == bare and bare == planned
-        assert hash(planned) == hash(bare) == before
-        assert repr(planned) == repr(bare)
-        assert len({planned, bare}) == 1
+    for _, elements in _plan_cases():
+        for h in elements[:20]:
+            planned, bare = replace(h), replace(h)
+            before = hash(planned)
+            planned._plan
+            assert planned == bare and bare == planned
+            assert hash(planned) == hash(bare) == before
+            assert repr(planned) == repr(bare)
+            assert len({planned, bare}) == 1
 
 
 def test_plan_filled_by_racing_threads():
@@ -513,28 +535,34 @@ def test_plan_filled_by_racing_threads():
     # computed on a private element
     spec = build_remark_group()
     rng = random.Random(27)
-    vectors = [tuple(_random_element(f, rng) for f in spec.summands) for _ in range(85)]
-    expected = [
-        semidirect_element_order(v, ActionGroupElement(h.components))
-        for v, h in zip(vectors, spec.acting_elements())
-    ]
+    cases = []
+    for summands, elements in (
+        (spec.summands, spec.acting_elements()),
+        ((F2_11,), build_gamma_frobenius(2, 11, 23).actions[::3]),
+    ):
+        vectors = [tuple(_random_element(f, rng) for f in summands) for _ in range(85)]
+        expected = [semidirect_element_order(v, replace(h)) for v, h in zip(vectors, elements)]
+        cases.append((vectors, elements, expected))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            shared = spec.acting_elements()
-            results = [None] * 4
+            for vectors, elements, expected in cases:
+                shared = [replace(h) for h in elements]
+                results = [None] * 4
 
-            def work(slot):
-                results[slot] = [semidirect_element_order(v, h) for v, h in zip(vectors, shared)]
+                def work(slot):
+                    results[slot] = [
+                        semidirect_element_order(v, h) for v, h in zip(vectors, shared)
+                    ]
 
-            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert results == [expected] * 4
+                threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 4
     finally:
         sys.setswitchinterval(old_interval)
 
