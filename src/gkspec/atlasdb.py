@@ -1,7 +1,8 @@
-"""Group-record database: text format, parser, embedded corpus, filters.
+"""Group-record database: text format, parser, embedded corpus, the
+selection filter of Lemmas 8 and 9, crosschecks.
 
 Record format (UTF-8, '#' starts a comment to end of line, a blank line
-separates records)::
+separates records; a line holding only a comment does not)::
 
     group L2(23)
     order 2^3 3 11 23
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .groups import PSL2_MAX_Q, Psl2Report, parse_psl2_name, psl2_spectrum
-from .orderset import Factorization, OrderSet, _is_prime, factorize
+from .orderset import J4_ORDER, Factorization, OrderSet, _is_prime, factorize
 
 
 class ParseError(ValueError):
@@ -165,9 +166,11 @@ def parse_records(text: str) -> list[GroupRecord]:
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            flush()
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
-            flush()
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -216,70 +219,42 @@ def load(path=None) -> list[GroupRecord]:
 
 
 @dataclass(frozen=True)
-class FilterQuery:
-    """Select simple groups by prime content and excluded element orders.
-
-    A record passes when its primes lie inside ambient_pi, it meets
-    target_primes in at least min_hits primes, and none of excluded_orders
-    belongs to its spectrum.  Records that survive the prime conditions but
-    cannot decide an excluded order (no flag, no mu) are reported as
-    insufficient, never passed.
-    """
-
-    ambient_pi: tuple[int, ...]
-    excluded_orders: tuple[int, ...]
-    target_primes: tuple[int, ...]
-    min_hits: int = 1
-
-    def __post_init__(self):
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
-
-
-@dataclass(frozen=True)
 class FilterResult:
     matches: tuple[tuple[str, tuple[int, ...]], ...]
     insufficient: tuple[str, ...]
 
 
-def run_filter(db, query: FilterQuery) -> FilterResult:
-    """Apply a FilterQuery to a record list; deterministic, name-sorted."""
-    ambient = set(query.ambient_pi)
-    targets = set(query.target_primes)
+def run_filter(db, target_primes: tuple[int, ...]) -> FilterResult:
+    """Select the records of Lemmas 8 and 9; deterministic, name-sorted.
+
+    A record passes when its primes lie inside pi(J4), at least two of them
+    are target_primes, and neither 9 nor 25 (the two orders a record has
+    flags for) belongs to its spectrum.  Records that survive the prime
+    conditions but cannot decide 9 or 25 (no flag, no mu) are reported as
+    insufficient, never passed.
+    """
     matches = []
     insufficient = []
     for record in sorted(db, key=lambda r: r.name):
-        if not set(record.pi) <= ambient:
+        if not set(record.pi) <= set(J4_ORDER.primes):
             continue
-        hits = tuple(sorted(set(record.pi) & targets))
-        if len(hits) < query.min_hits:
+        hits = tuple(sorted(set(record.pi) & set(target_primes)))
+        if len(hits) < 2:
             continue
-        verdicts = [record.spectrum_has(n) for n in query.excluded_orders]
-        if any(v is True for v in verdicts):
+        verdicts = [record.spectrum_has(9), record.spectrum_has(25)]
+        if True in verdicts:
             continue
-        if any(v is None for v in verdicts):
+        if None in verdicts:
             insufficient.append(record.name)
             continue
         matches.append((record.name, hits))
     return FilterResult(tuple(matches), tuple(insufficient))
 
 
-# The two embedded selection queries over pi(J4) = the ten primes below.
-_PI_J4 = (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
-
-LEMMA_QUERIES: dict[str, FilterQuery] = {
-    "8": FilterQuery(
-        ambient_pi=_PI_J4,
-        excluded_orders=(9, 25),
-        target_primes=(11, 23, 29, 31, 37, 43),
-        min_hits=2,
-    ),
-    "9": FilterQuery(
-        ambient_pi=_PI_J4,
-        excluded_orders=(9, 25),
-        target_primes=(5, 23, 29, 37, 43),
-        min_hits=2,
-    ),
+# The target primes of Lemmas 8 and 9.
+LEMMA_QUERIES: dict[str, tuple[int, ...]] = {
+    "8": (11, 23, 29, 31, 37, 43),
+    "9": (5, 23, 29, 37, 43),
 }
 
 
@@ -323,19 +298,12 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
         )
     report = psl2_spectrum(q)
     oracle = record_from_psl2(report)
-    problems = []
-    if record.order is not None and record.order != oracle.order:
-        problems.append("order")
-    if record.pi != oracle.pi:
-        problems.append("pi")
-    if record.mu is not None and record.mu != oracle.mu:
-        problems.append("mu")
-    for flag_name, stored, truth in (
-        ("has9", record.has9, oracle.has9),
-        ("has25", record.has25, oracle.has25),
-    ):
-        if stored is not None and stored != truth:
-            problems.append(flag_name)
+    problems = [
+        fact
+        for fact in ("order", "pi", "mu", "has9", "has25")
+        if getattr(record, fact) is not None
+        and getattr(record, fact) != getattr(oracle, fact)
+    ]
     if problems:
         raise CrosscheckError(
             f"record {record.name} disagrees with the trace census: "

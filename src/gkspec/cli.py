@@ -21,13 +21,6 @@ class InputError(Exception):
     pass
 
 
-def _parse_orderset(text: str) -> OrderSet:
-    try:
-        return OrderSet.parse(text)
-    except (ValueError, OverflowError) as exc:
-        raise InputError(str(exc)) from None
-
-
 def _load_db(path):
     try:
         return atlasdb.load(path)
@@ -44,7 +37,7 @@ def _spectrum_for(args) -> OrderSet:
                 return record.mu
         raise InputError(f"no record named {args.group}")
     if getattr(args, "gens", None):
-        return _parse_orderset(args.gens)
+        return OrderSet.parse(args.gens)
     raise InputError("provide --gens or --group")
 
 
@@ -57,19 +50,19 @@ def _print_summary(s: OrderSet):
 
 
 def _cmd_spectrum(args) -> int:
-    _print_summary(_parse_orderset(args.generators))
+    _print_summary(OrderSet.parse(args.generators))
     return 0
 
 
 def _cmd_product(args) -> int:
-    a = _parse_orderset(args.left)
-    b = _parse_orderset(args.right)
+    a = OrderSet.parse(args.left)
+    b = OrderSet.parse(args.right)
     _print_summary(product_spectrum(a, b))
     return 0
 
 
 def _cmd_wreath2(args) -> int:
-    _print_summary(wreath2_spectrum(_parse_orderset(args.generators)))
+    _print_summary(wreath2_spectrum(OrderSet.parse(args.generators)))
     return 0
 
 
@@ -95,8 +88,7 @@ def _cmd_coclique(args) -> int:
 
 def _cmd_db_query(args) -> int:
     db = _load_db(args.db)
-    query = atlasdb.LEMMA_QUERIES[args.lemma]
-    result = atlasdb.run_filter(db, query)
+    result = atlasdb.run_filter(db, atlasdb.LEMMA_QUERIES[args.lemma])
     for name, hits in result.matches:
         print(f"{name} {','.join(map(str, hits))}")
     for name in result.insufficient:

@@ -156,6 +156,8 @@ def build_gamma_frobenius(
     group); passing 1 degenerates to the cyclic kernel alone.  The
     Frobenius flag is computed directly: e-th Frobenius powers fix a
     nontrivial kernel element exactly when gcd(p^e - 1, kernel_order) > 1.
+    Groups of more than ENUMERATION_LIMIT maps are refused, as in
+    SemidirectSpec.
     """
     field = make_field(p, k)
     m = kernel_order
@@ -164,6 +166,8 @@ def build_gamma_frobenius(
     c = k if complement_order is None else complement_order
     if c < 1 or k % c != 0:
         raise ValueError("complement order must divide the extension degree")
+    if m * c > ENUMERATION_LIMIT:
+        raise ValueError("acting group too large to enumerate")
     step = k // c
     zeta = subgroup_generator(field, m)
     powers = [field.one]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gkspec import atlasdb
 from gkspec.atlasdb import (
     CrosscheckError,
-    FilterQuery,
     ParseError,
     RecordError,
     crosscheck_record,
@@ -20,7 +19,7 @@ from gkspec.atlasdb import (
     run_filter,
 )
 from gkspec.groups import psl2_spectrum
-from gkspec.orderset import OrderSet, factorize
+from gkspec.orderset import J4_ORDER, J4_SPECTRUM_GENERATORS, OrderSet, factorize
 
 EXPECTED_NAMES = {
     "J4", "L2(23)", "M23", "M24", "Co3", "Co2", "L2(32)", "U3(11)",
@@ -81,6 +80,20 @@ flag has9 true
     assert r8.mu == OrderSet.from_generators([2, 7, 9])
     assert r8.pi == (2, 3, 7)
     assert r8.has9 is True
+
+
+def test_comment_line_inside_record_does_not_end_it():
+    body = "order 2^3 3 11 23\n{}mu 11,12,23\npi 2,3,11,23\n"
+    (plain,) = parse_records("group L2(23)\n" + body.format(""))
+    (commented,) = parse_records(
+        "group L2(23)\n" + body.format("# spectrum from the trace census\n")
+    )
+    assert commented == plain
+    # a blank line still separates records, with or without trailing spaces
+    a, b = parse_records("group A\npi 2\n   \ngroup B\npi 3\n")
+    assert (a.name, a.pi, b.name, b.pi) == ("A", (2,), "B", (3,))
+    with pytest.raises(ParseError, match="line 1: record A lacks pi"):
+        parse_records("group A\n\npi 2\n")
 
 
 def test_parse_positions_errors():
@@ -194,13 +207,7 @@ def test_filter_stable_under_permutation():
 
 
 def test_filter_empty_db():
-    q = FilterQuery(ambient_pi=(2, 3), excluded_orders=(), target_primes=(2,), min_hits=1)
-    assert run_filter([], q) == atlasdb.FilterResult((), ())
-
-
-def test_filter_rejects_min_hits_zero():
-    with pytest.raises(ValueError):
-        FilterQuery(ambient_pi=(2,), excluded_orders=(), target_primes=(2,), min_hits=0)
+    assert run_filter([], atlasdb.LEMMA_QUERIES["8"]) == atlasdb.FilterResult((), ())
 
 
 def test_missing_flags_mean_insufficient_not_pass():
@@ -243,7 +250,14 @@ def test_excluded_order_true_flag_rejects():
 
 def test_ambient_pi_excludes_foreign_primes():
     by_name = {r.name: r for r in load()}
-    assert not set(by_name["Sz(128)"].pi) <= set(atlasdb.LEMMA_QUERIES["8"].ambient_pi)
+    assert not set(by_name["Sz(128)"].pi) <= set(J4_ORDER.primes)
+
+
+def test_embedded_j4_record_matches_orderset_constants():
+    (j4,) = [r for r in load() if r.name == "J4"]
+    assert j4.mu.maximal_elements == J4_SPECTRUM_GENERATORS
+    assert j4.order == J4_ORDER
+    assert j4.pi == J4_ORDER.primes
 
 
 # -- crosschecks ---------------------------------------------------------------------
@@ -262,8 +276,16 @@ def test_crosscheck_l2_records_verified():
 def test_crosscheck_detects_tampering():
     good = next(r for r in load() if r.name == "L2(23)")
     bad = replace(good, mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
-    with pytest.raises(CrosscheckError):
+    with pytest.raises(CrosscheckError, match=r"trace census: pi, mu$"):
         crosscheck_record(bad)
+    bad = replace(
+        good, order=factorize(2**3 * 3 * 25 * 11 * 23), pi=(2, 3, 5, 11, 23), mu=None, has25=True
+    )
+    with pytest.raises(CrosscheckError, match=r"trace census: order, pi, has25$"):
+        crosscheck_record(bad)
+    # facts a record does not store are not compared
+    sparse = replace(good, order=None, mu=None, has9=None, has25=None)
+    assert crosscheck_record(sparse).status == "verified"
 
 
 def test_record_from_psl2_consistent():

@@ -209,6 +209,17 @@ def test_db_override_with_corrupt_file(tmp_path, capsys):
     assert "cannot load database" in err
 
 
+def test_db_list_accepts_comment_line_inside_record(tmp_path, capsys):
+    db = tmp_path / "commented.db"
+    db.write_text(
+        "group L2(23)\norder 2^3 3 11 23\n# spectrum from the trace census\n"
+        "mu 11,12,23\npi 2,3,11,23\n"
+    )
+    code, out, err = run(capsys, "db", "list", "--db", str(db))
+    assert (code, err) == (0, "")
+    assert out == "L2(23) pi=2,3,11,23 mu=11,12,23\n"
+
+
 def test_verify_only_subset(capsys):
     code, out, _ = run(capsys, "verify", "--only", "wreath")
     assert code == 0

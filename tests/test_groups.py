@@ -1,5 +1,7 @@
 """Named constructions: the three-prime witness, GammaL1 groups, PSL2 spectra."""
 
+import time
+
 import pytest
 
 from gkspec.gf import element_order
@@ -125,6 +127,15 @@ def test_gamma_rejects_bad_divisibility():
         build_gamma_frobenius(2, 11, 7)
     with pytest.raises(ValueError):
         build_gamma_frobenius(2, 11, 23, complement_order=5)
+
+
+def test_gamma_refuses_acting_group_beyond_enumeration_limit():
+    # 2^61 - 1 divides |GF(2^61)| - 1, so only the size bound stops this
+    # before it lists (2^61 - 1) * 61 maps
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        build_gamma_frobenius(2, 61, 2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_gamma_element_orders_match_frobenius_structure():
