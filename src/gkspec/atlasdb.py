@@ -15,8 +15,9 @@ separates records; a line holding only a comment does not)::
 Keys: ``group`` (required, first line of a record), ``order`` (space
 separated prime powers ``p^e``), ``mu`` (spectrum generators, comma
 separated), ``pi`` (required, comma separated primes), ``flag has9|has25
-true|false``, ``note`` (free text, repeatable).  Unknown keys are
-rejected with a line number.
+true|false``, ``note`` (free text, repeatable).  Every other key appears
+at most once in a record; unknown and repeated keys are rejected with a
+line number.
 
 The membership flags are first-class data: several exclusions rest on
 spectra from the literature that this toolkit cannot recompute, and the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import PSL2_MAX_Q, Psl2Report, parse_psl2_name, psl2_spectrum
+from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
 from .orderset import J4_ORDER, Factorization, OrderSet, _is_prime, factorize
 
 
@@ -183,6 +184,8 @@ def parse_records(text: str) -> list[GroupRecord]:
             continue
         if current is None:
             raise ParseError(line_no, f"{key!r} before any 'group' line")
+        if key in ("order", "mu", "pi") and key in current:
+            raise ParseError(line_no, f"repeated key {key!r}")
         if key == "order":
             current["order"] = _parse_order(rest, line_no)
         elif key == "mu":
@@ -196,6 +199,8 @@ def parse_records(text: str) -> list[GroupRecord]:
             flag_name, _, value = rest.partition(" ")
             if flag_name not in ("has9", "has25") or value not in ("true", "false"):
                 raise ParseError(line_no, f"bad flag line {line!r}")
+            if flag_name in current:
+                raise ParseError(line_no, f"repeated key 'flag {flag_name}'")
             current[flag_name] = value == "true"
         elif key == "note":
             current["notes"].append(rest)
@@ -269,15 +274,16 @@ class CrosscheckReport:
     detail: str
 
 
-def record_from_psl2(report: Psl2Report) -> GroupRecord:
-    """A database record built from a PSL2(q) trace-census report."""
+def record_from_psl2(q: int) -> GroupRecord:
+    """The database record of L2(q) as the PSL2(q) trace census gives it."""
+    spectrum = psl2_spectrum(q)
     return GroupRecord(
-        name=f"L2({report.q})",
-        pi=report.spectrum.pi(),
-        order=factorize(report.group_order),
-        mu=report.spectrum,
-        has9=report.spectrum.contains(9),
-        has25=report.spectrum.contains(25),
+        name=f"L2({q})",
+        pi=spectrum.pi(),
+        order=factorize(psl2_order_formula(q)),
+        mu=spectrum,
+        has9=spectrum.contains(9),
+        has25=spectrum.contains(25),
         notes=("spectrum computed by the PSL2(q) trace census",),
     )
 
@@ -285,19 +291,19 @@ def record_from_psl2(report: Psl2Report) -> GroupRecord:
 def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     """Re-derive a record from an independent oracle where one exists.
 
-    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by the trace
-    census (groups.psl2_order_counts); any disagreement in order, pi, mu
-    or flags is a hard CrosscheckError.  Everything else is reported as
-    cited data (its internal consistency was already validated at
-    construction).
+    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by
+    record_from_psl2: spectrum and flags from the trace census
+    (groups.psl2_order_counts), order from groups.psl2_order_formula.  Any
+    stored fact that disagrees is a hard CrosscheckError.  Everything else
+    is reported as cited data (its internal consistency was already
+    validated at construction).
     """
     q = parse_psl2_name(record.name)
     if q is None or q > PSL2_MAX_Q:
         return CrosscheckReport(
             record.name, "cited", "no in-range oracle; cited data, internally consistent"
         )
-    report = psl2_spectrum(q)
-    oracle = record_from_psl2(report)
+    oracle = record_from_psl2(q)
     problems = [
         fact
         for fact in ("order", "pi", "mu", "has9", "has25")

@@ -29,16 +29,14 @@ def _load_db(path):
 
 
 def _spectrum_for(args) -> OrderSet:
-    if getattr(args, "group", None):
-        for record in _load_db(getattr(args, "db", None)):
-            if record.name == args.group:
-                if record.mu is None:
-                    raise InputError(f"record {args.group} stores no spectrum generators")
-                return record.mu
-        raise InputError(f"no record named {args.group}")
-    if getattr(args, "gens", None):
+    if args.gens is not None:
         return OrderSet.parse(args.gens)
-    raise InputError("provide --gens or --group")
+    for record in _load_db(args.db):
+        if record.name == args.group:
+            if record.mu is None:
+                raise InputError(f"record {args.group} stores no spectrum generators")
+            return record.mu
+    raise InputError(f"no record named {args.group}")
 
 
 def _print_summary(s: OrderSet):
@@ -170,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("coclique", _cmd_coclique, "maximum cocliques of a prime graph"),
     ):
         p = sub.add_parser(name, help=extra_help)
-        p.add_argument("--gens", help="comma-separated spectrum generators")
-        p.add_argument("--group", help="named record from the database (needs stored mu)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--gens", help="comma-separated spectrum generators")
+        source.add_argument("--group", help="named record from the database (needs stored mu)")
         p.add_argument("--db", help="database file overriding the embedded records")
         if name == "gk":
             p.add_argument("--dot", action="store_true", help="emit DOT graph text")

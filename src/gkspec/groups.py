@@ -5,10 +5,10 @@ unit-multiplication groups (including the three-prime tightness witness),
 semilinear kernel-complement groups inside GammaL1(p^k) such as 23:11 on
 GF(2^11), and PSL2(q) spectra from a census of SL2(q) by trace: the number
 of determinant-one matrices of each trace and the order each trace forces.
-No matrix is visited; full enumeration survives only as a test oracle,
-and the closed-form group order serves only as a consistency check.  The
-hypothesis checker for the two-condition spectrum criterion rounds out the
-module.
+No matrix is visited; full enumeration survives only as a test oracle.
+The group order is the closed form psl2_order_formula, which the tests
+tie to the census total.  The hypothesis checker for the two-condition
+spectrum criterion rounds out the module.
 """
 
 from __future__ import annotations
@@ -86,45 +86,21 @@ def build_remark_group() -> SemidirectSpec:
     return SemidirectSpec.build(((3, 16), (3, 4)), (17, 5))
 
 
-@dataclass(frozen=True)
-class PropositionReport:
-    """Descriptive check of the two arithmetic conditions on a spectrum.
+def check_proposition_hypotheses(
+    spectrum: OrderSet,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The prime pairs failing each arithmetic condition on a spectrum.
 
-    cond1_ok: no prime of the spectrum divides another prime minus one.
-    cond2_ok: every product of two distinct primes is a member.
-    bound_ok: at most three primes.  Solvability of a source group is the
-    caller's assumption; this report never claims it.
+    Pairs p < q of its primes, in order: first those with p dividing
+    q - 1, then those whose product is not a member.  Both tuples are
+    empty exactly when the two conditions hold.  Solvability of a
+    source group is the caller's assumption; this check never claims it.
     """
-
-    pi: tuple[int, ...]
-    sigma: int
-    cond1_ok: bool
-    cond2_ok: bool
-    bound_ok: bool
-    cond1_failures: tuple[tuple[int, int], ...]
-    cond2_failures: tuple[tuple[int, int], ...]
-
-
-def check_proposition_hypotheses(spectrum: OrderSet) -> PropositionReport:
     pi = spectrum.pi()
-    c1_bad = []
-    c2_bad = []
-    for p in pi:
-        for q in pi:
-            if p != q and (q - 1) % p == 0:
-                c1_bad.append((p, q))
-    for i, p in enumerate(pi):
-        for q in pi[i + 1:]:
-            if not spectrum.contains(p * q):
-                c2_bad.append((p, q))
-    return PropositionReport(
-        pi=pi,
-        sigma=spectrum.sigma(),
-        cond1_ok=not c1_bad,
-        cond2_ok=not c2_bad,
-        bound_ok=len(pi) <= 3,
-        cond1_failures=tuple(sorted(c1_bad)),
-        cond2_failures=tuple(c2_bad),
+    pairs = [(p, q) for i, p in enumerate(pi) for q in pi[i + 1:]]  # p | q - 1 needs p < q
+    return (
+        tuple((p, q) for p, q in pairs if (q - 1) % p == 0),
+        tuple((p, q) for p, q in pairs if not spectrum.contains(p * q)),
     )
 
 
@@ -182,22 +158,7 @@ def build_gamma_frobenius(
     return GammaSemilinearGroup(field, m, c, zeta, actions, fpf)
 
 
-@dataclass(frozen=True)
-class Psl2Report:
-    """Spectrum of PSL2(q) from the trace census of SL2(q)."""
-
-    q: int
-    p: int
-    k: int
-    group_order: int
-    spectrum: OrderSet
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        return self.spectrum.maximal_elements
-
-
-PSL2_MAX_Q = 64  # largest q that psl2_spectrum computes
+PSL2_MAX_Q = 64  # largest q that psl2_order_counts accepts
 
 
 def _trace_counts(field: FiniteField) -> list[tuple[FieldElement, int]]:
@@ -220,7 +181,10 @@ def psl2_order_counts(q: int) -> list[int]:
     Entry e of the result counts the matrices whose e-th power is scalar
     and no smaller positive power is.  No matrix is visited: the counts
     come from the number of matrices of each trace (_trace_counts) and
-    the order of each trace.
+    the order of each trace.  Only prime powers q <= PSL2_MAX_Q are
+    accepted, as the census takes about q^2 recurrence steps, and the
+    counts are checked against |SL2(q)| = q(q-1)(q+1) before they are
+    returned.
 
     For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
     with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
@@ -229,10 +193,12 @@ def psl2_order_counts(q: int) -> list[int]:
     is 2) have order 1; their traces +-2 have U_n(+-2) = +-n, first zero
     at n = p, so they move from entry p to entry 1.
     """
-    fac = factorize(q)
-    if len(fac.pairs) != 1:
+    if not 2 <= q <= PSL2_MAX_Q:
+        raise ValueError(f"q must be a prime power in [2, {PSL2_MAX_Q}]")
+    pairs = factorize(q).pairs
+    if len(pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    ((p, k),) = fac.pairs
+    ((p, k),) = pairs
     field = make_field(p, k)
     counts = [0] * (4 * q + 8)
     limit = len(counts) - 1
@@ -247,38 +213,24 @@ def psl2_order_counts(q: int) -> list[int]:
     scalars = 1 if p == 2 else 2
     counts[p] -= scalars
     counts[1] += scalars
+    if sum(counts) != q * (q - 1) * (q + 1):
+        raise AssertionError("trace census missed determinant-one matrices")
     return counts
 
 
 @cache
-def psl2_spectrum(q: int) -> Psl2Report:
-    """Element orders of PSL2(q) for a prime power q <= 64.
+def psl2_spectrum(q: int) -> OrderSet:
+    """Element orders of PSL2(q) for a prime power q <= PSL2_MAX_Q.
 
-    The projective order of every determinant-one matrix is counted by
-    trace (see psl2_order_counts), and the counts are checked against
-    |SL2(q)| = q(q-1)(q+1) before the spectrum is returned.  The report is
-    frozen, so each q is computed once per process.
+    The orders present in the trace census (psl2_order_counts), which
+    also rejects q out of range.  Memoized, so each q is computed once
+    per process.
     """
-    if q < 2 or q > PSL2_MAX_Q:
-        raise ValueError(f"q must be a prime power in [2, {PSL2_MAX_Q}]")
-    counts = psl2_order_counts(q)  # raises ValueError unless q is a prime power
-    ((p, k),) = factorize(q).pairs
-    sl2_size = q * (q - 1) * (q + 1)
-    if sum(counts) != sl2_size:
-        raise AssertionError("trace census missed determinant-one matrices")
-    d = gcd(2, q - 1)
-    orders = [e for e, c in enumerate(counts) if c]
-    return Psl2Report(
-        q=q,
-        p=p,
-        k=k,
-        group_order=sl2_size // d,
-        spectrum=OrderSet.from_generators(orders),
-    )
+    return OrderSet.from_generators(e for e, c in enumerate(psl2_order_counts(q)) if c)
 
 
 def psl2_order_formula(q: int) -> int:
-    """Closed-form |PSL2(q)|, kept separate as a cross-check."""
+    """|PSL2(q)| = q(q^2 - 1) / gcd(2, q - 1)."""
     return q * (q * q - 1) // gcd(2, q - 1)
 
 

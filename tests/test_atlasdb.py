@@ -96,6 +96,23 @@ def test_comment_line_inside_record_does_not_end_it():
         parse_records("group A\n\npi 2\n")
 
 
+def test_repeated_key_is_rejected_with_its_line():
+    head = "group L2(23)\norder 2^3 3 11 23\nmu 11,12,23\npi 2,3,11,23\n"
+    for extra, key in (
+        ("order 2^3 3 11 23", "order"),
+        ("mu 2", "mu"),
+        ("pi 2,3,11,23", "pi"),
+        ("flag has9 false\nflag has9 false", "flag has9"),
+        ("flag has25 false\nflag has25 true", "flag has25"),
+    ):
+        line = 4 + extra.count("\n") + 1
+        with pytest.raises(ParseError, match=f"^line {line}: repeated key '{key}'$"):
+            parse_records(head + extra + "\n")
+    # notes repeat, and each record has its own keys
+    a, b = parse_records(head + "note x\nnote y\n\n" + head.replace("L2(23)", "B"))
+    assert a.notes == ("x", "y") and b.mu == a.mu
+
+
 def test_parse_positions_errors():
     with pytest.raises(ParseError, match="line 3"):
         parse_records("group A\npi 2,3\nbogus key\n")
@@ -289,7 +306,9 @@ def test_crosscheck_detects_tampering():
 
 
 def test_record_from_psl2_consistent():
-    record = record_from_psl2(psl2_spectrum(23))
+    record = record_from_psl2(23)
     assert record.name == "L2(23)"
+    assert record.order == factorize(6072)
+    assert record.mu is psl2_spectrum(23)
     assert crosscheck_record(record).status == "verified"
     assert record.has9 is False and record.has25 is False

@@ -220,6 +220,24 @@ def test_db_list_accepts_comment_line_inside_record(tmp_path, capsys):
     assert out == "L2(23) pi=2,3,11,23 mu=11,12,23\n"
 
 
+def test_db_list_rejects_repeated_key(tmp_path, capsys):
+    db = tmp_path / "repeated.db"
+    db.write_text("group L2(23)\norder 2^3 3 11 23\nmu 11,12,23\nmu 2\npi 2,3,11,23\n")
+    code, out, err = run(capsys, "db", "list", "--db", str(db))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot load database: line 4: repeated key 'mu'\n"
+
+
+@pytest.mark.parametrize("command", ["gk", "coclique"])
+def test_gens_and_group_together_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "J4", "--gens", "2,3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_verify_only_subset(capsys):
     code, out, _ = run(capsys, "verify", "--only", "wreath")
     assert code == 0

@@ -1,9 +1,11 @@
 """Named constructions: the three-prime witness, GammaL1 groups, PSL2 spectra."""
 
 import time
+from math import gcd
 
 import pytest
 
+from gkspec import groups
 from gkspec.gf import element_order
 from gkspec.groups import (
     SemidirectSpec,
@@ -11,6 +13,7 @@ from gkspec.groups import (
     build_remark_group,
     check_proposition_hypotheses,
     parse_psl2_name,
+    psl2_order_counts,
     psl2_order_formula,
     psl2_spectrum,
 )
@@ -38,27 +41,32 @@ def test_remark_group_spectrum():
 
 
 def test_remark_group_hypotheses_hold_with_equality():
-    report = check_proposition_hypotheses(build_remark_group().spectrum())
-    assert report.cond1_ok and not report.cond1_failures
-    assert report.cond2_ok and not report.cond2_failures
-    assert report.pi == (3, 5, 17)
-    assert report.sigma == 2
-    assert report.bound_ok and len(report.pi) == 3
+    s = build_remark_group().spectrum()
+    assert check_proposition_hypotheses(s) == ((), ())
+    assert s.pi() == (3, 5, 17)
+    assert s.sigma() == 2
 
 
 def test_proposition_checker_trivial_spectrum():
-    report = check_proposition_hypotheses(OrderSet.from_generators([1]))
-    assert report.cond1_ok and report.cond2_ok and report.bound_ok
-    assert report.pi == ()
-    assert report.sigma == 0
+    s = OrderSet.from_generators([1])
+    assert check_proposition_hypotheses(s) == ((), ())
+    assert s.pi() == ()
+    assert s.sigma() == 0
 
 
 def test_proposition_checker_fails_on_j4():
-    report = check_proposition_hypotheses(j4_spectrum())
-    assert not report.cond1_ok
+    s = j4_spectrum()
+    cond1, cond2 = check_proposition_hypotheses(s)
     # parity alone breaks the divisibility condition: 2 divides q - 1 for odd q
-    assert (2, 3) in report.cond1_failures
-    assert not report.bound_ok
+    assert (2, 3) in cond1
+    assert cond2
+    assert len(s.pi()) > 3
+
+
+def test_proposition_checker_lists_failing_pairs_in_order():
+    # pi = {2, 3, 5}: 2 divides 3 - 1 and 5 - 1; 10 and 15 are not members
+    s = OrderSet.from_generators([6, 5])
+    assert check_proposition_hypotheses(s) == (((2, 3), (2, 5)), ((2, 5), (3, 5)))
 
 
 def test_semidirect_spec_validation():
@@ -160,10 +168,10 @@ def test_gamma_23_11_complement_moves_every_kernel_element():
 # -- PSL2 spectra from the trace census --------------------------------------------
 
 def test_psl2_23():
-    r = psl2_spectrum(23)
-    assert r.spectrum.members() == [1, 2, 3, 4, 6, 11, 12, 23]
-    assert r.mu == (11, 12, 23)
-    assert r.group_order == 6072
+    s = psl2_spectrum(23)
+    assert s.members() == [1, 2, 3, 4, 6, 11, 12, 23]
+    assert s.maximal_elements == (11, 12, 23)
+    assert psl2_order_formula(23) == 6072
     assert factorize(6072).pairs == ((2, 3), (3, 1), (11, 1), (23, 1))
 
 
@@ -176,32 +184,34 @@ def test_psl2_23():
     ],
 )
 def test_psl2_target_prime_intersections(q, targets, expected):
-    r = psl2_spectrum(q)
-    assert tuple(sorted(set(r.spectrum.pi()) & set(targets))) == expected
+    assert tuple(sorted(set(psl2_spectrum(q).pi()) & set(targets))) == expected
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 23, 29, 32, 43])
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q).pairs) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_psl2_order_matches_formula(q):
-    r = psl2_spectrum(q)
-    assert r.group_order == psl2_order_formula(q)
+    # the census counts SL2(q), whose centre has gcd(2, q - 1) elements
+    assert psl2_order_formula(q) * gcd(2, q - 1) == sum(psl2_order_counts(q))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 23, 29, 32, 43])
 def test_psl2_orders_divide_classical_torus_orders(q):
     # consistency only: every element order divides p, (q-1)/d or (q+1)/d
-    r = psl2_spectrum(q)
+    ((p, _),) = factorize(q).pairs
     d = 2 if q % 2 else 1
-    allowed = (r.p, (q - 1) // d, (q + 1) // d)
-    for m in r.spectrum.members():
+    allowed = (p, (q - 1) // d, (q + 1) // d)
+    for m in psl2_spectrum(q).members():
         assert any(a % m == 0 for a in allowed)
 
 
 def test_psl2_small_sanity():
-    assert psl2_spectrum(2).spectrum.members() == [1, 2, 3]  # symmetric group on 3
-    assert psl2_spectrum(4).group_order == 60  # alternating group on 5
-    assert psl2_spectrum(4).spectrum.members() == [1, 2, 3, 5]
-    assert psl2_spectrum(5).group_order == 60
-    assert psl2_spectrum(5).spectrum.members() == [1, 2, 3, 5]
+    assert psl2_spectrum(2).members() == [1, 2, 3]  # symmetric group on 3
+    assert psl2_order_formula(4) == 60  # alternating group on 5
+    assert psl2_spectrum(4).members() == [1, 2, 3, 5]
+    assert psl2_order_formula(5) == 60
+    assert psl2_spectrum(5).members() == [1, 2, 3, 5]
 
 
 def test_psl2_rejects_bad_q():
@@ -211,6 +221,22 @@ def test_psl2_rejects_bad_q():
         psl2_spectrum(65)
     with pytest.raises(ValueError):
         psl2_spectrum(1)
+
+
+@pytest.mark.parametrize("q", [65, 1021, 1_000_003])
+def test_psl2_order_counts_refuses_large_q_at_once(q):
+    # the census takes about q^2 recurrence steps; q = 1021 would take seconds
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"q must be a prime power in \[2, 64\]"):
+        psl2_order_counts(q)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_psl2_order_counts_checks_census_total(monkeypatch):
+    trace_counts = groups._trace_counts
+    monkeypatch.setattr(groups, "_trace_counts", lambda field: trace_counts(field)[1:])
+    with pytest.raises(AssertionError, match="trace census missed"):
+        psl2_order_counts(23)
 
 
 def test_psl2_spectrum_is_memoized():
