@@ -28,6 +28,7 @@ every such fact lives in the record's notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
@@ -214,11 +215,20 @@ def parse_records(text: str) -> list[GroupRecord]:
     return records
 
 
+@cache
+def _embedded_records() -> tuple[GroupRecord, ...]:
+    data = resources.files("gkspec").joinpath("data/simple_groups.db")
+    return tuple(parse_records(data.read_text("utf-8")))
+
+
 def load(path=None) -> list[GroupRecord]:
-    """The records in the database file at path; None reads the shipped corpus."""
+    """The records in the database file at path; None reads the shipped corpus.
+
+    The corpus is parsed once per process, a file on every call; each call
+    returns a new list, so no caller sees another's edits.
+    """
     if path is None:
-        data = resources.files("gkspec").joinpath("data/simple_groups.db")
-        return parse_records(data.read_text("utf-8"))
+        return list(_embedded_records())
     with open(path, encoding="utf-8") as fh:
         return parse_records(fh.read())
 
@@ -275,7 +285,7 @@ class CrosscheckReport:
 
 
 def record_from_psl2(q: int) -> GroupRecord:
-    """The database record of L2(q) as the PSL2(q) trace census gives it."""
+    """The database record of L2(q) as the PSL2(q) torus census gives it."""
     spectrum = psl2_spectrum(q)
     return GroupRecord(
         name=f"L2({q})",
@@ -284,7 +294,7 @@ def record_from_psl2(q: int) -> GroupRecord:
         mu=spectrum,
         has9=spectrum.contains(9),
         has25=spectrum.contains(25),
-        notes=("spectrum computed by the PSL2(q) trace census",),
+        notes=("spectrum computed by the PSL2(q) torus census",),
     )
 
 
@@ -292,7 +302,7 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     """Re-derive a record from an independent oracle where one exists.
 
     Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by
-    record_from_psl2: spectrum and flags from the trace census
+    record_from_psl2: spectrum and flags from the torus census
     (groups.psl2_order_counts), order from groups.psl2_order_formula.  Any
     stored fact that disagrees is a hard CrosscheckError.  Everything else
     is reported as cited data (its internal consistency was already
@@ -312,9 +322,9 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     ]
     if problems:
         raise CrosscheckError(
-            f"record {record.name} disagrees with the trace census: "
+            f"record {record.name} disagrees with the torus census: "
             + ", ".join(problems)
         )
     return CrosscheckReport(
-        record.name, "verified", f"matches the PSL2({q}) trace census"
+        record.name, "verified", f"matches the PSL2({q}) torus census"
     )

@@ -251,7 +251,7 @@ def _check_remark_sampling(db_path):
     return "10000 sampled element orders all lie in the structural spectrum"
 
 
-# -- PSL2 spectra from the trace census ----------------------------------------
+# -- PSL2 spectra from the torus census ----------------------------------------
 
 def _check_psl2_23(db_path):
     s = groups.psl2_spectrum(23)

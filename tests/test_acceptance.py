@@ -165,7 +165,7 @@ def test_criterion_8_psl2_oracles():
     for q in (23, 32, 43, 29):
         assert groups.psl2_order_formula(q) * gcd(2, q - 1) == sum(groups.psl2_order_counts(q))
     assert elapsed < 10.0
-    report(8, f"four spectra by the trace census, orders match its totals ({elapsed:.2f} s)")
+    report(8, f"four spectra by the torus census, orders match its totals ({elapsed:.2f} s)")
 
 
 def test_criterion_9_linear_action_lemmas():

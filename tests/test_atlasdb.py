@@ -53,6 +53,24 @@ def test_embedded_corpus_loads():
     assert len(db) == 16
 
 
+def test_embedded_corpus_loads_are_fresh_lists():
+    first, second = load(), load()
+    assert first == second
+    assert first is not second
+    first.pop()
+    first[0] = replace(first[0], mu=None, has9=None, has25=None)
+    assert load() == second
+    assert len(load()) == 16
+
+
+def test_database_file_is_read_on_every_load(tmp_path):
+    db = tmp_path / "one.db"
+    db.write_text("group A\npi 2\n")
+    assert [r.name for r in load(db)] == ["A"]
+    db.write_text("group B\npi 3\n")
+    assert [r.name for r in load(db)] == ["B"]
+
+
 def test_parse_single_record():
     text = """
 # comment line
@@ -293,12 +311,12 @@ def test_crosscheck_l2_records_verified():
 def test_crosscheck_detects_tampering():
     good = next(r for r in load() if r.name == "L2(23)")
     bad = replace(good, mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
-    with pytest.raises(CrosscheckError, match=r"trace census: pi, mu$"):
+    with pytest.raises(CrosscheckError, match=r"torus census: pi, mu$"):
         crosscheck_record(bad)
     bad = replace(
         good, order=factorize(2**3 * 3 * 25 * 11 * 23), pi=(2, 3, 5, 11, 23), mu=None, has25=True
     )
-    with pytest.raises(CrosscheckError, match=r"trace census: order, pi, has25$"):
+    with pytest.raises(CrosscheckError, match=r"torus census: order, pi, has25$"):
         crosscheck_record(bad)
     # facts a record does not store are not compared
     sparse = replace(good, order=None, mu=None, has9=None, has25=None)

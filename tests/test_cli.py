@@ -201,6 +201,30 @@ def test_db_list_and_check(capsys):
     assert "J4: cited" in out
 
 
+def test_db_check_output_on_embedded_corpus(capsys):
+    cited = "cited (no in-range oracle; cited data, internally consistent)"
+    code, out, err = run(capsys, "db", "check")
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in [
+        f"Co2: {cited}",
+        f"Co3: {cited}",
+        f"J4: {cited}",
+        "L2(23): verified (matches the PSL2(23) torus census)",
+        "L2(29): verified (matches the PSL2(29) torus census)",
+        "L2(32): verified (matches the PSL2(32) torus census)",
+        "L2(43): verified (matches the PSL2(43) torus census)",
+        f"L2(43^2): {cited}",
+        f"M22: {cited}",
+        f"M23: {cited}",
+        f"M24: {cited}",
+        f"S4(43): {cited}",
+        f"Sz(128): {cited}",
+        f"U3(11): {cited}",
+        f"U4(7): {cited}",
+        f"U7(2): {cited}",
+    ])
+
+
 def test_db_override_with_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.db"
     bad.write_text("group X\nmu 9\npi 2,3\nflag has9 false\n")

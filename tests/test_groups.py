@@ -33,6 +33,19 @@ def test_remark_group_structure():
     assert len(spec.acting_elements()) == 85
 
 
+def test_acting_elements_built_once_in_order():
+    spec = build_remark_group()
+    first, second = spec.acting_elements(), spec.acting_elements()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    g1, g2 = spec.generators
+    assert [tuple(c.mult for c in h.components) for h in first] == [
+        (g1**i, g2**j) for i in range(17) for j in range(5)
+    ]
+    first.clear()
+    assert len(spec.acting_elements()) == 85
+
+
 def test_remark_group_spectrum():
     s = build_remark_group().spectrum()
     assert s.members() == [1, 3, 5, 15, 17, 51, 85]
@@ -165,7 +178,7 @@ def test_gamma_23_11_complement_moves_every_kernel_element():
             assert f.frobenius(x, e) != x
 
 
-# -- PSL2 spectra from the trace census --------------------------------------------
+# -- PSL2 spectra from the torus census --------------------------------------------
 
 def test_psl2_23():
     s = psl2_spectrum(23)
@@ -225,7 +238,8 @@ def test_psl2_rejects_bad_q():
 
 @pytest.mark.parametrize("q", [65, 1021, 1_000_003])
 def test_psl2_order_counts_refuses_large_q_at_once(q):
-    # the census takes about q^2 recurrence steps; q = 1021 would take seconds
+    # refused before anything is factored or allocated; q = 1,000,003 alone
+    # would ask for a list of 4q + 8 counts
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=r"q must be a prime power in \[2, 64\]"):
         psl2_order_counts(q)
@@ -233,9 +247,10 @@ def test_psl2_order_counts_refuses_large_q_at_once(q):
 
 
 def test_psl2_order_counts_checks_census_total(monkeypatch):
-    trace_counts = groups._trace_counts
-    monkeypatch.setattr(groups, "_trace_counts", lambda field: trace_counts(field)[1:])
-    with pytest.raises(AssertionError, match="trace census missed"):
+    census = groups._torus_census
+    # drop the last eigenvalue of the non-split torus
+    monkeypatch.setattr(groups, "_torus_census", lambda q, p: list(census(q, p))[:-1])
+    with pytest.raises(AssertionError, match="torus census missed"):
         psl2_order_counts(23)
 
 

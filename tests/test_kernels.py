@@ -2,17 +2,19 @@
 mod-p pass against the per-slot loop it replaced, packed arithmetic and
 the field constructor against the coefficient-tuple kernels they
 replaced, field arithmetic at a large prime against Python's modular
-integers, and the PSL2 trace census against full matrix enumeration, which
-is itself checked against power iteration.  The constructor and its Rabin
+integers, and the PSL2 torus census against full matrix enumeration, which
+is itself checked against power iteration, and against the trace
+recurrence beyond enumeration's reach.  The constructor and its Rabin
 oracle share no polynomial code: the oracle's gcd is its own Euclid below,
 while gkspec.gf decides each gcd by a norm in the candidate's ring."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from gkspec.gf import FiniteField, make_field
-from gkspec.groups import _trace_counts, psl2_order_counts
+from gkspec.groups import _torus_census, psl2_order_counts
 from gkspec.orderset import factorize, prime_divisors
 
 # The coefficient-tuple kernels below were the library's GF(p^k) multiply,
@@ -244,7 +246,9 @@ def test_large_prime_arithmetic_is_exact():
 
 
 # Full enumeration of SL2(q) was the library's PSL2 kernel before the trace
-# census; it stays as the census's oracle, over index tables of GF(q).
+# census, and the trace census before the torus census; both stay as the
+# torus census's oracles.  Enumeration works over index tables of GF(q), the
+# trace census over FiniteField elements; the torus census builds no field.
 
 
 def field_tables(q):
@@ -320,7 +324,7 @@ def power_iteration_counts(q, mul, add, neg, one, zero):
     c = -1/b with d free.  Same multiset as rejection over all quadruples.
 
     Test oracle: repeated 2x2 multiplication, independent of the trace
-    recurrence in enumerated_order_counts and gkspec.groups.psl2_order_counts.
+    recurrence in enumerated_order_counts and recurrence_order_counts.
     """
     counts = [0] * (4 * q + 8)
     limit = len(counts) - 1
@@ -382,6 +386,58 @@ def test_psl2_census_matches_enumeration(q):
     assert psl2_order_counts(q) == enumerated_order_counts(q, *field_tables(q))
 
 
+def trace_counts(field):
+    """(t, number of determinant-one 2x2 matrices with trace t) for every t.
+
+    A matrix (a b / c d) with trace t has d = t - a, and det = 1 asks
+    bc = a*d - 1: q - 1 solutions (b, c) when a*d != 1, and 2q - 1 when
+    a*d = 1, which happens exactly when a != 0 and a + 1/a = t.  So trace t
+    has q(q-1) + q * #{a != 0 : a + 1/a = t} matrices.
+    """
+    q = field.order
+    elements = [field.element_at(n) for n in range(q)]
+    roots = Counter((a + a.inverse()).value for a in elements[1:])
+    return [(t, q * (q - 1) + q * roots[t.value]) for t in elements]
+
+
+def recurrence_order_counts(q):
+    """psl2_order_counts(q) by trace, for any prime power q; about q^2 steps.
+
+    For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
+    with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
+    a non-scalar A has a scalar n-th power exactly when U_n(t) = 0, and
+    its order is fixed by its trace.  The scalars +-I (one of them when p
+    is 2) have order 1; their traces +-2 have U_n(+-2) = +-n, first zero
+    at n = p, so they move from entry p to entry 1.
+    """
+    ((p, k),) = factorize(q).pairs
+    field = make_field(p, k)
+    counts = [0] * (4 * q + 8)
+    limit = len(counts) - 1
+    for t, matrices in trace_counts(field):
+        u_prev, u, n = field.zero, field.one, 1
+        while not u.is_zero:
+            u_prev, u = u, t * u - u_prev
+            n += 1
+            if n > limit:
+                raise RuntimeError("matrix order exceeded sane bound")
+        counts[n] += matrices
+    scalars = 1 if p == 2 else 2
+    counts[p] -= scalars
+    counts[1] += scalars
+    return counts
+
+
+@pytest.mark.parametrize("q", [81, 125, 127, 128, 169])
+def test_torus_census_matches_recurrence_beyond_the_bound(q):
+    ((p, _),) = factorize(q).pairs
+    counts = [0] * (4 * q + 8)
+    for order, matrices in _torus_census(q, p):
+        counts[order] += matrices
+    assert sum(counts) == q * (q - 1) * (q + 1)
+    assert counts == recurrence_order_counts(q)
+
+
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q % 2])
 def test_trace_census_counts_follow_quadratic_character(q):
     # SL2(q), q odd, has q^2 + chi(t^2 - 4) * q matrices of trace t, with
@@ -391,7 +447,7 @@ def test_trace_census_counts_follow_quadratic_character(q):
     elements = [field.element_at(n) for n in range(q)]
     squares = {(x * x).value for x in elements}
     four = field.scalar(4)
-    for t, count in _trace_counts(field):
+    for t, count in trace_counts(field):
         disc = t * t - four
         chi = 0 if disc.is_zero else (1 if disc.value in squares else -1)
         assert count == q * q + chi * q, (q, t)
