@@ -34,9 +34,11 @@ reductions x^(k+i) mod f and the k packed Frobenius images x^(ip) mod f.
 The Frobenius map x -> x^p is GF(p)-linear, so it is the sum of the
 images of the element's coefficients followed by one mod-p pass.  The
 digit table behind element_at is not a field's: fields with the same p and
-slot width share it, and it is built on first use (_digit_chunks).  Fields
-and elements are immutable and safe to share between threads; the
-coefficient tuple of an element is derived on demand (FieldElement.coeffs).
+slot width share it, and it is built on first use (_digit_chunks).  A
+field fixes only the shifts that place the table's chunks, when it is
+built.  Fields and elements are immutable and safe to share between
+threads; the coefficient tuple of an element is derived on demand
+(FieldElement.coeffs).
 
 A multiplicative order (element_order) is found in the element's own
 subfield GF(p^d), d the length of its orbit under the Frobenius map, by
@@ -70,6 +72,8 @@ class FiniteField:
         w = (2 * k * (p - 1) ** 2).bit_length()
         mask, low = (1 << w) - 1, (1 << (w * k)) - 1
         ones = low // mask
+        c = _chunk_length(p)
+        padded = c * -(-k // c)
         lanes = None
         if p != 2 and k != 1:  # see _fold
             s = w + p.bit_length()
@@ -86,6 +90,8 @@ class FiniteField:
             "_p_ones": p * ones,  # p in every slot
             "_bias": ((1 << (w - 1)) - p) * ones,  # see _sub_p
             "_lanes": lanes,
+            # element_at: first chunk's shift, shift per chunk, final shift
+            "_chunk_shifts": (w * (padded - c), w * c, w * (padded - k)),
             "_reductions": (),
             "_frobenius_images": (1,),
         }
@@ -264,16 +270,14 @@ class FiniteField:
         """
         if not 0 <= n < self.order:
             raise ValueError("index out of range")
-        w, k = self._w, self.k
-        base, table, c = _digit_chunks(self.p, w)
-        padded = c * -(-k // c)
-        shift, step = w * (padded - c), w * c
+        base, table, _ = _digit_chunks(self.p, self._w)
+        shift, step, drop = self._chunk_shifts
         v = 0
         while n:
             n, r = divmod(n, base)
             v |= table[r] << shift
             shift -= step
-        return FieldElement(self, v >> (w * (padded - k)))
+        return FieldElement(self, v >> drop)
 
     def basis(self):
         """The polynomial basis 1, x, ..., x^(k-1)."""
@@ -424,19 +428,26 @@ def make_field(p: int, k: int) -> FiniteField:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _chunk_length(p: int) -> int:
+    """c, the base-p digits element_at reads at once: the largest c with
+    p^c <= 256, at least 1."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    return c
+
+
 @lru_cache(maxsize=None)
 def _digit_chunks(p: int, w: int) -> tuple[int, range | list[int], int]:
-    """(p^c, table, c) for reading c base-p digits at once, c largest with
-    p^c <= 256 (at least 1).
+    """(p^c, table, c) for reading c = _chunk_length(p) base-p digits at once.
 
     table[r] packs the c digits of r into c slots of width w, the most
     significant digit in slot 0.  For c = 1 that is r itself, so the table
     is range(p) and costs nothing however large p is.  Built on the first
-    element_at call for a (p, w), never when a field is constructed.
+    element_at call for a (p, w), never when a field is constructed; the
+    field fixes only the slot layout (FiniteField._chunk_shifts).
     """
-    c = 1
-    while p ** (c + 1) <= 256:
-        c += 1
+    c = _chunk_length(p)
     if c == 1:
         return p, range(p), 1
     table = [0]

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
@@ -300,11 +300,12 @@ class ActionGroupElement:
         return self._plan[0]
 
 
+_field_of = attrgetter("field")
+
+
 def _plan_on(h, summands) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The plan of an acting element h whose components act on summands."""
-    if len(h.components) != len(summands) or any(
-        c.field is not f and c.field != f for c, f in zip(h.components, summands)
-    ):
+    if tuple(map(_field_of, h.components)) != tuple(summands):
         raise ValueError("acting element does not match the summands")
     return h._plan
 
@@ -313,12 +314,16 @@ def semidirect_element_order(v, h) -> int:
     """Order of the pair (v, h) in (sum of summands) x| (acting group).
 
     With m the order of h, (v, h)^m = (T_m(v), 1); the pair has order m
-    when T_m(v) = 0 and p*m otherwise, p the common characteristic.
+    when T_m(v) = 0 and p*m otherwise, p the common characteristic.  A
+    pending component with t = 1 has T_t the identity, so its vector is
+    tested as it is.
     """
     vv = v if isinstance(v, tuple) else (v,)
-    m, pending = _plan_on(h, [x.field for x in vv])
-    if any(not _t_sum_on(h.components[j], t, vv[j]).is_zero for j, t in pending):
-        return vv[0].field.p * m
+    m, pending = _plan_on(h, tuple(map(_field_of, vv)))
+    for j, t in pending:
+        x = vv[j] if t == 1 else _t_sum_on(h.components[j], t, vv[j])
+        if x.value:
+            return vv[0].field.p * m
     return m
 
 

@@ -235,12 +235,14 @@ def _check_remark_sampling(db_path):
     spec = groups.build_remark_group()
     structural = set(_remark_spectrum().members())
     actors = spec.acting_elements()
-    fields = spec.summands
+    big, small = spec.summands
+    module_order = big.order * small.order
     seen = set()
     for _ in range(10**4):
-        v = tuple(f.element_at(rng.randrange(f.order)) for f in fields)
-        h = actors[rng.randrange(len(actors))]
-        o = semidirect_element_order(v, h)
+        # one uniform draw from the whole group: (actor, vector) in mixed radix
+        i, n = divmod(rng.randrange(len(actors) * module_order), module_order)
+        a, b = divmod(n, small.order)
+        o = semidirect_element_order((big.element_at(a), small.element_at(b)), actors[i])
         if o not in structural:
             raise CheckFailure(f"sampled element order {o} outside the structural spectrum")
         seen.add(o)

@@ -1,11 +1,12 @@
 """Named constructions: the three-prime witness, GammaL1 groups, PSL2 spectra."""
 
+import re
 import time
 from math import gcd
 
 import pytest
 
-from gkspec import groups
+from gkspec import groups, verify
 from gkspec.gf import element_order
 from gkspec.groups import (
     SemidirectSpec,
@@ -58,6 +59,31 @@ def test_remark_group_hypotheses_hold_with_equality():
     assert check_proposition_hypotheses(s) == ((), ())
     assert s.pi() == (3, 5, 17)
     assert s.sigma() == 2
+
+
+def _sampling_result():
+    (result,) = run_checks(only="remark.sampling").results
+    return result
+
+
+def test_remark_sampling_fails_on_an_order_outside_the_spectrum(monkeypatch):
+    true_order = verify.semidirect_element_order
+    monkeypatch.setattr(
+        verify, "semidirect_element_order", lambda v, h: 2 * true_order(v, h)
+    )
+    result = _sampling_result()
+    assert result.status == "fail"
+    assert re.fullmatch(
+        r"sampled element order \d+ outside the structural spectrum", result.detail
+    )
+
+
+def test_remark_sampling_fails_when_an_expected_order_is_missed(monkeypatch):
+    # every pair reported with its acting element's order: 3, 15 and 51 never show
+    monkeypatch.setattr(verify, "semidirect_element_order", lambda v, h: h.order())
+    result = _sampling_result()
+    assert result.status == "fail"
+    assert result.detail == "sampling missed expected orders: observed [1, 5, 17, 85]"
 
 
 def test_proposition_checker_trivial_spectrum():

@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
-from gkspec.gf import make_field, element_order, subgroup_generator
+from gkspec.gf import FiniteField, make_field, element_order, subgroup_generator
 from gkspec.groups import build_gamma_frobenius, build_remark_group
 from gkspec.linact import (
     ActionGroupElement,
@@ -572,6 +572,17 @@ def test_semidirect_order_input_validation():
         semidirect_element_order((F2_11.zero, F2_11.zero), GALOIS)
     with pytest.raises(ValueError):
         semidirect_element_order(F3_4.zero, GALOIS)
+    # the field check is by equality: an equal but distinct field is accepted
+    twin = FiniteField(2, 11, F2_11.modulus)
+    assert twin is not F2_11 and twin == F2_11
+    for n in (1, 1234):  # the orders 11 and 22
+        expected = semidirect_element_order(F2_11.element_at(n), GALOIS)
+        assert semidirect_element_order(twin.element_at(n), GALOIS) == expected
+    # same characteristic, another degree
+    with pytest.raises(ValueError):
+        semidirect_element_order(make_field(2, 5).one, GALOIS)
+    gal = [ActionGroupElement((GALOIS.power(j),)) for j in range(11)]
+    assert semidirect_spectrum((twin,), gal) == semidirect_spectrum((F2_11,), gal)
 
 
 # -- semidirect spectra ---------------------------------------------------------------------
