@@ -27,10 +27,10 @@ every such fact lives in the record's notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
+from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
 from .orderset import J4_ORDER, Factorization, OrderSet, _is_prime, factorize
 
@@ -51,8 +51,7 @@ class RecordError(ValueError):
         self.record_name = name
 
 
-@dataclass(frozen=True)
-class GroupRecord:
+class GroupRecord(Record):
     """One database entry for a finite simple group.
 
     pi is always present.  order, mu and the two membership flags are
@@ -65,15 +64,25 @@ class GroupRecord:
     |G| may exceed 2^63.
     """
 
-    name: str
-    pi: tuple[int, ...]
-    order: Factorization | None = None
-    mu: OrderSet | None = None
-    has9: bool | None = None
-    has25: bool | None = None
-    notes: tuple[str, ...] = ()
+    _fields = ("name", "pi", "order", "mu", "has9", "has25", "notes")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        pi: tuple[int, ...],
+        order: Factorization | None = None,
+        mu: OrderSet | None = None,
+        has9: bool | None = None,
+        has25: bool | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        _set(self, "name", name)
+        _set(self, "pi", pi)
+        _set(self, "order", order)
+        _set(self, "mu", mu)
+        _set(self, "has9", has9)
+        _set(self, "has25", has25)
+        _set(self, "notes", notes)
         if not self.name or any(ch.isspace() for ch in self.name):
             raise RecordError(self.name or "<blank>", "name must be a single token")
         if not self.pi:
@@ -233,10 +242,14 @@ def load(path=None) -> list[GroupRecord]:
         return parse_records(fh.read())
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    matches: tuple[tuple[str, tuple[int, ...]], ...]
-    insufficient: tuple[str, ...]
+class FilterResult(Record):
+    _fields = ("matches", "insufficient")
+
+    def __init__(
+        self, matches: tuple[tuple[str, tuple[int, ...]], ...], insufficient: tuple[str, ...]
+    ):
+        _set(self, "matches", matches)
+        _set(self, "insufficient", insufficient)
 
 
 def run_filter(db, target_primes: tuple[int, ...]) -> FilterResult:
@@ -277,11 +290,14 @@ class CrosscheckError(ValueError):
     """An independent oracle contradicts a stored record."""
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    name: str
-    status: str  # "verified" (oracle matched) or "cited" (no oracle in range)
-    detail: str
+class CrosscheckReport(Record):
+    _fields = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        # status: "verified" (oracle matched) or "cited" (no oracle in range)
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "detail", detail)
 
 
 def record_from_psl2(q: int) -> GroupRecord:

@@ -202,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.timestamp and not args.json:
+        parser.error("verify --timestamp needs --json")
     try:
         return args.fn(args)
     except (InputError, ValueError, OverflowError) as exc:

@@ -51,24 +51,25 @@ once per (p, d), on first use (_order_plan).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record, _set
 from .orderset import INT64_MAX, factorize, _is_prime, prime_divisors
 
 
-@dataclass(frozen=True)
-class FiniteField:
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # length k+1, ascending, monic
+class FiniteField(Record):
+    """GF(p^k) as GF(p)[x]/(modulus); modulus has length k+1, ascending, monic."""
 
-    def __post_init__(self):
+    _fields = ("p", "k", "modulus")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "modulus", modulus)
         # The order p^k, kernel constants, tables and the hash: derived from
         # (p, k, modulus), so they take no part in equality or repr.  Every
         # FieldElement hash hashes its field, so the field's hash is computed
         # once.
-        p, k = self.p, self.k
         w = (2 * k * (p - 1) ** 2).bit_length()
         mask, low = (1 << w) - 1, (1 << (w * k)) - 1
         ones = low // mask
@@ -82,7 +83,7 @@ class FiniteField:
             lanes = (-(-(1 << s) // p), s, g0, (g0 << w) & low, (g0 << (2 * w)) & low)
         constants = {
             "order": p**k,
-            "_hash": hash((p, k, self.modulus)),
+            "_hash": hash((p, k, modulus)),
             "_w": w,
             "_mask": mask,  # one slot
             "_low": low,  # the k slots of a reduced element
@@ -96,22 +97,29 @@ class FiniteField:
             "_frobenius_images": (1,),
         }
         for name, value in constants.items():
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
         if k == 1:
             return
         # x^k = -(c_0 + ... + c_{k-1} x^(k-1)); x^(k+i+1) = x * x^(k+i)
-        r = self._pack((-c) % p for c in self.modulus[:k])
+        r = self._pack((-c) % p for c in modulus[:k])
         reductions = [r]
         for _ in range(k - 2):
             r <<= w
             r = self._fold((r & self._low) + (r >> (w * k)) * reductions[0])
             reductions.append(r)
-        object.__setattr__(self, "_reductions", tuple(reductions))
+        _set(self, "_reductions", tuple(reductions))
         xp = self._pow(1 << w, p)
         images = [1, xp]
         for _ in range(k - 2):
             images.append(self._mul(images[-1], xp))
-        object.__setattr__(self, "_frobenius_images", tuple(images))
+        _set(self, "_frobenius_images", tuple(images))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -301,9 +309,11 @@ class FieldElement:
     """An element of a field: the field and the packed coefficients (see the
     module docstring).
 
-    Immutable, with the equality, hash and repr a frozen dataclass of the
-    two would have.  The constructor stores through the slot descriptors,
-    which is cheaper than a frozen dataclass's object.__setattr__.
+    Immutable, with the value semantics of a Record (_record.py) of the
+    two: equality within the class, the hash of (field, value) and a
+    FieldElement(field=..., value=...) repr.  It is built by every
+    arithmetic operation, so it keeps slots and hand-written methods, and
+    its constructor stores through the slot descriptors.
     """
 
     __slots__ = ("field", "value")

@@ -14,33 +14,38 @@ spectrum criterion rounds out the module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product as iter_product
 from math import gcd, prod
 
+from ._record import Record, _set
 from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
 from .linact import ENUMERATION_LIMIT, ActionGroupElement, LinearAction, semidirect_spectrum
 from .orderset import OrderSet, factorize
 
 
-@dataclass(frozen=True)
-class SemidirectSpec:
+class SemidirectSpec(Record):
     """Field summands acted on by a product of cyclic unit groups.
 
     Actor j multiplies on summand j by generators[j], an element of exact
     order actor_orders[j], and acts trivially on every other summand.
     """
 
-    summands: tuple[FiniteField, ...]
-    actor_orders: tuple[int, ...]
-    generators: tuple[FieldElement, ...]
+    _fields = ("summands", "actor_orders", "generators")
 
-    def __post_init__(self):
-        n = len(self.summands)
-        if len(self.actor_orders) != n or len(self.generators) != n:
+    def __init__(
+        self,
+        summands: tuple[FiniteField, ...],
+        actor_orders: tuple[int, ...],
+        generators: tuple[FieldElement, ...],
+    ):
+        _set(self, "summands", summands)
+        _set(self, "actor_orders", actor_orders)
+        _set(self, "generators", generators)
+        n = len(summands)
+        if len(actor_orders) != n or len(generators) != n:
             raise ValueError("one actor order and one generator per summand are required")
-        for f, m, g in zip(self.summands, self.actor_orders, self.generators):
+        for f, m, g in zip(summands, actor_orders, generators):
             if (f.order - 1) % m != 0:
                 raise ValueError(f"{m} does not divide |{f}| - 1")
             if g.field != f:
@@ -107,8 +112,7 @@ def check_proposition_hypotheses(
     )
 
 
-@dataclass(frozen=True)
-class GammaSemilinearGroup:
+class GammaSemilinearGroup(Record):
     """Subgroup of GammaL1(p^k): kernel of unit multiplications, Galois complement.
 
     actions lists all kernel_order * complement_order semilinear maps
@@ -118,12 +122,26 @@ class GammaSemilinearGroup:
     Frobenius configuration.
     """
 
-    field: FiniteField
-    kernel_order: int
-    complement_order: int
-    kernel_generator: FieldElement
-    actions: tuple[LinearAction, ...]
-    frobenius_config: bool
+    _fields = (
+        "field", "kernel_order", "complement_order", "kernel_generator", "actions",
+        "frobenius_config",
+    )
+
+    def __init__(
+        self,
+        field: FiniteField,
+        kernel_order: int,
+        complement_order: int,
+        kernel_generator: FieldElement,
+        actions: tuple[LinearAction, ...],
+        frobenius_config: bool,
+    ):
+        _set(self, "field", field)
+        _set(self, "kernel_order", kernel_order)
+        _set(self, "complement_order", complement_order)
+        _set(self, "kernel_generator", kernel_generator)
+        _set(self, "actions", actions)
+        _set(self, "frobenius_config", frobenius_config)
 
 
 def build_gamma_frobenius(

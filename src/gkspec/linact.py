@@ -43,19 +43,19 @@ order evaluates the pending T_t on its one vector, a sum of at most k terms.
 
 A LinearAction is its own one-component element (components == (self,)).
 It and an ActionGroupElement each compute the plan once, on first use, and
-keep it outside the dataclass fields: equality, hashing and repr never see
-it, and threads racing to fill it store the same value.  The plan is a
-pure function of the element, so everything here stays immutable in value
-and reentrant.
+keep it outside the value fields (_record.py): equality, hashing and repr
+never see it, and threads racing to fill it store the same value.  The plan
+is a pure function of the element, so everything here stays immutable in
+value and reentrant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter, mul
 
+from ._record import Record, _set
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
 
@@ -63,32 +63,34 @@ from .orderset import OrderSet, _is_prime, prime_divisors
 ENUMERATION_LIMIT = 10**5
 
 
-@dataclass(frozen=True)
-class GFMatrix:
+class GFMatrix(Record):
     """Dense matrix over GF(p), rows of residues."""
 
-    p: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("p", "rows")
+
+    def __init__(self, p: int, rows: tuple[tuple[int, ...], ...]):
+        _set(self, "p", p)
+        _set(self, "rows", rows)
 
     def matvec(self, v) -> list[int]:
         p = self.p
         return [sum(map(mul, r, v)) % p for r in self.rows]
 
 
-@dataclass(frozen=True)
-class LinearAction:
+class LinearAction(Record):
     """Invertible GF(p)-linear map x -> mult * x^(p^galois_exp) on GF(p^k)."""
 
-    field: FiniteField
-    mult: FieldElement
-    galois_exp: int = 0
+    _fields = ("field", "mult", "galois_exp")
 
-    def __post_init__(self):
-        if self.mult.field != self.field:
+    def __init__(self, field: FiniteField, mult: FieldElement, galois_exp: int = 0):
+        _set(self, "field", field)
+        _set(self, "mult", mult)
+        _set(self, "galois_exp", galois_exp)
+        if mult.field != field:
             raise ValueError("multiplier must live in the acted-on field")
-        if self.mult.is_zero:
+        if mult.is_zero:
             raise ValueError("action must be invertible: zero multiplier")
-        if not 0 <= self.galois_exp < self.field.k:
+        if not 0 <= galois_exp < field.k:
             raise ValueError("Galois exponent out of range")
 
     @classmethod
@@ -270,8 +272,7 @@ def _order_plan(components) -> tuple[int, tuple[tuple[int, int], ...]]:
     )
 
 
-@dataclass(frozen=True)
-class ActionGroupElement:
+class ActionGroupElement(Record):
     """Componentwise action on a direct sum of field summands.
 
     Every summand must share the characteristic; the element's order is the
@@ -279,12 +280,13 @@ class ActionGroupElement:
     kept as for a LinearAction (module docstring).
     """
 
-    components: tuple[LinearAction, ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[LinearAction, ...]):
+        _set(self, "components", components)
+        if not components:
             raise ValueError("at least one component is required")
-        chars = {c.field.p for c in self.components}
+        chars = {c.field.p for c in components}
         if len(chars) != 1:
             raise ValueError("summands must share the characteristic")
 

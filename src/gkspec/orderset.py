@@ -20,10 +20,11 @@ the signed 64-bit range raises OverflowError instead of wrapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import count
 from math import gcd, isqrt
+
+from ._record import Record, _set
 
 INT64_MAX = 2**63 - 1
 
@@ -52,15 +53,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs, primes increasing."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        _set(self, "pairs", pairs)
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
@@ -75,7 +76,7 @@ class Factorization:
 
         For factorize, which has proved every prime it returns."""
         f = object.__new__(cls)
-        object.__setattr__(f, "pairs", pairs)
+        _set(f, "pairs", pairs)
         return f
 
     def value(self) -> int:
@@ -200,8 +201,7 @@ def prime_divisors(n: int) -> tuple[int, ...]:
     return factorize(n).primes
 
 
-@dataclass(frozen=True)
-class OrderSet:
+class OrderSet(Record):
     """A divisor-closed set stored by its maximal-element antichain.
 
     The represented set is {d >= 1 : d divides some maximal element}; it
@@ -209,10 +209,11 @@ class OrderSet:
     with no element dividing another.
     """
 
-    maximal_elements: tuple[int, ...]
+    _fields = ("maximal_elements",)
 
-    def __post_init__(self):
-        elems = self.maximal_elements
+    def __init__(self, maximal_elements: tuple[int, ...]):
+        _set(self, "maximal_elements", maximal_elements)
+        elems = maximal_elements
         if not elems:
             raise ValueError("an OrderSet needs at least one element")
         last = 0

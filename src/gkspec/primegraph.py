@@ -12,23 +12,23 @@ Graphs are immutable; the search is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .orderset import OrderSet
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
+class PrimeGraph(Record):
     """Undirected loop-free graph on a sorted tuple of primes."""
 
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # (p, q) with p < q, each edge once
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices) or tuple(sorted(vset)) != self.vertices:
+    def __init__(self, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]]):
+        # edges: (p, q) with p < q, each edge once
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        vset = set(vertices)
+        if len(vset) != len(vertices) or tuple(sorted(vset)) != vertices:
             raise ValueError("vertices must be sorted and distinct")
-        for p, q in self.edges:
+        for p, q in edges:
             if p >= q:
                 raise ValueError("edges must be stored with smaller endpoint first")
             if p not in vset or q not in vset:

@@ -12,10 +12,10 @@ failures too, never swallowed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 
 from . import atlasdb, groups, orderset, primegraph
+from ._record import Record, _set
 from .gf import make_field, subgroup_generator, element_order
 from .linact import (
     ActionGroupElement,
@@ -54,17 +54,22 @@ class CheckFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    citation: str
-    status: str  # "pass" | "fail"
-    detail: str
+class CheckResult(Record):
+    _fields = ("check_id", "citation", "status", "detail")
+
+    def __init__(self, check_id: str, citation: str, status: str, detail: str):
+        # status: "pass" | "fail"
+        _set(self, "check_id", check_id)
+        _set(self, "citation", citation)
+        _set(self, "status", status)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    results: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    _fields = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]):
+        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -386,10 +391,8 @@ def _check_db_lemma9(db_path):
 
 
 def _check_db_insufficient(db_path):
-    from dataclasses import replace
-
     stripped = [
-        replace(r, has9=None, has25=None, mu=None) if r.name == "M23" else r
+        r._replace(has9=None, has25=None, mu=None) if r.name == "M23" else r
         for r in atlasdb.load(db_path)
     ]
     result = atlasdb.run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])

@@ -187,8 +187,6 @@ def test_criterion_9_linear_action_lemmas():
 
 
 def test_criterion_10_database_filters():
-    from dataclasses import replace
-
     db = atlasdb.load()
     r8 = atlasdb.run_filter(db, atlasdb.LEMMA_QUERIES["8"])
     assert r8.matches == (
@@ -209,7 +207,7 @@ def test_criterion_10_database_filters():
         ("U3(11)", (5, 37)),
     )
     stripped = [
-        replace(r, has9=None, has25=None) if r.name == "M24" else r for r in db
+        r._replace(has9=None, has25=None) if r.name == "M24" else r for r in db
     ]
     res = atlasdb.run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     assert "M24" in res.insufficient

@@ -1,7 +1,6 @@
 """Record database: parser, invariants, selection filters, crosschecks."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +57,7 @@ def test_embedded_corpus_loads_are_fresh_lists():
     assert first == second
     assert first is not second
     first.pop()
-    first[0] = replace(first[0], mu=None, has9=None, has25=None)
+    first[0] = first[0]._replace(mu=None, has9=None, has25=None)
     assert load() == second
     assert len(load()) == 16
 
@@ -248,7 +247,7 @@ def test_filter_empty_db():
 def test_missing_flags_mean_insufficient_not_pass():
     db = load()
     stripped = [
-        replace(r, has9=None, has25=None) if r.name in ("M23", "M24") else r
+        r._replace(has9=None, has25=None) if r.name in ("M23", "M24") else r
         for r in db
     ]
     result = run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
@@ -260,7 +259,7 @@ def test_single_missing_flag_is_already_insufficient():
     # removing only has25 leaves 25-membership undecidable for a record
     # without stored generators
     db = load()
-    stripped = [replace(r, has25=None) if r.name == "U3(11)" else r for r in db]
+    stripped = [r._replace(has25=None) if r.name == "U3(11)" else r for r in db]
     result = run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     assert "U3(11)" in result.insufficient
     assert all(name != "U3(11)" for name, _ in result.matches)
@@ -269,7 +268,7 @@ def test_single_missing_flag_is_already_insufficient():
 def test_mu_decides_exclusion_when_flags_absent():
     # J4 keeps its stored generators, so stripping the flags stays decidable
     db = load()
-    stripped = [replace(r, has9=None, has25=None) if r.name == "J4" else r for r in db]
+    stripped = [r._replace(has9=None, has25=None) if r.name == "J4" else r for r in db]
     result = run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     assert result.matches == LEMMA8_EXPECTED
     assert result.insufficient == ()
@@ -310,16 +309,16 @@ def test_crosscheck_l2_records_verified():
 
 def test_crosscheck_detects_tampering():
     good = next(r for r in load() if r.name == "L2(23)")
-    bad = replace(good, mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
+    bad = good._replace(mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
     with pytest.raises(CrosscheckError, match=r"torus census: pi, mu$"):
         crosscheck_record(bad)
-    bad = replace(
-        good, order=factorize(2**3 * 3 * 25 * 11 * 23), pi=(2, 3, 5, 11, 23), mu=None, has25=True
+    bad = good._replace(
+        order=factorize(2**3 * 3 * 25 * 11 * 23), pi=(2, 3, 5, 11, 23), mu=None, has25=True
     )
     with pytest.raises(CrosscheckError, match=r"torus census: order, pi, has25$"):
         crosscheck_record(bad)
     # facts a record does not store are not compared
-    sparse = replace(good, order=None, mu=None, has9=None, has25=None)
+    sparse = good._replace(order=None, mu=None, has9=None, has25=None)
     assert crosscheck_record(sparse).status == "verified"
 
 

@@ -292,6 +292,15 @@ def test_verify_json_timestamp_only_behind_flag(capsys):
     assert "generated_at" in json.loads(out)
 
 
+def test_verify_timestamp_without_json_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "wreath", "--timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify --timestamp needs --json" in captured.err
+
+
 def test_verify_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "--only", "db")
     _, second, _ = run(capsys, "verify", "--only", "db")

@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-from dataclasses import replace
 from functools import cache
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -500,18 +499,18 @@ def _plan_cases():
 
 
 def test_plan_same_whichever_caller_fills_it():
-    # replace(h) is an equal element whose plan is not yet computed
+    # h._replace() is an equal element whose plan is not yet computed
     rng = random.Random(26)
     for summands, elements in _plan_cases():
         for h in elements:
             vectors = _plan_vectors(summands, rng) + _plan_vectors(summands, rng)[1:]
             # a fresh element per query never reuses a plan
-            fresh = [semidirect_element_order(v, replace(h)) for v in vectors]
-            fresh_spectrum = semidirect_spectrum(summands, [replace(h)])
-            spectrum_first = replace(h)
+            fresh = [semidirect_element_order(v, h._replace()) for v in vectors]
+            fresh_spectrum = semidirect_spectrum(summands, [h._replace()])
+            spectrum_first = h._replace()
             assert semidirect_spectrum(summands, [spectrum_first]) == fresh_spectrum
             assert [semidirect_element_order(v, spectrum_first) for v in vectors] == fresh
-            order_first = replace(h)
+            order_first = h._replace()
             assert [semidirect_element_order(v, order_first) for v in vectors] == fresh
             assert semidirect_spectrum(summands, [order_first]) == fresh_spectrum
             assert spectrum_first._plan == order_first._plan == _order_plan(h.components)
@@ -520,7 +519,7 @@ def test_plan_same_whichever_caller_fills_it():
 def test_plan_invisible_to_eq_hash_repr():
     for _, elements in _plan_cases():
         for h in elements[:20]:
-            planned, bare = replace(h), replace(h)
+            planned, bare = h._replace(), h._replace()
             before = hash(planned)
             planned._plan
             assert planned == bare and bare == planned
@@ -541,14 +540,14 @@ def test_plan_filled_by_racing_threads():
         ((F2_11,), build_gamma_frobenius(2, 11, 23).actions[::3]),
     ):
         vectors = [tuple(_random_element(f, rng) for f in summands) for _ in range(85)]
-        expected = [semidirect_element_order(v, replace(h)) for v, h in zip(vectors, elements)]
+        expected = [semidirect_element_order(v, h._replace()) for v, h in zip(vectors, elements)]
         cases.append((vectors, elements, expected))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
             for vectors, elements, expected in cases:
-                shared = [replace(h) for h in elements]
+                shared = [h._replace() for h in elements]
                 results = [None] * 4
 
                 def work(slot):

@@ -1,0 +1,165 @@
+"""Value classes: frozen-dataclass semantics without the dataclasses module.
+
+Each class built on gkspec._record.Record is compared with a test-local
+frozen dataclass of the same name and fields, the semantics it replaced.
+"""
+
+import copy
+import dataclasses
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gkspec
+from gkspec import atlasdb
+from gkspec.atlasdb import CrosscheckReport, FilterResult, GroupRecord
+from gkspec.gf import FiniteField, make_field, subgroup_generator
+from gkspec.groups import GammaSemilinearGroup, SemidirectSpec, build_gamma_frobenius
+from gkspec.linact import ActionGroupElement, GFMatrix, LinearAction
+from gkspec.orderset import Factorization, OrderSet
+from gkspec.primegraph import PrimeGraph
+from gkspec.verify import CheckResult, VerificationReport
+
+
+def _names(fields):
+    return [field if isinstance(field, str) else field[0] for field in fields]
+
+
+def _values(obj, fields):
+    return tuple(getattr(obj, name) for name in _names(fields))
+
+
+def _cases():
+    """(class, fields, args, other args, a _replace change, derived attributes).
+
+    A field is a name, or (name, type, default) for a field with a default.
+    """
+    f, f3 = make_field(3, 4), make_field(3, 1)
+    u = subgroup_generator(f, 5)
+    by_name = {r.name: r for r in atlasdb.load()}
+    record_fields = (
+        "name", "pi", ("order", object, None), ("mu", object, None),
+        ("has9", object, None), ("has25", object, None), ("notes", object, ()),
+    )
+    spec = SemidirectSpec.build(((3, 4),), (5,))
+    spec2 = SemidirectSpec.build(((3, 4), (3, 2)), (5, 2))
+    spec_fields = ("summands", "actor_orders", "generators")
+    gamma, gamma2 = build_gamma_frobenius(2, 4, 5), build_gamma_frobenius(2, 4, 3)
+    gamma_fields = (
+        "field", "kernel_order", "complement_order", "kernel_generator", "actions",
+        "frobenius_config",
+    )
+    check = CheckResult("db.load", "[atlas]", "pass", "16 records")
+    return [
+        (GroupRecord, record_fields, _values(by_name["L2(23)"], record_fields),
+         _values(by_name["M23"], record_fields), {"has9": None}, ()),
+        (FilterResult, ("matches", "insufficient"), ((("M23", (11, 23)),), ("J4",)), ((), ()),
+         {"insufficient": ()}, ()),
+        (CrosscheckReport, ("name", "status", "detail"), ("L2(23)", "verified", "matches"),
+         ("J4", "cited", "no oracle"), {"status": "cited"}, ()),
+        (FiniteField, ("p", "k", "modulus"), (3, 4, f.modulus), (3, 1, f3.modulus),
+         {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_images")),
+        (SemidirectSpec, spec_fields, _values(spec, spec_fields), _values(spec2, spec_fields),
+         {"generators": (spec.generators[0] ** 2,)}, ("_acting_elements",)),
+        (GammaSemilinearGroup, gamma_fields, _values(gamma, gamma_fields),
+         _values(gamma2, gamma_fields), {"frobenius_config": not gamma.frobenius_config}, ()),
+        (GFMatrix, ("p", "rows"), (2, ((1, 0), (1, 1))), (3, ((1,),)), {"p": 5}, ()),
+        (LinearAction, ("field", "mult", ("galois_exp", int, 0)), (f, u, 1), (f, u),
+         {"galois_exp": 2}, ("_plan",)),
+        (ActionGroupElement, ("components",),
+         ((LinearAction.multiplication(u), LinearAction.identity(f3)),),
+         ((LinearAction.galois(f),),), {"components": (LinearAction.identity(f),)}, ("_plan",)),
+        (Factorization, ("pairs",), (((2, 3), (3, 1)),), (((5, 2),),), {"pairs": ((7, 1),)}, ()),
+        (OrderSet, ("maximal_elements",), ((4, 6),), ((5,),), {"maximal_elements": (2, 9)}, ()),
+        (PrimeGraph, ("vertices", "edges"), ((2, 3, 5), frozenset({(2, 3)})),
+         ((2,), frozenset()), {"edges": frozenset()}, ()),
+        (CheckResult, ("check_id", "citation", "status", "detail"),
+         ("db.load", "[atlas]", "pass", "16 records"), ("db.lemma8", "[L8]", "fail", "x"),
+         {"status": "fail"}, ()),
+        (VerificationReport, ("results",), ((check,),), ((),), {"results": ()}, ()),
+    ]
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0].__name__ for case in CASES])
+def test_value_class_behaves_as_a_frozen_dataclass(case):
+    cls, fields, args, other_args, change, derived = case
+    ref_cls = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    names = _names(fields)
+    x, twin, other, ref = cls(*args), cls(*args), cls(*other_args), ref_cls(*args)
+
+    assert repr(x) == repr(ref)
+    assert hash(x) == hash(ref) == hash(twin)
+    assert x == twin and x is not twin and not x != twin and x != other and not x == other
+    assert repr(cls(*other_args)) == repr(ref_cls(*other_args))
+    required = sum(isinstance(field, str) for field in fields)
+    assert repr(cls(*args[:required])) == repr(ref_cls(*args[:required]))  # the defaults
+    # equality only within a class
+    assert x.__eq__(ref) is NotImplemented and x != ref and ref != x and x != args
+
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert _values(x, fields) == args
+
+    # derived state takes no part in equality, hash or repr
+    for name in derived:
+        assert name not in names
+        getattr(x, name)
+    assert x == twin and twin == x and hash(x) == hash(twin) and repr(x) == repr(ref)
+
+    for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert clone.__class__ is cls and clone == x and repr(clone) == repr(ref)
+
+    fresh = x._replace()
+    assert fresh == x and fresh is not x
+    assert all(name not in vars(fresh) for name in ("_plan", "_acting_elements"))
+    assert repr(x._replace(**change)) == repr(dataclasses.replace(ref, **change))
+    with pytest.raises(TypeError):
+        x._replace(other=None)
+
+
+def test_value_classes_never_equal_across_classes():
+    values = [cls(*args) for cls, _, args, *_ in CASES]
+    for a in values:
+        for b in values:
+            assert (a == b) is (a is b) and (a != b) is (a is not b)
+    # not even with equal field values
+    assert VerificationReport((4, 6)) != OrderSet((4, 6))
+    assert not VerificationReport((4, 6)) == OrderSet((4, 6))
+
+
+def test_replace_validates_afresh():
+    with pytest.raises(ValueError, match="not an antichain"):
+        OrderSet((4, 6))._replace(maximal_elements=(2, 4))
+    f = make_field(3, 4)
+    with pytest.raises(ValueError, match="zero multiplier"):
+        LinearAction.identity(f)._replace(mult=f.zero)
+
+
+def test_cli_and_verify_import_neither_dataclasses_nor_inspect():
+    # a bare interpreter (-I -S: no site, no environment), so every module
+    # listed was added by gkspec and the run
+    src = Path(gkspec.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import gkspec.cli, gkspec.verify\n"
+        "gkspec.cli.main(['verify', '--only', 'db'])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[-1].split())
+    assert "gkspec.verify" in added
+    assert not added & {"dataclasses", "inspect"}
