@@ -7,15 +7,41 @@ in CPython's fast shared-key layout; writing to __dict__ directly would
 make every later attribute read slower.  Record derives from _fields what a
 frozen dataclass derives from its field list: equality with instances of
 the same class only, the hash of the field tuple, a Name(a=..., b=...)
-repr and attributes that cannot be assigned or deleted.  Anything else in
-the instance __dict__, such as a cached_property, is derived state that
-equality, hash and repr never see.  Pickling and copying restore __dict__
-directly, so they never call __init__.
+repr and attributes that cannot be assigned or deleted.  Any other
+attribute, such as one a derived descriptor fills on first use, is derived
+state that equality, hash and repr never see.  Pickling and copying
+restore __dict__ directly, so they never call __init__, unless a class
+reduces itself to its value fields (gf.FiniteField does).
 """
 
 from __future__ import annotations
 
 _set = object.__setattr__
+
+
+class derived:
+    """A method computed once per instance, on first read, and stored under
+    its own name with _set.
+
+    functools.cached_property would store it through the instance __dict__,
+    which slows every later attribute read of the instance (about 3.5 times
+    for three fields on CPython 3.11).  Like that, it is a non-data
+    descriptor, so the stored value shadows it.  The method must be a pure
+    function of the instance, so threads racing to fill it store equal
+    values.
+    """
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.method(obj)
+        _set(obj, self.name, value)
+        return value
 
 
 class Record:

@@ -14,11 +14,11 @@ spectrum criterion rounds out the module.
 from __future__ import annotations
 
 import re
-from functools import cache, cached_property
+from functools import cache
 from itertools import product as iter_product
 from math import gcd, prod
 
-from ._record import Record, _set
+from ._record import Record, _set, derived
 from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
 from .linact import ENUMERATION_LIMIT, ActionGroupElement, LinearAction, semidirect_spectrum
 from .orderset import OrderSet, factorize
@@ -67,7 +67,7 @@ class SemidirectSpec(Record):
     def acting_group_size(self) -> int:
         return prod(self.actor_orders)
 
-    @cached_property
+    @derived
     def _acting_elements(self) -> tuple[ActionGroupElement, ...]:
         axes = [
             [LinearAction.multiplication(g**i) for i in range(m)]

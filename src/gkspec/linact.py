@@ -32,30 +32,30 @@ smaller positive power of h is a multiplication.  So:
   of its t divides ord(c).
 
 The part of this that depends on h alone is an acting element's plan
-(_order_plan): its order m and the components whose T_t must still be
-evaluated (c = 1 and p not dividing m/t).  T_m is the zero map exactly
-when no component is pending.  For a pending one T_m = (m/t) * T_t with
-m/t a unit mod p, and T_t is never zero: its t terms h^i = u_i * x^(p^(ie)),
-i < t, carry t distinct field automorphisms, so by Artin's independence of
-characters (Lang, Algebra, VI 4) no sum of them with nonzero u_i vanishes.
+(_order_plan): the fields its components act on, its order m and the
+components whose T_t must still be evaluated (c = 1 and p not dividing
+m/t).  T_m is the zero map exactly when no component is pending.  For a
+pending one T_m = (m/t) * T_t with m/t a unit mod p, and T_t is never
+zero: its t terms h^i = u_i * x^(p^(ie)), i < t, carry t distinct field
+automorphisms, so by Artin's independence of characters (Lang, Algebra,
+VI 4) no sum of them with nonzero u_i vanishes.
 So a semidirect spectrum is read off the plans alone, and a single element
 order evaluates the pending T_t on its one vector, a sum of at most k terms.
 
 A LinearAction is its own one-component element (components == (self,)).
 It and an ActionGroupElement each compute the plan once, on first use, and
-keep it outside the value fields (_record.py): equality, hashing and repr
-never see it, and threads racing to fill it store the same value.  The plan
-is a pure function of the element, so everything here stays immutable in
-value and reentrant.
+keep it outside the value fields (_record.derived): equality, hashing and
+repr never see it, and threads racing to fill it store the same value.
+The plan is a pure function of the element, so everything here stays
+immutable in value and reentrant.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from ._record import Record, _set
+from ._record import Record, _set, derived
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
 
@@ -113,8 +113,8 @@ class LinearAction(Record):
     def components(self) -> tuple["LinearAction"]:
         return (self,)
 
-    @cached_property
-    def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    @derived
+    def _plan(self) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
         return _order_plan(self.components)
 
     def apply(self, x: FieldElement) -> FieldElement:
@@ -250,6 +250,9 @@ def minpoly_equals_xs_minus_1(h: LinearAction, s: int) -> bool:
     return _closure(h)[0] == s
 
 
+_field_of = attrgetter("field")
+
+
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     """T_m applied to a single vector, by its defining sum (m >= 1)."""
     acc = v
@@ -259,15 +262,18 @@ def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     return acc
 
 
-def _order_plan(components) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(m, pending): the order m of a componentwise action, the lcm of the
-    t_j * ord(c_j), and the pairs (j, t_j) with c_j = 1 and p not dividing
-    m / t_j.  T_m kills summand j unless j is pending, and then it kills v
-    exactly when T_(t_j)(v) = 0 (module docstring)."""
+def _order_plan(
+    components,
+) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
+    """(fields, m, pending): the fields the components act on, the order m
+    of the componentwise action, the lcm of the t_j * ord(c_j), and the
+    pairs (j, t_j) with c_j = 1 and p not dividing m / t_j.  T_m kills
+    summand j unless j is pending, and then it kills v exactly when
+    T_(t_j)(v) = 0 (module docstring)."""
     closures = [_closure(c) for c in components]
     m = lcm(*(t * element_order(c) for t, c in closures))
     p = components[0].field.p
-    return m, tuple(
+    return tuple(map(_field_of, components)), m, tuple(
         (j, t) for j, (t, c) in enumerate(closures) if c.is_one and (m // t) % p
     )
 
@@ -294,22 +300,21 @@ class ActionGroupElement(Record):
     def is_identity(self) -> bool:
         return all(c.is_identity for c in self.components)
 
-    @cached_property
-    def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    @derived
+    def _plan(self) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
         return _order_plan(self.components)
 
     def order(self) -> int:
-        return self._plan[0]
+        return self._plan[1]
 
 
-_field_of = attrgetter("field")
-
-
-def _plan_on(h, summands) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The plan of an acting element h whose components act on summands."""
-    if tuple(map(_field_of, h.components)) != tuple(summands):
+def _plan_on(h, summands: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(m, pending) from the plan of an acting element h whose components
+    act on the tuple summands."""
+    fields, m, pending = h._plan
+    if fields != summands:
         raise ValueError("acting element does not match the summands")
-    return h._plan
+    return m, pending
 
 
 def semidirect_element_order(v, h) -> int:

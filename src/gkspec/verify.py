@@ -242,12 +242,13 @@ def _check_remark_sampling(db_path):
     actors = spec.acting_elements()
     big, small = spec.summands
     module_order = big.order * small.order
+    smalls = [small.element_at(b) for b in range(small.order)]
     seen = set()
     for _ in range(10**4):
         # one uniform draw from the whole group: (actor, vector) in mixed radix
         i, n = divmod(rng.randrange(len(actors) * module_order), module_order)
         a, b = divmod(n, small.order)
-        o = semidirect_element_order((big.element_at(a), small.element_at(b)), actors[i])
+        o = semidirect_element_order((big.element_at(a), smalls[b]), actors[i])
         if o not in structural:
             raise CheckFailure(f"sampled element order {o} outside the structural spectrum")
         seen.add(o)

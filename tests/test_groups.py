@@ -1,5 +1,6 @@
 """Named constructions: the three-prime witness, GammaL1 groups, PSL2 spectra."""
 
+import random
 import re
 import time
 from math import gcd
@@ -21,6 +22,7 @@ from gkspec.groups import (
 from gkspec.linact import action_order
 from gkspec.orderset import OrderSet, factorize, j4_spectrum
 from gkspec.verify import run_checks
+from test_gf import _digit_by_digit
 
 
 # -- the three-prime witness -----------------------------------------------------
@@ -84,6 +86,33 @@ def test_remark_sampling_fails_when_an_expected_order_is_missed(monkeypatch):
     result = _sampling_result()
     assert result.status == "fail"
     assert result.detail == "sampling missed expected orders: observed [1, 5, 17, 85]"
+
+
+def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
+    # every (v, h) the check passes on, against the seeded draws split in
+    # mixed radix and vectors built from their base-p digits by definition,
+    # not by FiniteField.element_at
+    seen = []
+    true_order = verify.semidirect_element_order
+
+    def recording(v, h):
+        seen.append((v, h))
+        return true_order(v, h)
+
+    monkeypatch.setattr(verify, "semidirect_element_order", recording)
+    assert _sampling_result().status == "pass"
+    spec = build_remark_group()
+    actors = spec.acting_elements()
+    big, small = spec.summands
+    module_order = big.order * small.order
+    rng = random.Random(verify.SAMPLE_SEED)
+    expected = []
+    for _ in range(10**4):
+        i, n = divmod(rng.randrange(len(actors) * module_order), module_order)
+        a, b = divmod(n, small.order)
+        v = (big.element(_digit_by_digit(big, a)), small.element(_digit_by_digit(small, b)))
+        expected.append((v, actors[i]))
+    assert len(seen) == 10**4 and seen == expected
 
 
 def test_proposition_checker_trivial_spectrum():

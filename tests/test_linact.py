@@ -339,7 +339,7 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     zero_maps = set()
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
-        m, pending = _order_plan((h,))
+        _, m, pending = _order_plan((h,))
         t_sum = plain_t_sum(h.matrix().rows, m, p)
         zero_map = not any(map(any, t_sum))
         assert (not pending) == zero_map, h

@@ -144,22 +144,38 @@ def test_replace_validates_afresh():
         LinearAction.identity(f)._replace(mult=f.zero)
 
 
-def test_cli_and_verify_import_neither_dataclasses_nor_inspect():
-    # a bare interpreter (-I -S: no site, no environment), so every module
-    # listed was added by gkspec and the run
+def _modules_added(*statements):
+    """The modules a bare interpreter (-I -S: no site, no environment) loads
+    while it runs the statements, so every one was added by gkspec."""
     src = Path(gkspec.__file__).resolve().parents[1]
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "before = set(sys.modules)\n"
-        "import gkspec.cli, gkspec.verify\n"
-        "gkspec.cli.main(['verify', '--only', 'db'])\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "before = set(sys.modules)",
+        *statements,
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    ])
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_and_verify_import_neither_dataclasses_nor_inspect():
+    added = _modules_added(
+        "import gkspec.cli, gkspec.verify", "gkspec.cli.main(['verify', '--only', 'db'])"
+    )
     assert "gkspec.verify" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_and_verify_import_no_importlib_resources():
+    # the embedded corpus is read through the package's loader; the import
+    # alone cost about 15 ms of the import of gkspec.cli and gkspec.verify
+    added = _modules_added("import gkspec.cli, gkspec.verify")
+    assert "gkspec.atlasdb" in added and "importlib.resources" not in added
+    added = _modules_added(
+        "import gkspec.cli, gkspec.verify", "gkspec.cli.main(['db', 'list'])"
+    )
+    assert "importlib.resources" not in added
