@@ -11,8 +11,6 @@ from .orderset import (
     Factorization,
     OrderSet,
     factorize,
-    j4_spectrum,
-    j4xj4_spectrum,
     product_spectrum,
     wreath2_spectrum,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "PrimeGraph",
     "build_gk",
     "factorize",
-    "j4_spectrum",
-    "j4xj4_spectrum",
     "product_spectrum",
     "wreath2_spectrum",
 ]

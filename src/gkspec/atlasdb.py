@@ -13,11 +13,11 @@ separates records; a line holding only a comment does not)::
     note spectrum verified by psl2 oracle
 
 Keys: ``group`` (required, first line of a record), ``order`` (space
-separated prime powers ``p^e``), ``mu`` (spectrum generators, comma
-separated), ``pi`` (required, comma separated primes), ``flag has9|has25
-true|false``, ``note`` (free text, repeatable).  Every other key appears
-at most once in a record; unknown and repeated keys are rejected with a
-line number.
+separated prime powers ``p^e``), ``mu`` (the spectrum's maximal elements,
+comma separated, in any order; none may divide or repeat another), ``pi``
+(required, comma separated primes), ``flag has9|has25 true|false``,
+``note`` (free text, repeatable).  Every other key appears at most once in
+a record; unknown and repeated keys are rejected with a line number.
 
 The membership flags are first-class data: several exclusions rest on
 spectra from the literature that this toolkit cannot recompute, and the
@@ -32,7 +32,7 @@ from functools import cache
 
 from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
-from .orderset import J4_ORDER, Factorization, OrderSet, _is_prime, factorize
+from .orderset import Factorization, OrderSet, _is_prime, factorize, product_spectrum
 
 
 class ParseError(ValueError):
@@ -200,7 +200,7 @@ def parse_records(text: str) -> list[GroupRecord]:
             current["order"] = _parse_order(rest, line_no)
         elif key == "mu":
             try:
-                current["mu"] = OrderSet.from_generators(_parse_ints(rest, line_no))
+                current["mu"] = OrderSet(tuple(sorted(_parse_ints(rest, line_no))))
             except (ValueError, OverflowError) as exc:
                 raise ParseError(line_no, str(exc)) from None
         elif key == "pi":
@@ -245,6 +245,33 @@ def load(path=None) -> list[GroupRecord]:
         return parse_records(fh.read())
 
 
+def record(db, name: str) -> GroupRecord:
+    """The record called name in db; ValueError when there is none."""
+    for r in db:
+        if r.name == name:
+            return r
+    raise ValueError(f"no record named {name}")
+
+
+def j4_spectrum(db_path=None) -> OrderSet:
+    """The element-order spectrum of J4: the mu of the J4 record in the
+    database at db_path (None: the embedded corpus)."""
+    mu = record(load(db_path), "J4").mu
+    if mu is None:
+        raise ValueError("record J4 stores no spectrum generators")
+    return mu
+
+
+def j4xj4_spectrum(db_path=None) -> OrderSet:
+    """The element-order spectrum of J4 x J4, built once per J4 spectrum."""
+    return _square(j4_spectrum(db_path))
+
+
+@cache
+def _square(s: OrderSet) -> OrderSet:
+    return product_spectrum(s, s)
+
+
 class FilterResult(Record):
     _fields = ("matches", "insufficient")
 
@@ -258,27 +285,29 @@ class FilterResult(Record):
 def run_filter(db, target_primes: tuple[int, ...]) -> FilterResult:
     """Select the records of Lemmas 8 and 9; deterministic, name-sorted.
 
-    A record passes when its primes lie inside pi(J4), at least two of them
-    are target_primes, and neither 9 nor 25 (the two orders a record has
-    flags for) belongs to its spectrum.  Records that survive the prime
+    A record passes when its primes lie inside pi(J4), which db's own J4
+    record gives (ValueError when db has none), at least two of them are
+    target_primes, and neither 9 nor 25 (the two orders a record has flags
+    for) belongs to its spectrum.  Records that survive the prime
     conditions but cannot decide 9 or 25 (no flag, no mu) are reported as
     insufficient, never passed.
     """
+    j4_primes = set(record(db, "J4").pi)
     matches = []
     insufficient = []
-    for record in sorted(db, key=lambda r: r.name):
-        if not set(record.pi) <= set(J4_ORDER.primes):
+    for r in sorted(db, key=lambda r: r.name):
+        if not set(r.pi) <= j4_primes:
             continue
-        hits = tuple(sorted(set(record.pi) & set(target_primes)))
+        hits = tuple(sorted(set(r.pi) & set(target_primes)))
         if len(hits) < 2:
             continue
-        verdicts = [record.spectrum_has(9), record.spectrum_has(25)]
+        verdicts = [r.spectrum_has(9), r.spectrum_has(25)]
         if True in verdicts:
             continue
         if None in verdicts:
-            insufficient.append(record.name)
+            insufficient.append(r.name)
             continue
-        matches.append((record.name, hits))
+        matches.append((r.name, hits))
     return FilterResult(tuple(matches), tuple(insufficient))
 
 

@@ -31,12 +31,10 @@ def _load_db(path):
 def _spectrum_for(args) -> OrderSet:
     if args.gens is not None:
         return OrderSet.parse(args.gens)
-    for record in _load_db(args.db):
-        if record.name == args.group:
-            if record.mu is None:
-                raise InputError(f"record {args.group} stores no spectrum generators")
-            return record.mu
-    raise InputError(f"no record named {args.group}")
+    record = atlasdb.record(_load_db(args.db), args.group)
+    if record.mu is None:
+        raise InputError(f"record {args.group} stores no spectrum generators")
+    return record.mu
 
 
 def _print_summary(s: OrderSet):

@@ -20,7 +20,6 @@ the signed 64-bit range raises OverflowError instead of wrapping.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import count
 from math import gcd, isqrt
 
@@ -335,24 +334,3 @@ def wreath2_spectrum(a: OrderSet) -> OrderSet:
     gens.update(2 * m for m in a.maximal_elements)
     return OrderSet.from_generators(gens)
 
-
-# Generators of the element-order spectrum of the largest Janko group, and
-# its order; both are standard ATLAS data used across the toolkit.
-J4_SPECTRUM_GENERATORS = (16, 23, 24, 28, 29, 30, 31, 35, 37, 40, 42, 43, 44, 66)
-
-J4_ORDER = Factorization(
-    ((2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1), (37, 1), (43, 1))
-)
-
-
-@cache
-def j4_spectrum() -> OrderSet:
-    """The element-order spectrum of J4."""
-    return OrderSet.from_generators(J4_SPECTRUM_GENERATORS)
-
-
-@cache
-def j4xj4_spectrum() -> OrderSet:
-    """The element-order spectrum of J4 x J4 (lcm closure of the above)."""
-    s = j4_spectrum()
-    return product_spectrum(s, s)

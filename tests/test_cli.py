@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkspec import atlasdb
 from gkspec.atlasdb import LEMMA_QUERIES
 from gkspec.cli import main
 
 J4_GENS = "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
+EMBEDDED_DB = Path(atlasdb.__file__).resolve().parent / "data" / "simple_groups.db"
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify.json"
 
 
@@ -314,6 +316,41 @@ def test_verify_corrupt_db_fails_with_exit_1(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "overall: FAIL" in out
+
+
+def test_verify_db_reads_j4_from_the_file(tmp_path, capsys):
+    # the embedded corpus with 33 in place of 66 in J4's mu: every J4 check
+    # must see the file's J4, so the spectrum checks fail
+    text = EMBEDDED_DB.read_text("utf-8")
+    assert text.count(f"mu {J4_GENS}\n") == 1
+    db = tmp_path / "j4_33.db"
+    db.write_text(text.replace(f"mu {J4_GENS}\n", f"mu {J4_GENS[:-3]},33\n"))
+    code, out, _ = run(capsys, "verify", "--db", str(db))
+    assert code == 1
+    lines = {line.split()[1]: line for line in out.splitlines()[:-1]}
+    assert lines["spectrum.membership"].startswith("FAIL")
+    assert lines["spectrum.membership"].endswith("66 missing from the spectrum")
+    assert lines["product.membership"].startswith("FAIL")
+    assert lines["db.lemma8"].startswith("PASS")
+    assert out.splitlines()[-1].startswith("overall: FAIL")
+
+
+def test_db_query_without_j4_record_exits_2(tmp_path, capsys):
+    db = tmp_path / "no_j4.db"
+    db.write_text("group L2(23)\norder 2^3 3 11 23\nmu 11,12,23\npi 2,3,11,23\n")
+    code, out, err = run(capsys, "db", "query", "--lemma", "8", "--db", str(db))
+    assert (code, out) == (2, "")
+    assert err == "error: no record named J4\n"
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [("M99", "no record named M99"), ("M23", "record M23 stores no spectrum generators")],
+)
+def test_group_lookup_errors_exit_2(group, message, capsys):
+    code, out, err = run(capsys, "gk", "--group", group)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_usage_error_exits_2():

@@ -20,7 +20,8 @@ from gkspec.groups import (
     psl2_spectrum,
 )
 from gkspec.linact import action_order
-from gkspec.orderset import OrderSet, factorize, j4_spectrum
+from gkspec.atlasdb import j4_spectrum
+from gkspec.orderset import OrderSet, factorize
 from gkspec.verify import run_checks
 from test_gf import _digit_by_digit
 

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from gkspec.orderset import OrderSet, j4_spectrum, j4xj4_spectrum
+from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum
+from gkspec.orderset import OrderSet
 from gkspec.primegraph import PrimeGraph, build_gk
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
