@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum
+from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum, load, record
 from gkspec.orderset import (
     Factorization,
     INT64_MAX,
@@ -160,6 +160,16 @@ def test_factorize_roundtrip_int64(n):
     assert all(_is_prime(p) for p in f.primes)
     # factors below 2^40 are checked against the oracle as well
     assert all(p >= 2**40 or trial_is_prime(p) for p in f.primes)
+
+
+def test_j4_order_reconstructs():
+    # |J4| in the ATLAS's prime-power form; the database's J4 record parses to it
+    j4_order = Factorization(
+        ((2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1), (37, 1), (43, 1))
+    )
+    assert j4_order.value() == 2**21 * 3**3 * 5 * 7 * 11**3 * 23 * 29 * 31 * 37 * 43
+    assert str(j4_order) == "2^21 3^3 5 7 11^3 23 29 31 37 43"
+    assert j4_order == record(load(), "J4").order
 
 
 def test_factorization_validation():
