@@ -32,7 +32,7 @@ from functools import cache
 
 from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
-from .orderset import Factorization, OrderSet, _is_prime, factorize, product_spectrum
+from .orderset import Factorization, OrderSet, _is_prime, factorize
 
 
 class ParseError(ValueError):
@@ -253,23 +253,13 @@ def record(db, name: str) -> GroupRecord:
     raise ValueError(f"no record named {name}")
 
 
-def j4_spectrum(db_path=None) -> OrderSet:
-    """The element-order spectrum of J4: the mu of the J4 record in the
-    database at db_path (None: the embedded corpus)."""
-    mu = record(load(db_path), "J4").mu
+def stored_spectrum(db, name: str) -> OrderSet:
+    """The spectrum (mu) of db's record called name; ValueError when db has
+    no such record or the record stores no mu."""
+    mu = record(db, name).mu
     if mu is None:
-        raise ValueError("record J4 stores no spectrum generators")
+        raise ValueError(f"record {name} stores no spectrum generators")
     return mu
-
-
-def j4xj4_spectrum(db_path=None) -> OrderSet:
-    """The element-order spectrum of J4 x J4, built once per J4 spectrum."""
-    return _square(j4_spectrum(db_path))
-
-
-@cache
-def _square(s: OrderSet) -> OrderSet:
-    return product_spectrum(s, s)
 
 
 class FilterResult(Record):

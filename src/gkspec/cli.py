@@ -17,24 +17,17 @@ from .orderset import OrderSet, product_spectrum, wreath2_spectrum
 from .primegraph import build_gk
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_db(path):
     try:
         return atlasdb.load(path)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load database: {exc}") from None
+        raise ValueError(f"cannot load database: {exc}") from None
 
 
 def _spectrum_for(args) -> OrderSet:
     if args.gens is not None:
         return OrderSet.parse(args.gens)
-    record = atlasdb.record(_load_db(args.db), args.group)
-    if record.mu is None:
-        raise InputError(f"record {args.group} stores no spectrum generators")
-    return record.mu
+    return atlasdb.stored_spectrum(_load_db(args.db), args.group)
 
 
 def _print_summary(s: OrderSet):
@@ -206,7 +199,7 @@ def main(argv=None) -> int:
         parser.error("verify --timestamp needs --json")
     try:
         return args.fn(args)
-    except (InputError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         # input the library rejects is a usage error (2), not a failed check (1);
         # verify reports its checks' own exceptions as failures instead
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,12 @@
 """One-shot verification: every finite computation the argument rests on.
 
 Each check has a stable id and a citation key so the report can be audited
-line by line.  Each check is a function of the run's one input, the record
-database path (None for the embedded corpus), whose J4 record is J4's one
-source; the rest comes from embedded data, memoized library builders and a
-fixed RNG seed, so output is identical across runs.  A check either returns
-a detail string (pass) or raises CheckFailure (fail); unexpected exceptions
-are reported as failures too, never swallowed.
+line by line.  Each check is a function of the run's one input, its Corpus:
+the record database at a path (None for the embedded one), whose J4 record
+is J4's one source; the rest comes from embedded data, memoized library
+builders and a fixed RNG seed, so output is identical across runs.  A check
+either returns a detail string (pass) or raises CheckFailure (fail);
+unexpected exceptions are reported as failures too, never swallowed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import random
 from functools import cache
 
 from . import atlasdb, groups, primegraph
-from .atlasdb import j4_spectrum, j4xj4_spectrum
 from ._record import Record, _set
 from .gf import make_field, subgroup_generator, element_order
 from .linact import (
@@ -28,7 +27,7 @@ from .linact import (
     semidirect_element_order,
     semidirect_spectrum,
 )
-from .orderset import OrderSet, wreath2_spectrum
+from .orderset import OrderSet, product_spectrum, wreath2_spectrum
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
@@ -83,6 +82,18 @@ class VerificationReport(Record):
         ]
 
 
+class Corpus:
+    """One verify run's record database: records(), J4's stored spectrum j4()
+    and its square j4xj4(), each built on first call and kept for the run.
+    A call that raises keeps nothing, so every check reading a database that
+    cannot be read fails with the same message."""
+
+    def __init__(self, db_path=None):
+        records = self.records = cache(lambda: tuple(atlasdb.load(db_path)))
+        j4 = self.j4 = cache(lambda: atlasdb.stored_spectrum(records(), "J4"))
+        self.j4xj4 = cache(lambda: product_spectrum(j4(), j4()))
+
+
 @cache
 def _remark_spectrum() -> OrderSet:
     """The witness spectrum, read by three checks and built once per process."""
@@ -96,14 +107,14 @@ def _require(cond: bool, message: str):
 
 # -- spectrum data -----------------------------------------------------------
 
-def _check_spectrum_count(db_path):
-    members = j4_spectrum(db_path).members()
+def _check_spectrum_count(corpus):
+    members = corpus.j4().members()
     _require(len(members) == 31, f"expected 31 members, found {len(members)}")
     return "spectrum from 14 generators expands to exactly 31 members"
 
 
-def _check_spectrum_membership(db_path):
-    j4 = j4_spectrum(db_path)
+def _check_spectrum_membership(corpus):
+    j4 = corpus.j4()
     for n in (66, 44):
         _require(j4.contains(n), f"{n} missing from the spectrum")
     for n in (9, 25, 46, 55):
@@ -111,27 +122,29 @@ def _check_spectrum_membership(db_path):
     return "contains 66 and 44; excludes 9, 25, 46 and 55"
 
 
-def _check_spectrum_primes(db_path):
-    got = j4_spectrum(db_path).pi()
-    want = atlasdb.record(atlasdb.load(db_path), "J4").pi
-    _require(got == want, f"prime set {got} differs from the record's pi {want}")
+def _check_spectrum_primes(corpus):
+    got = corpus.j4().pi()
+    order = atlasdb.record(corpus.records(), "J4").order
+    _require(order is not None, "record J4 stores no order")
+    _require(len(got) == 10, f"expected ten primes, found {len(got)}")
+    _require(got == order.primes, f"prime set {got} differs from the order's {order.primes}")
     return "ten primes, matching the factored group order"
 
 
 # -- product spectrum --------------------------------------------------------
 
-def _check_product_membership(db_path):
-    product = j4xj4_spectrum(db_path)
+def _check_product_membership(corpus):
+    product = corpus.j4xj4()
     _require(product.contains(2310), "2310 = lcm(66,35) missing from the product")
     for n in (9, 25, 32):
         _require(not product.contains(n), f"{n} wrongly present in the product")
     return "2310 present; 9, 25 and 32 absent"
 
 
-def _check_product_oracle(db_path):
+def _check_product_oracle(corpus):
     from math import gcd
 
-    members = j4_spectrum(db_path).members()
+    members = corpus.j4().members()
     brute: set[int] = set()
     for x in members:
         for y in members:
@@ -143,20 +156,20 @@ def _check_product_oracle(db_path):
                     brute.add(v // d)
                 d += 1
     _require(
-        sorted(brute) == j4xj4_spectrum(db_path).members(),
+        sorted(brute) == corpus.j4xj4().members(),
         "lcm-closure differs from the double-enumeration oracle",
     )
     return f"matches the brute-force oracle on all {len(brute)} members"
 
 
-def _check_product_sigma(db_path):
-    s = j4xj4_spectrum(db_path).sigma()
+def _check_product_sigma(corpus):
+    s = corpus.j4xj4().sigma()
     _require(s == 5, f"sigma of the product is {s}, expected 5")
     return "no member has more than five prime divisors; five is attained"
 
 
-def _check_restricted_sigma(db_path):
-    product = j4xj4_spectrum(db_path)
+def _check_restricted_sigma(corpus):
+    product = corpus.j4xj4()
     for name, primes in (("pi1", PI_1), ("pi2", PI_2)):
         v = product.restricted_sigma(primes)
         _require(v == 2, f"restricted sigma over {name} is {v}, expected 2")
@@ -165,8 +178,8 @@ def _check_restricted_sigma(db_path):
 
 # -- prime graphs ------------------------------------------------------------
 
-def _check_graph_cocliques(db_path):
-    g = primegraph.build_gk(j4_spectrum(db_path))
+def _check_graph_cocliques(corpus):
+    g = primegraph.build_gk(corpus.j4())
     _require(g.adjacent(2, 11), "2 and 11 should be adjacent (44 is a member)")
     _require(not g.adjacent(29, 31), "29 and 31 should not be adjacent")
     _require(g.is_coclique(RHO), "29, 31, 37, 43 should be pairwise non-adjacent")
@@ -178,8 +191,8 @@ def _check_graph_cocliques(db_path):
     return "independence number 7; the two seven-prime sets are the maximum cocliques"
 
 
-def _check_graph_product_complete(db_path):
-    g = primegraph.build_gk(j4xj4_spectrum(db_path))
+def _check_graph_product_complete(corpus):
+    g = primegraph.build_gk(corpus.j4xj4())
     n = len(g.vertices)
     _require(n == 10, f"product graph has {n} vertices, expected 10")
     _require(
@@ -195,23 +208,23 @@ def _check_graph_product_complete(db_path):
 
 # -- excluded orders and the wreath distinguisher -----------------------------
 
-def _check_excluded_orders(db_path):
-    product = j4xj4_spectrum(db_path)
+def _check_excluded_orders(corpus):
+    product = corpus.j4xj4()
     present = [n for n in CONTRADICTION_ORDERS if product.contains(n)]
     _require(not present, f"contradiction orders unexpectedly present: {present}")
     return f"all {len(CONTRADICTION_ORDERS)} contradiction orders are outside the product"
 
 
-def _check_wreath(db_path):
-    wr = wreath2_spectrum(j4_spectrum(db_path))
+def _check_wreath(corpus):
+    wr = wreath2_spectrum(corpus.j4())
     _require(wr.contains(32), "32 missing from the wreath spectrum")
-    _require(32 not in j4xj4_spectrum(db_path), "32 wrongly present in the product")
+    _require(32 not in corpus.j4xj4(), "32 wrongly present in the product")
     return "32 separates the wreath spectrum from the product spectrum"
 
 
 # -- the three-prime witness --------------------------------------------------
 
-def _check_remark_spectrum(db_path):
+def _check_remark_spectrum(corpus):
     s = _remark_spectrum()
     _require(
         s.members() == [1, 3, 5, 15, 17, 51, 85],
@@ -222,7 +235,7 @@ def _check_remark_spectrum(db_path):
     return "spectrum {1,3,5,15,17,51,85}; primes {3,5,17}; sigma 2"
 
 
-def _check_remark_hypotheses(db_path):
+def _check_remark_hypotheses(corpus):
     s = _remark_spectrum()
     cond1, cond2 = groups.check_proposition_hypotheses(s)
     _require(not cond1, f"divisibility condition fails: {cond1}")
@@ -231,7 +244,7 @@ def _check_remark_hypotheses(db_path):
     return "both hypotheses hold and the three-prime bound is attained"
 
 
-def _check_remark_sampling(db_path):
+def _check_remark_sampling(corpus):
     rng = random.Random(SAMPLE_SEED)
     spec = groups.build_remark_group()
     structural = set(_remark_spectrum().members())
@@ -257,7 +270,7 @@ def _check_remark_sampling(db_path):
 
 # -- PSL2 spectra from the torus census ----------------------------------------
 
-def _check_psl2_23(db_path):
+def _check_psl2_23(corpus):
     s = groups.psl2_spectrum(23)
     _require(
         s.members() == [1, 2, 3, 4, 6, 11, 12, 23],
@@ -277,21 +290,21 @@ def _psl2_intersection_check(q, targets, expected):
     )
 
 
-def _check_psl2_32(db_path):
+def _check_psl2_32(corpus):
     return _psl2_intersection_check(32, (11, 23, 29, 31, 37, 43), (11, 31))
 
 
-def _check_psl2_43(db_path):
+def _check_psl2_43(corpus):
     return _psl2_intersection_check(43, (11, 23, 29, 31, 37, 43), (11, 43))
 
 
-def _check_psl2_29(db_path):
+def _check_psl2_29(corpus):
     return _psl2_intersection_check(29, (5, 23, 29, 37, 43), (5, 29))
 
 
 # -- linear actions at desk scale ----------------------------------------------
 
-def _check_linact_galois(db_path):
+def _check_linact_galois(corpus):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
     _require(fixed_space_dim(phi) == 1, "Galois fixed space should be the prime subfield")
@@ -299,7 +312,7 @@ def _check_linact_galois(db_path):
     return "Galois map: fixed dimension 1, minimal polynomial x^11 - 1"
 
 
-def _check_linact_order22(db_path):
+def _check_linact_order22(corpus):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
     gal = [ActionGroupElement((phi.power(j),)) for j in range(11)]
@@ -312,7 +325,7 @@ def _check_linact_order22(db_path):
     return "the field extended by its Galois group has elements of order 22"
 
 
-def _check_linact_kernel(db_path):
+def _check_linact_kernel(corpus):
     f = make_field(2, 11)
     zeta = subgroup_generator(f, 23)
     _require(element_order(zeta) == 23, "kernel generator should have order 23")
@@ -331,7 +344,7 @@ def _check_linact_kernel(db_path):
     return "23 acts freely: spectrum {1,2,23}, no 46; 23:11 is Frobenius"
 
 
-def _check_frobenius_arithmetic(db_path):
+def _check_frobenius_arithmetic(corpus):
     for kernel, complement in ((2048, 23), (23, 11), (3**16, 17)):
         _require(
             frobenius_arith_check(kernel, complement),
@@ -342,8 +355,8 @@ def _check_frobenius_arithmetic(db_path):
 
 # -- database filters ----------------------------------------------------------
 
-def _check_db_load(db_path):
-    db = atlasdb.load(db_path)
+def _check_db_load(corpus):
+    db = corpus.records()
     _require(len(db) >= 16, f"corpus has {len(db)} records, expected at least 16")
     verified = 0
     for record in db:
@@ -373,24 +386,24 @@ _LEMMA9_EXPECTED = (
 )
 
 
-def _check_db_lemma8(db_path):
-    result = atlasdb.run_filter(atlasdb.load(db_path), atlasdb.LEMMA_QUERIES["8"])
+def _check_db_lemma8(corpus):
+    result = atlasdb.run_filter(corpus.records(), atlasdb.LEMMA_QUERIES["8"])
     _require(result.matches == _LEMMA8_EXPECTED, f"filter returned {result.matches}")
     _require(not result.insufficient, f"undecidable records: {result.insufficient}")
     return "exactly the seven listed groups with the stated prime intersections"
 
 
-def _check_db_lemma9(db_path):
-    result = atlasdb.run_filter(atlasdb.load(db_path), atlasdb.LEMMA_QUERIES["9"])
+def _check_db_lemma9(corpus):
+    result = atlasdb.run_filter(corpus.records(), atlasdb.LEMMA_QUERIES["9"])
     _require(result.matches == _LEMMA9_EXPECTED, f"filter returned {result.matches}")
     _require(not result.insufficient, f"undecidable records: {result.insufficient}")
     return "exactly the five listed groups with the stated prime intersections"
 
 
-def _check_db_insufficient(db_path):
+def _check_db_insufficient(corpus):
     stripped = [
         r._replace(has9=None, has25=None, mu=None) if r.name == "M23" else r
-        for r in atlasdb.load(db_path)
+        for r in corpus.records()
     ]
     result = atlasdb.run_filter(stripped, atlasdb.LEMMA_QUERIES["8"])
     _require(
@@ -437,14 +450,16 @@ CHECKS = (
 def run_checks(only: str | None = None, db_path=None) -> VerificationReport:
     """Run the registered checks (optionally those whose id contains `only`).
 
-    db_path names a record database; None reads the embedded corpus.
+    db_path names the record database of the checks' one Corpus; None reads
+    the embedded corpus.
     """
+    corpus = Corpus(db_path)
     results = []
     for check_id, citation, fn in CHECKS:
         if only and only not in check_id:
             continue
         try:
-            detail = fn(db_path)
+            detail = fn(corpus)
             results.append(CheckResult(check_id, citation, "pass", detail))
         except CheckFailure as exc:
             results.append(CheckResult(check_id, citation, "fail", str(exc)))

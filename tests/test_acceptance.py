@@ -22,15 +22,15 @@ from gkspec.linact import (
     semidirect_element_order,
     semidirect_spectrum,
 )
-from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum
+from gkspec.atlasdb import load, stored_spectrum
 from gkspec.orderset import OrderSet, product_spectrum, wreath2_spectrum
 from gkspec.primegraph import PrimeGraph, build_gk
 from gkspec.verify import CONTRADICTION_ORDERS, PI_1, PI_2, RHO
 
 # spec(J4) by its maximal elements (ATLAS)
 J4_GENERATORS = (16, 23, 24, 28, 29, 30, 31, 35, 37, 40, 42, 43, 44, 66)
-J4 = j4_spectrum()
-J4X2 = j4xj4_spectrum()
+J4 = stored_spectrum(load(), "J4")
+J4X2 = product_spectrum(J4, J4)
 
 
 def best_of_3(fn):

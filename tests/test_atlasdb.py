@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkspec import atlasdb
+from gkspec import atlasdb, verify
 from gkspec.atlasdb import (
     CrosscheckError,
     ParseError,
     RecordError,
     crosscheck_record,
-    j4_spectrum,
-    j4xj4_spectrum,
     load,
     parse_records,
     record,
     record_from_psl2,
     run_filter,
+    stored_spectrum,
 )
 from gkspec.groups import psl2_spectrum
 from gkspec.orderset import Factorization, OrderSet, factorize, product_spectrum
@@ -318,8 +317,8 @@ def test_embedded_j4_record_matches_orderset_constants():
 
 def test_embedded_j4_record_holds_atlas_data():
     j4 = record(load(), "J4")
-    assert j4_spectrum() == j4.mu
-    assert j4xj4_spectrum() == product_spectrum(j4.mu, j4.mu)
+    assert stored_spectrum(load(), "J4") == j4.mu
+    assert verify.Corpus().j4xj4() == product_spectrum(j4.mu, j4.mu)
 
 
 def test_record_lookup_by_name():
@@ -329,22 +328,38 @@ def test_record_lookup_by_name():
         record(db, "M99")
 
 
+def test_stored_spectrum_is_the_records_mu():
+    db = load()
+    assert stored_spectrum(db, "L2(23)") == OrderSet((11, 12, 23))
+    with pytest.raises(ValueError, match="^record M23 stores no spectrum generators$"):
+        stored_spectrum(db, "M23")
+    with pytest.raises(ValueError, match="^no record named M99$"):
+        stored_spectrum(db, "M99")
+
+
 def test_j4_spectra_follow_the_database_file(tmp_path):
     # 33 in place of 66: both spectra come from the file, and the product is
-    # built for that J4 rather than served from the embedded one's cache
+    # built for that J4 rather than the embedded one
     db = tmp_path / "j4.db"
     db.write_text(
         "group J4\norder 2^21 3^3 5 7 11^3 23 29 31 37 43\n"
         "mu 16,23,24,28,29,30,31,35,37,40,42,43,44,33\n"
         "pi 2,3,5,7,11,23,29,31,37,43\n"
     )
-    assert j4xj4_spectrum().contains(2310)
-    assert 66 not in j4_spectrum(db) and 33 in j4_spectrum(db)
-    assert not j4xj4_spectrum(db).contains(2310)
-    assert j4xj4_spectrum(db) == product_spectrum(j4_spectrum(db), j4_spectrum(db))
+    embedded, corpus = verify.Corpus(), verify.Corpus(db)
+    j4 = stored_spectrum(load(db), "J4")
+    assert embedded.j4xj4().contains(2310)
+    assert 66 not in j4 and 33 in j4
+    assert corpus.j4() == j4
+    assert not corpus.j4xj4().contains(2310)
+    assert corpus.j4xj4() == product_spectrum(j4, j4)
     db.write_text("group J4\npi 2,3,5,7,11,23,29,31,37,43\n")
+    # a corpus keeps what it read for its run; a new read sees the new file
+    assert corpus.j4() == j4
     with pytest.raises(ValueError, match="record J4 stores no spectrum generators"):
-        j4_spectrum(db)
+        stored_spectrum(load(db), "J4")
+    with pytest.raises(ValueError, match="record J4 stores no spectrum generators"):
+        verify.Corpus(db).j4()
 
 
 # -- crosschecks ---------------------------------------------------------------------

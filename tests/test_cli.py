@@ -10,11 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkspec import atlasdb
+from gkspec import atlasdb, verify
 from gkspec.atlasdb import LEMMA_QUERIES
 from gkspec.cli import main
 
 J4_GENS = "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
+J4_ORDER = "order 2^21 3^3 5 7 11^3 23 29 31 37 43\n"
+# the checks that read J4 from the record database, and those that read
+# every record
+J4_CHECKS = (
+    "spectrum.count", "spectrum.membership", "spectrum.primes", "product.membership",
+    "product.oracle", "product.sigma", "product.restricted-sigma", "graph.cocliques",
+    "graph.product-complete", "excluded.orders", "wreath.distinguisher",
+)
+DB_CHECKS = ("db.load", "db.lemma8", "db.lemma9", "db.insufficient")
 EMBEDDED_DB = Path(atlasdb.__file__).resolve().parent / "data" / "simple_groups.db"
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify.json"
 
@@ -335,6 +344,70 @@ def test_verify_db_reads_j4_from_the_file(tmp_path, capsys):
     assert out.splitlines()[-1].startswith("overall: FAIL")
 
 
+def _embedded_copy(tmp_path, old=None, new=""):
+    # the embedded corpus, with its one copy of old replaced by new
+    text = EMBEDDED_DB.read_text("utf-8")
+    if old is not None:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    db = tmp_path / "copy.db"
+    db.write_text(text)
+    return db
+
+
+def _statuses(out):
+    # check id -> (status, detail) from the JSON report
+    return {c["id"]: (c["status"], c["detail"]) for c in json.loads(out)["checks"]}
+
+
+def test_verify_spectrum_primes_needs_j4_order(tmp_path, capsys):
+    db = _embedded_copy(tmp_path, J4_ORDER)
+    code, out, _ = run(capsys, "verify", "--json", "--db", str(db))
+    assert code == 1
+    statuses = _statuses(out)
+    assert statuses.pop("spectrum.primes") == ("fail", "record J4 stores no order")
+    assert all(status == "pass" for status, _ in statuses.values())
+    # a J4 without 43 anywhere is consistent, but has nine primes
+    j4 = J4_ORDER + f"mu {J4_GENS}\npi 2,3,5,7,11,23,29,31,37,43\n"
+    db = _embedded_copy(tmp_path, j4, j4.replace(",43", "").replace(" 43", ""))
+    code, out, _ = run(capsys, "verify", "--json", "--db", str(db))
+    assert code == 1
+    assert _statuses(out)["spectrum.primes"] == ("fail", "expected ten primes, found 9")
+
+
+def test_verify_parses_the_database_once(tmp_path, monkeypatch):
+    db = _embedded_copy(tmp_path)
+    calls = []
+    parse = atlasdb.parse_records
+    monkeypatch.setattr(atlasdb, "parse_records", lambda text: calls.append(1) or parse(text))
+    assert verify.run_checks(db_path=db).ok
+    assert len(calls) == 1
+
+
+def test_verify_db_failures_stay_per_check(tmp_path, capsys):
+    # J4 without mu: the J4 checks fail alike, the database checks pass
+    db = _embedded_copy(tmp_path, f"mu {J4_GENS}\n")
+    code, out, _ = run(capsys, "verify", "--json", "--db", str(db))
+    assert code == 1
+    statuses = _statuses(out)
+    failed = ("fail", "ValueError: record J4 stores no spectrum generators")
+    assert {cid for cid, result in statuses.items() if result == failed} == set(J4_CHECKS)
+    assert all(statuses[cid][0] == "pass" for cid in DB_CHECKS)
+    # a file that cannot be read fails each check that reads it the same way
+    missing = tmp_path / "missing.db"
+    code, out, _ = run(capsys, "verify", "--json", "--db", str(missing))
+    assert code == 1
+    statuses = _statuses(out)
+    failed = ("fail", f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'")
+    assert {cid for cid, result in statuses.items() if result == failed} == {
+        *J4_CHECKS, *DB_CHECKS
+    }
+    # checks that read no record never open the file
+    code, out, _ = run(capsys, "verify", "--only", "psl2", "--db", str(missing))
+    assert code == 0
+    assert out.splitlines()[-1] == "overall: PASS (4/4 checks)"
+
+
 def test_db_query_without_j4_record_exits_2(tmp_path, capsys):
     db = tmp_path / "no_j4.db"
     db.write_text("group L2(23)\norder 2^3 3 11 23\nmu 11,12,23\npi 2,3,11,23\n")
@@ -413,6 +486,7 @@ def cli_argv(draw):
         # covered by the tests above
         only = draw(st.sampled_from(["linact", "frobenius", "psl2.q23", "db.lemma8", "no-such-check"]))
         args = ["--only", only] + draw(st.sampled_from([[], ["--json"]]))
+        args += draw(_option("--db", st.just("no-such-records.db")))
     return [command] + args + draw(OPTIONAL)
 
 

@@ -20,7 +20,7 @@ from gkspec.groups import (
     psl2_spectrum,
 )
 from gkspec.linact import action_order
-from gkspec.atlasdb import j4_spectrum
+from gkspec.atlasdb import load, stored_spectrum
 from gkspec.orderset import OrderSet, factorize
 from gkspec.verify import run_checks
 from test_gf import _digit_by_digit
@@ -124,7 +124,7 @@ def test_proposition_checker_trivial_spectrum():
 
 
 def test_proposition_checker_fails_on_j4():
-    s = j4_spectrum()
+    s = stored_spectrum(load(), "J4")
     cond1, cond2 = check_proposition_hypotheses(s)
     # parity alone breaks the divisibility condition: 2 divides q - 1 for odd q
     assert (2, 3) in cond1

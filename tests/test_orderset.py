@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum, load, record
+from gkspec.atlasdb import load, record, stored_spectrum
 from gkspec.orderset import (
     Factorization,
     INT64_MAX,
@@ -23,6 +23,8 @@ from gkspec.orderset import (
 J4_GENERATORS = (16, 23, 24, 28, 29, 30, 31, 35, 37, 40, 42, 43, 44, 66)
 PI_1 = {5, 11, 23, 29, 31, 37, 43}
 PI_2 = {7, 11, 23, 29, 31, 37, 43}
+J4 = stored_spectrum(load(), "J4")
+J4X2 = product_spectrum(J4, J4)
 
 
 def brute_divisors(n):
@@ -187,7 +189,7 @@ def test_factorization_validation():
 
 def test_generators_are_already_an_antichain():
     assert OrderSet.from_generators(J4_GENERATORS).maximal_elements == J4_GENERATORS
-    assert j4_spectrum().maximal_elements == J4_GENERATORS
+    assert J4.maximal_elements == J4_GENERATORS
 
 
 def test_from_generators_reduces():
@@ -209,7 +211,7 @@ def test_direct_construction_validates_antichain():
 
 
 def test_j4_expansion_has_31_members():
-    members = j4_spectrum().members()
+    members = J4.members()
     assert len(members) == 31
     expected = set()
     for g in J4_GENERATORS:
@@ -218,7 +220,7 @@ def test_j4_expansion_has_31_members():
 
 
 def test_membership():
-    s = j4_spectrum()
+    s = J4
     assert s.contains(66)
     assert s.contains(1)
     assert not s.contains(46)
@@ -231,28 +233,28 @@ def test_membership():
 # -- pi and sigma ---------------------------------------------------------------
 
 def test_pi():
-    assert j4_spectrum().pi() == (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
+    assert J4.pi() == (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
     assert OrderSet.from_generators([1]).pi() == ()
     remark = OrderSet.from_generators([15, 51, 85])
     assert remark.pi() == (3, 5, 17)
 
 
 def test_sigma():
-    assert j4_spectrum().sigma() == 3
+    assert J4.sigma() == 3
     assert OrderSet.from_generators([1]).sigma() == 0
     assert OrderSet.from_generators([15, 51, 85]).sigma() == 2
 
 
 def test_restricted_sigma():
-    prod = j4xj4_spectrum()
+    prod = J4X2
     assert prod.restricted_sigma(PI_1) == 2
     assert prod.restricted_sigma(PI_2) == 2
     assert prod.restricted_sigma(set()) == 0
-    assert j4_spectrum().restricted_sigma({2, 3, 11}) == 3  # attained by 66
+    assert J4.restricted_sigma({2, 3, 11}) == 3  # attained by 66
 
 
 def test_sigma_of_product():
-    prod = j4xj4_spectrum()
+    prod = J4X2
     assert prod.sigma() == 5  # 2310 attains it; subadditivity is not tight
     assert prod.contains(2310)
 
@@ -260,7 +262,7 @@ def test_sigma_of_product():
 # -- products -------------------------------------------------------------------
 
 def test_product_examples():
-    prod = j4xj4_spectrum()
+    prod = J4X2
     assert prod.contains(2310)
     for n in (9, 25, 32):
         assert not prod.contains(n)
@@ -280,14 +282,14 @@ def test_product_overflow_is_loud():
 
 
 def test_wreath2():
-    w = wreath2_spectrum(j4_spectrum())
+    w = wreath2_spectrum(J4)
     assert w.contains(32)
-    assert not j4xj4_spectrum().contains(32)
+    assert not J4X2.contains(32)
     assert wreath2_spectrum(OrderSet.from_generators([1])).members() == [1, 2]
 
 
 def test_serialize_parse_roundtrip():
-    s = j4_spectrum()
+    s = J4
     assert s.serialize() == "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
     assert OrderSet.parse(s.serialize()) == s
     with pytest.raises(ValueError):

@@ -6,16 +6,18 @@ from itertools import combinations
 
 import pytest
 
-from gkspec.atlasdb import j4_spectrum, j4xj4_spectrum
-from gkspec.orderset import OrderSet
+from gkspec.atlasdb import load, stored_spectrum
+from gkspec.orderset import OrderSet, product_spectrum
 from gkspec.primegraph import PrimeGraph, build_gk
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
+J4 = stored_spectrum(load(), "J4")
+J4X2 = product_spectrum(J4, J4)
 
 
 def test_gk_j4_edges():
-    g = build_gk(j4_spectrum())
+    g = build_gk(J4)
     assert g.vertices == (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
     assert g.adjacent(2, 11)  # 44 is a member
     assert not g.adjacent(29, 31)  # 899 is not
@@ -25,7 +27,7 @@ def test_gk_j4_edges():
 
 
 def test_gk_respects_source_exhaustively():
-    s = j4_spectrum()
+    s = J4
     g = build_gk(s)
     for p, q in combinations(g.vertices, 2):
         assert g.adjacent(p, q) == s.contains(p * q)
@@ -38,7 +40,7 @@ def test_gk_trivial():
 
 
 def test_gk_product_complete():
-    g = build_gk(j4xj4_spectrum())
+    g = build_gk(J4X2)
     n = len(g.vertices)
     assert n == 10
     assert len(g.edges) == n * (n - 1) // 2
@@ -46,7 +48,7 @@ def test_gk_product_complete():
 
 
 def test_is_coclique():
-    g = build_gk(j4_spectrum())
+    g = build_gk(J4)
     assert g.is_coclique({29, 31, 37, 43})
     assert g.is_coclique(PI_1)
     assert g.is_coclique(PI_2)
@@ -57,7 +59,7 @@ def test_is_coclique():
 
 
 def test_max_cocliques_j4():
-    g = build_gk(j4_spectrum())
+    g = build_gk(J4)
     assert g.max_cocliques() == [PI_1, PI_2]
 
 
@@ -73,7 +75,7 @@ def test_graph_validation():
 def test_dot_output():
     g = build_gk(OrderSet.from_generators([6, 5]))
     assert g.dot() == "graph gk {\n  2;\n  3;\n  5;\n  2 -- 3;\n}\n"
-    j4dot = build_gk(j4_spectrum()).dot()
+    j4dot = build_gk(J4).dot()
     assert "  29;" in j4dot
     assert "29 -- 31" not in j4dot
 
