@@ -10,8 +10,7 @@ the same class only, the hash of the field tuple, a Name(a=..., b=...)
 repr and attributes that cannot be assigned or deleted.  Any other
 attribute, such as one a derived descriptor fills on first use, is derived
 state that equality, hash and repr never see.  Pickling and copying
-restore __dict__ directly, so they never call __init__, unless a class
-reduces itself to its value fields (gf.FiniteField does).
+restore __dict__ directly, so they never call __init__.
 """
 
 from __future__ import annotations

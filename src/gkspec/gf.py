@@ -34,19 +34,8 @@ reductions x^(k+i) mod f and the k packed Frobenius images x^(ip) mod f.
 The Frobenius map x -> x^p is GF(p)-linear, so it is the sum of the
 images of the element's coefficients followed by one mod-p pass.
 
-element_at reads the base-p digits of its index c at a time from a table
-of p^c packed chunks.  A table holds at most DIGIT_TABLE_MAX entries, so
-with c_max the largest c for which p^c does not exceed it, a field reads
-its k digits in the fewest chunks of at most c_max digits, and c is the
-shortest chunk length that still needs no more chunks.  GF(3^16) reads
-two chunks of 8 digits (one divmod, two lookups in a 6,561-entry table)
-and GF(3^4) one of 4.  The table is not the field's own: fields with the
-same p, slot width and c share it, and it is built on a field's first
-element_at call (_digit_chunks), never when the field is.  A field fixes
-only the layout that places the chunks, when it is built.  Fields and
-elements are immutable and safe to share between threads; the
-coefficient tuple of an element is derived on demand
-(FieldElement.coeffs).
+Fields and elements are immutable and safe to share between threads; the
+coefficient tuple of an element is derived on demand (FieldElement.coeffs).
 
 A multiplicative order (element_order) is found in the element's own
 subfield GF(p^d), d the length of its orbit under the Frobenius map, by
@@ -61,11 +50,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record, _set, derived
+from ._record import Record, _set
 from .orderset import INT64_MAX, factorize, _is_prime, prime_divisors
-
-# The most entries an element_at digit table holds (see _chunk_length).
-DIGIT_TABLE_MAX = 2**13
 
 
 class FiniteField(Record):
@@ -84,8 +70,6 @@ class FiniteField(Record):
         w = (2 * k * (p - 1) ** 2).bit_length()
         mask, low = (1 << w) - 1, (1 << (w * k)) - 1
         ones = low // mask
-        c = _chunk_length(p, k)
-        chunks = -(-k // c)
         lanes = None
         if p != 2 and k != 1:  # see _fold
             s = w + p.bit_length()
@@ -102,8 +86,6 @@ class FiniteField(Record):
             "_p_ones": p * ones,  # p in every slot
             "_bias": ((1 << (w - 1)) - p) * ones,  # see _sub_p
             "_lanes": lanes,
-            # element_at: p^c, chunks, shift per chunk, final shift
-            "_chunk_layout": (p**c, chunks, w * c, w * (chunks * c - k)),
             "_reductions": (),
             "_frobenius_images": (1,),
         }
@@ -134,12 +116,6 @@ class FiniteField(Record):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # the value fields alone: a copy rebuilds the constants and shares
-        # the digit table, which would otherwise grow GF(3^16)'s pickle
-        # from under 1 KB to 63 KB
-        return FiniteField, (self.p, self.k, self.modulus)
 
     # -- packed kernel ----------------------------------------------------------
 
@@ -288,32 +264,14 @@ class FiniteField(Record):
         """n-th element in lexicographic coefficient order (0 <= n < order).
 
         The base-p digits of n, most significant first, are c_0, ..., c_{k-1}.
-        They are read as the fewest chunks of c digits the table bound allows
-        (_chunk_length), the most significant chunk into slots 0 to c-1, the
-        next into c to 2c-1 and so on.  A short most significant chunk has
-        leading zero digits in its low slots, which are shifted out at the
-        end.  One chunk is one table lookup, two are one divmod and two
-        lookups, and more are read least significant first.
         """
         if not 0 <= n < self.order:
             raise ValueError("index out of range")
-        table = self._digit_table
-        base, chunks, step, drop = self._chunk_layout
-        if chunks == 1:
-            return FieldElement(self, table[n])
-        if chunks == 2:
-            hi, lo = divmod(n, base)
-            return FieldElement(self, (table[hi] | table[lo] << step) >> drop)
-        v, shift = 0, step * (chunks - 1)
-        while n:
-            n, r = divmod(n, base)
-            v |= table[r] << shift
-            shift -= step
-        return FieldElement(self, v >> drop)
-
-    @derived
-    def _digit_table(self) -> range | list[int]:
-        return _digit_chunks(self.p, self._w, _chunk_length(self.p, self.k))
+        v, w = 0, self._w
+        for i in range(self.k - 1, -1, -1):
+            n, c = divmod(n, self.p)
+            v |= c << (w * i)
+        return FieldElement(self, v)
 
     def basis(self):
         """The polynomial basis 1, x, ..., x^(k-1)."""
@@ -464,36 +422,6 @@ def make_field(p: int, k: int) -> FiniteField:
         if candidate._is_irreducible():
             return candidate
     raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-def _chunk_length(p: int, k: int) -> int:
-    """c, the base-p digits element_at reads at once from GF(p^k)'s index.
-
-    With c_max the largest c with p^c <= DIGIT_TABLE_MAX (at least 1), the
-    k digits need ceil(k / c_max) chunks, and c is the shortest length that
-    needs no more: ceil(k / chunks).
-    """
-    c_max = 1
-    while p ** (c_max + 1) <= DIGIT_TABLE_MAX:
-        c_max += 1
-    return -(-k // -(-k // c_max))
-
-
-@lru_cache(maxsize=None)
-def _digit_chunks(p: int, w: int, c: int) -> range | list[int]:
-    """The table of c base-p digits in slots of width w: table[r], r < p^c,
-    packs the c digits of r into c slots, the most significant in slot 0.
-
-    For c = 1 that is r itself, so the table is range(p) and costs nothing
-    however large p is.  A longer table pairs every entry of the table of
-    the high c // 2 digits with every entry, shifted past them, of the
-    table of the low ones, in one pass.
-    """
-    if c == 1:
-        return range(p)
-    half = c // 2
-    low = [t << (w * half) for t in _digit_chunks(p, w, c - half)]
-    return [h | t for h in _digit_chunks(p, w, half) for t in low]
 
 
 def _digit_rows(p: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -14,21 +14,23 @@ spectrum criterion rounds out the module.
 from __future__ import annotations
 
 import re
-from functools import cache
-from itertools import product as iter_product
+from functools import cache, reduce
 from math import gcd, prod
 
-from ._record import Record, _set, derived
+from ._record import Record, _set
 from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
-from .linact import ENUMERATION_LIMIT, ActionGroupElement, LinearAction, semidirect_spectrum
-from .orderset import OrderSet, factorize
+from .linact import ENUMERATION_LIMIT, LinearAction, semidirect_spectrum
+from .orderset import OrderSet, factorize, product_spectrum
 
 
 class SemidirectSpec(Record):
     """Field summands acted on by a product of cyclic unit groups.
 
     Actor j multiplies on summand j by generators[j], an element of exact
-    order actor_orders[j], and acts trivially on every other summand.
+    order actor_orders[j], and acts trivially on every other summand.  So
+    the group is the direct product of the single-summand semidirect
+    products summands[j] x| <generators[j]>, and its spectrum is the
+    product (lcm closure) of their spectra.
     """
 
     _fields = ("summands", "actor_orders", "generators")
@@ -43,6 +45,8 @@ class SemidirectSpec(Record):
         _set(self, "actor_orders", actor_orders)
         _set(self, "generators", generators)
         n = len(summands)
+        if not n:
+            raise ValueError("at least one summand is required")
         if len(actor_orders) != n or len(generators) != n:
             raise ValueError("one actor order and one generator per summand are required")
         for f, m, g in zip(summands, actor_orders, generators):
@@ -67,20 +71,12 @@ class SemidirectSpec(Record):
     def acting_group_size(self) -> int:
         return prod(self.actor_orders)
 
-    @derived
-    def _acting_elements(self) -> tuple[ActionGroupElement, ...]:
-        axes = [
-            [LinearAction.multiplication(g**i) for i in range(m)]
-            for g, m in zip(self.generators, self.actor_orders)
-        ]
-        return tuple(ActionGroupElement(tuple(combo)) for combo in iter_product(*axes))
-
-    def acting_elements(self) -> list[ActionGroupElement]:
-        """Every element of the acting group, built once; a new list per call."""
-        return list(self._acting_elements)
-
     def spectrum(self) -> OrderSet:
-        return semidirect_spectrum(self.summands, self.acting_elements())
+        factors = [
+            semidirect_spectrum(f, [LinearAction.multiplication(g**i) for i in range(m)])
+            for f, m, g in zip(self.summands, self.actor_orders, self.generators)
+        ]
+        return reduce(product_spectrum, factors)
 
 
 @cache

@@ -7,11 +7,13 @@ and minimal_polynomial realize an action as a k x k matrix over GF(p) for
 callers that want one; nothing else here builds a matrix, and verify's
 linear-action checks read every fact off the closure below.
 
-On top of single-field actions sit tuples of them acting componentwise on
-a direct sum of field summands, and the exact order formula for elements
-(v, h) of the corresponding semidirect product: (v, h)^m = (T_m(v), 1)
+On top of them sits the exact order formula for elements (v, h) of the
+semidirect product of the field by an action group: (v, h)^m = (T_m(v), 1)
 for m the order of h and T_m = 1 + h + ... + h^(m-1), so the order is m
-when T_m kills v and p*m otherwise.
+when T_m kills v and p*m otherwise.  A group acting on several summands,
+each multiplied by its own factor, is the direct product of one such
+semidirect product per summand; its spectrum is the lcm closure of theirs
+(orderset.product_spectrum).
 
 Every fact about h used here is read off one closure (Lidl and
 Niederreiter, Finite Fields, on norms and Hilbert's Theorem 90).  With
@@ -19,47 +21,40 @@ g = gcd(e, k) and t = k / g, h^t is multiplication by the norm
 c = u * u^(p^g) * ... * u^(p^((t-1)g)) of u down to GF(p^g), and no
 smaller positive power of h is a multiplication.  So:
 
-- the order of h is t * ord(c);
-- for m a multiple of that order, T_m = (1 + c + ... + c^(m/t - 1)) * T_t,
-  and the factor is 0 when c != 1 (as c^(m/t) = 1) and m/t when c = 1;
-  so T_m kills v when c != 1, or p divides m/t, or T_t(v) = 0, a sum of
-  at most k terms;
+- the order of h is m = t * ord(c);
+- T_m = (1 + c + ... + c^(m/t - 1)) * T_t, and the factor is 0 when
+  c != 1 (as c^(m/t) = 1) and 1 when c = 1 (then m = t); so T_m is the
+  zero map when c != 1, and T_m = T_t when c = 1, a sum of t <= k terms;
 - the fixed space of h is x0 * GF(p^g) for some x0 != 0 when c = 1
   (Hilbert 90), of dimension g over GF(p), and 0 otherwise;
-- h^j has closure c^(j / gcd(j, t)), so a componentwise action of order n
-  is fixed-point-free (no nontrivial power fixes a nonzero vector) exactly
-  when every component has order n and, for each component, every prime
-  of its t divides ord(c).
+- h^j has closure c^(j / gcd(j, t)), so h is fixed-point-free (no
+  nontrivial power fixes a nonzero vector) exactly when every prime of t
+  divides ord(c).
 
-The part of this that depends on h alone is an acting element's plan
-(_order_plan): the fields its components act on, its order m and the
-components whose T_t must still be evaluated (c = 1 and p not dividing
-m/t).  T_m is the zero map exactly when no component is pending.  For a
-pending one T_m = (m/t) * T_t with m/t a unit mod p, and T_t is never
-zero: its t terms h^i = u_i * x^(p^(ie)), i < t, carry t distinct field
-automorphisms, so by Artin's independence of characters (Lang, Algebra,
-VI 4) no sum of them with nonzero u_i vanishes.
-So a semidirect spectrum is read off the plans alone, and a single element
-order evaluates the pending T_t on its one vector, a sum of at most k terms.
+The part of this that depends on h alone is its plan (m, t): T_m is the
+zero map exactly when m != t.  When m = t, T_t is never zero: its t terms
+h^i = u_i * x^(p^(ie)), i < t, carry t distinct field automorphisms, so
+by Artin's independence of characters (Lang, Algebra, VI 4) no sum of them
+with nonzero u_i vanishes.  So a semidirect spectrum is read off the plans
+alone, and a single element order evaluates T_t on its one vector.
 
-A LinearAction is its own one-component element (components == (self,)).
-It and an ActionGroupElement each compute the plan once, on first use, and
-keep it outside the value fields (_record.derived): equality, hashing and
-repr never see it, and threads racing to fill it store the same value.
-The plan is a pure function of the element, so everything here stays
-immutable in value and reentrant.
+A LinearAction computes its plan once, on first use, and keeps it outside
+the value fields (_record.derived): equality, hashing and repr never see
+it, and threads racing to fill it store the same value.  The plan is a
+pure function of the action, so everything here stays immutable in value
+and reentrant.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import attrgetter, mul
+from math import gcd
+from operator import mul
 
 from ._record import Record, _set, derived
 from .gf import FieldElement, FiniteField, element_order
 from .orderset import OrderSet, _is_prime, prime_divisors
 
-# The most acting elements semidirect_spectrum enumerates.
+# The most actions semidirect_spectrum enumerates.
 ENUMERATION_LIMIT = 10**5
 
 
@@ -109,13 +104,12 @@ class LinearAction(Record):
     def is_identity(self) -> bool:
         return self.galois_exp == 0 and self.mult == self.field.one
 
-    @property
-    def components(self) -> tuple["LinearAction"]:
-        return (self,)
-
     @derived
-    def _plan(self) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
-        return _order_plan(self.components)
+    def _plan(self) -> tuple[int, int]:
+        """(m, t): the order m = t * ord(c) and the closure length t; T_m is
+        not the zero map exactly when m == t (module docstring)."""
+        t, c = _closure(self)
+        return t * element_order(c), t
 
     def apply(self, x: FieldElement) -> FieldElement:
         return self.mult * self.field.frobenius(x, self.galois_exp)
@@ -250,9 +244,6 @@ def minpoly_equals_xs_minus_1(h: LinearAction, s: int) -> bool:
     return _closure(h)[0] == s
 
 
-_field_of = attrgetter("field")
-
-
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     """T_m applied to a single vector, by its defining sum (m >= 1)."""
     acc = v
@@ -262,120 +253,56 @@ def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
     return acc
 
 
-def _order_plan(
-    components,
-) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
-    """(fields, m, pending): the fields the components act on, the order m
-    of the componentwise action, the lcm of the t_j * ord(c_j), and the
-    pairs (j, t_j) with c_j = 1 and p not dividing m / t_j.  T_m kills
-    summand j unless j is pending, and then it kills v exactly when
-    T_(t_j)(v) = 0 (module docstring)."""
-    closures = [_closure(c) for c in components]
-    m = lcm(*(t * element_order(c) for t, c in closures))
-    p = components[0].field.p
-    return tuple(map(_field_of, components)), m, tuple(
-        (j, t) for j, (t, c) in enumerate(closures) if c.is_one and (m // t) % p
-    )
+def semidirect_element_order(v: FieldElement, h: LinearAction) -> int:
+    """Order of the pair (v, h) in GF(p^k) x| <h>.
 
-
-class ActionGroupElement(Record):
-    """Componentwise action on a direct sum of field summands.
-
-    Every summand must share the characteristic; the element's order is the
-    lcm of the component orders.  The order and the T-sum plan (_plan) are
-    kept as for a LinearAction (module docstring).
+    With (m, t) the plan of h, (v, h)^m = (T_m(v), 1); the pair has order
+    p*m when m == t and T_t(v) != 0, and m otherwise.  For t = 1, T_t is
+    the identity, so v is tested as it is.
     """
-
-    _fields = ("components",)
-
-    def __init__(self, components: tuple[LinearAction, ...]):
-        _set(self, "components", components)
-        if not components:
-            raise ValueError("at least one component is required")
-        chars = {c.field.p for c in components}
-        if len(chars) != 1:
-            raise ValueError("summands must share the characteristic")
-
-    @property
-    def is_identity(self) -> bool:
-        return all(c.is_identity for c in self.components)
-
-    @derived
-    def _plan(self) -> tuple[tuple[FiniteField, ...], int, tuple[tuple[int, int], ...]]:
-        return _order_plan(self.components)
-
-    def order(self) -> int:
-        return self._plan[1]
-
-
-def _plan_on(h, summands: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(m, pending) from the plan of an acting element h whose components
-    act on the tuple summands."""
-    fields, m, pending = h._plan
-    if fields != summands:
-        raise ValueError("acting element does not match the summands")
-    return m, pending
-
-
-def semidirect_element_order(v, h) -> int:
-    """Order of the pair (v, h) in (sum of summands) x| (acting group).
-
-    With m the order of h, (v, h)^m = (T_m(v), 1); the pair has order m
-    when T_m(v) = 0 and p*m otherwise, p the common characteristic.  A
-    pending component with t = 1 has T_t the identity, so its vector is
-    tested as it is.
-    """
-    vv = v if isinstance(v, tuple) else (v,)
-    m, pending = _plan_on(h, tuple(map(_field_of, vv)))
-    for j, t in pending:
-        x = vv[j] if t == 1 else _t_sum_on(h.components[j], t, vv[j])
-        if x.value:
-            return vv[0].field.p * m
+    if v.field != h.field:
+        raise ValueError("vector and action live in different fields")
+    m, t = h._plan
+    if m == t and (v if t == 1 else _t_sum_on(h, t, v)).value:
+        return v.field.p * m
     return m
 
 
-def semidirect_spectrum(summands, elements) -> OrderSet:
-    """Exact element-order spectrum of V x| H.
+def semidirect_spectrum(field: FiniteField, actions) -> OrderSet:
+    """Exact element-order spectrum of GF(p^k) x| H.
 
-    summands lists the field summands of V and elements every member of the
-    (abelian) acting group H, as ActionGroupElement or LinearAction values;
-    V must be nonzero.  The spectrum is the closure of {1, p}, p the
-    characteristic, with every acting order m, or p*m for each h whose T_m
-    is not the zero map, that is each h whose plan has a pending pair
-    (module docstring); no T-sum is evaluated.
+    actions lists every member of the acting group H, each a LinearAction
+    on field.  The spectrum is the closure of {1, p}, p the characteristic,
+    with every acting order m, or p*m for each h whose T_m is not the zero
+    map, that is each h whose plan (m, t) has m == t (module docstring); no
+    T-sum is evaluated.
     """
-    summands = tuple(summands)
-    if not summands:
-        raise ValueError("at least one summand is required")
-    elements = list(elements)
-    if len(elements) > ENUMERATION_LIMIT:
+    actions = list(actions)
+    if len(actions) > ENUMERATION_LIMIT:
         raise ValueError("acting group too large to enumerate")
-    p = summands[0].p
-    if any(f.p != p for f in summands):
-        raise ValueError("summands must share the characteristic")
+    p = field.p
     gens = {1, p}
-    for h in elements:
-        m, pending = _plan_on(h, summands)
-        gens.add(p * m if pending else m)
+    for h in actions:
+        if h.field != field:
+            raise ValueError("action does not act on the field")
+        m, t = h._plan
+        gens.add(p * m if m == t else m)
     return OrderSet.from_generators(gens)
 
 
-def is_fixed_point_free(h) -> bool:
+def is_fixed_point_free(h: LinearAction) -> bool:
     """Whether every nontrivial power of h fixes only zero.
 
     This is the defining property of the acting side of a Frobenius
-    configuration.  It is read off the closures (t, c) of the components
-    (module docstring): every component must have the order n of h, and
-    every prime of each t must divide the order of its c.  The cost does
-    not grow with n.
+    configuration.  It is read off the closure (t, c) (module docstring):
+    every prime of t must divide the order of c.  The cost does not grow
+    with the order of h.
     """
     if h.is_identity:
         raise ValueError("the identity has the whole space as fixed points")
-    orders = [(t, element_order(c)) for t, c in map(_closure, h.components)]
-    n = lcm(*(t * d for t, d in orders))
-    return all(
-        t * d == n and all(d % r == 0 for r in prime_divisors(t)) for t, d in orders
-    )
+    t, c = _closure(h)
+    d = element_order(c)
+    return all(d % r == 0 for r in prime_divisors(t))
 
 
 def frobenius_arith_check(kernel_order: int, complement_order: int) -> bool:

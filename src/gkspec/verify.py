@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from math import lcm
 
 from . import atlasdb, groups, primegraph
 from ._record import Record, _set
 from .gf import make_field, subgroup_generator, element_order
 from .linact import (
-    ActionGroupElement,
     LinearAction,
     fixed_space_dim,
     frobenius_arith_check,
@@ -33,19 +33,21 @@ PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
 RHO = (29, 31, 37, 43)
 
-# Orders whose presence would contradict the product spectrum, one batch per
-# characteristic of the extending module (prime powers 49 and 121 included).
+# Lemma 13's contradiction orders p*m as (p, (m, ...)) batches, one per
+# prime p of the extending module: an element of order m in spec(J4 x J4)
+# acting on a p-module with a nonzero fixed vector gives an element of
+# order p*m.  Grouping the orders by p, with every m a member of the
+# product, is this repository's reading of the lemma.  13717 = 11*29*43 and
+# 28681 = 23*29*43 are claimed for both p = 29 and p = 43.
 CONTRADICTION_ORDERS = (
-    2 * 28 * 37, 2 * 29 * 37,
-    3 * 28 * 37, 3 * 29 * 37,
-    5 * 11 * 31,
-    49, 7 * 29 * 43,
-    121, 7 * 11 * 23, 11 * 23 * 43,
-    5 * 23 * 28, 5 * 23 * 29, 11 * 23 * 28, 11 * 23 * 29,
-    7 * 11 * 29, 7 * 23 * 29, 11 * 29 * 43, 23 * 29 * 43,
-) + tuple(
-    f * p for p in (31, 37, 43) for f in (7 * 11, 7 * 23, 11 * 29, 23 * 29)
-)
+    (2, (28 * 37, 29 * 37)),
+    (3, (28 * 37, 29 * 37)),
+    (5, (11 * 31,)),
+    (7, (7, 29 * 43)),
+    (11, (11, 7 * 23, 23 * 43)),
+    (23, (5 * 28, 5 * 29, 11 * 28, 11 * 29)),
+    (29, (7 * 11, 7 * 23, 11 * 43, 23 * 43)),
+) + tuple((p, (7 * 11, 7 * 23, 11 * 29, 23 * 29)) for p in (31, 37, 43))
 
 SAMPLE_SEED = 20260808
 
@@ -210,9 +212,12 @@ def _check_graph_product_complete(corpus):
 
 def _check_excluded_orders(corpus):
     product = corpus.j4xj4()
-    present = [n for n in CONTRADICTION_ORDERS if product.contains(n)]
+    pairs = [(p, m) for p, batch in CONTRADICTION_ORDERS for m in batch]
+    absent = [(p, m) for p, m in pairs if not product.contains(m)]
+    _require(not absent, f"(p, m) pairs with m outside the product: {absent}")
+    present = [p * m for p, m in pairs if product.contains(p * m)]
     _require(not present, f"contradiction orders unexpectedly present: {present}")
-    return f"all {len(CONTRADICTION_ORDERS)} contradiction orders are outside the product"
+    return f"all {len(pairs)} contradiction orders are outside the product"
 
 
 def _check_wreath(corpus):
@@ -244,20 +249,52 @@ def _check_remark_hypotheses(corpus):
     return "both hypotheses hold and the three-prime bound is attained"
 
 
+def _factor_orders(field, generator, m) -> list[list[int]]:
+    """orders[i][z]: the order of (z, g^i) in field x| <g>, g the generator
+    (of order m) acting by multiplication and z the vector 0 or 1.
+
+    Each order is found by multiplying the pair out,
+    (v, u)(w, x) = (v + u*w, u*x), until the identity; no plan or T-sum is
+    read.
+    """
+    orders = []
+    for i in range(m):
+        u = generator**i
+        row = []
+        for v in (field.zero, field.one):
+            w, x, n = v, u, 1
+            while not (w.is_zero and x.is_one):
+                w, x, n = w + x * v, x * u, n + 1
+            row.append(n)
+        orders.append(row)
+    return orders
+
+
 def _check_remark_sampling(corpus):
-    rng = random.Random(SAMPLE_SEED)
+    # Actor j multiplies summand j only, so the group is the direct product
+    # of the factors summand x| <generator>, and an element's order is the
+    # lcm of its two factor orders.  In each factor (v, h) -> (c*v, h), for
+    # a nonzero scalar c, is an automorphism (multiplications commute), so a
+    # factor order depends only on h and on whether v is zero: the tables
+    # hold every order in the group.
     spec = groups.build_remark_group()
     structural = set(_remark_spectrum().members())
-    actors = spec.acting_elements()
-    big, small = spec.summands
-    module_order = big.order * small.order
-    smalls = [small.element_at(b) for b in range(small.order)]
+    big, small = (
+        _factor_orders(f, g, m)
+        for f, g, m in zip(spec.summands, spec.generators, spec.actor_orders)
+    )
+    small_order = spec.summands[1].order
+    module_order = spec.summands[0].order * small_order
+    actors = len(big) * len(small)
+    rng = random.Random(SAMPLE_SEED)
     seen = set()
     for _ in range(10**4):
-        # one uniform draw from the whole group: (actor, vector) in mixed radix
-        i, n = divmod(rng.randrange(len(actors) * module_order), module_order)
-        a, b = divmod(n, small.order)
-        o = semidirect_element_order((big.element_at(a), smalls[b]), actors[i])
+        # one uniform draw from the whole group: (actor, vector) in mixed
+        # radix, actor i multiplying by g1^(i // 5) and g2^(i % 5), and
+        # vector index a (b) zero exactly for the zero vector
+        i, n = divmod(rng.randrange(actors * module_order), module_order)
+        a, b = divmod(n, small_order)
+        o = lcm(big[i // len(small)][a != 0], small[i % len(small)][b != 0])
         if o not in structural:
             raise CheckFailure(f"sampled element order {o} outside the structural spectrum")
         seen.add(o)
@@ -265,6 +302,10 @@ def _check_remark_sampling(corpus):
     # only the positive-density orders are required to show up
     if not {3, 15, 51, 85} <= seen:
         raise CheckFailure(f"sampling missed expected orders: observed {sorted(seen)}")
+    every = {lcm(x, y) for row in big for x in row for other in small for y in other}
+    _require(
+        every == structural, f"element orders {sorted(every)} differ from the structural spectrum"
+    )
     return "10000 sampled element orders all lie in the structural spectrum"
 
 
@@ -315,8 +356,7 @@ def _check_linact_galois(corpus):
 def _check_linact_order22(corpus):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
-    gal = [ActionGroupElement((phi.power(j),)) for j in range(11)]
-    spec = semidirect_spectrum((f,), gal)
+    spec = semidirect_spectrum(f, [phi.power(j) for j in range(11)])
     _require(spec.contains(22), "order 22 missing from the Galois semidirect spectrum")
     _require(
         semidirect_element_order(f.one, phi) == 22,
@@ -335,8 +375,7 @@ def _check_linact_kernel(corpus):
         all(semidirect_element_order(b, mult) == 23 for b in f.basis()),
         "T_23 of the multiplication should vanish",
     )
-    cyc = [ActionGroupElement((mult.power(j),)) for j in range(23)]
-    spec = semidirect_spectrum((f,), cyc)
+    spec = semidirect_spectrum(f, [mult.power(j) for j in range(23)])
     _require(not spec.contains(46), "no order 46: the T-sum vanishes")
     _require(spec.members() == [1, 2, 23], f"kernel semidirect spectrum is {spec.members()}")
     gamma = groups.build_gamma_frobenius(2, 11, 23)

@@ -8,13 +8,13 @@ for the stated runtime budgets, measured as best-of-three wall times.
 
 import random
 import time
-from math import gcd
+from math import gcd, lcm
 
 from gkspec import atlasdb, groups
 from gkspec.gf import make_field, subgroup_generator
 from gkspec.linact import (
-    ActionGroupElement,
     LinearAction,
+    action_order,
     fixed_space_dim,
     frobenius_arith_check,
     is_fixed_point_free,
@@ -104,8 +104,11 @@ def test_criterion_4_restricted_sigma():
 
 
 def test_criterion_5_excluded_orders():
-    assert len(CONTRADICTION_ORDERS) == 30
-    present = [n for n in CONTRADICTION_ORDERS if J4X2.contains(n)]
+    pairs = [(p, m) for p, batch in CONTRADICTION_ORDERS for m in batch]
+    assert len(pairs) == 30 and len({p * m for p, m in pairs}) == 28
+    assert [p for p, _ in CONTRADICTION_ORDERS] == [2, 3, 5, 7, 11, 23, 29, 31, 37, 43]
+    assert all(J4X2.contains(m) for _, m in pairs)
+    present = [p * m for p, m in pairs if J4X2.contains(p * m)]
     assert present == []
     report(5, "all 30 contradiction orders are absent from the product spectrum")
 
@@ -119,19 +122,25 @@ def test_criterion_6_wreath_endgame():
 
 def test_criterion_7_remark_group():
     def build_and_sample():
+        # actor j multiplies summand j only, so (v, h) is a pair of factor
+        # elements (v_j, h_j) and its order the lcm of the factor orders
         spec = groups.build_remark_group()
         structural = spec.spectrum()
         rng = random.Random(424242)
-        actors = spec.acting_elements()
+        factors = [
+            (f, [LinearAction.multiplication(g**i) for i in range(m)])
+            for f, m, g in zip(spec.summands, spec.actor_orders, spec.generators)
+        ]
         allowed = set(structural.members())
         seen = set()
         for _ in range(10**4):
-            v = tuple(
-                f.element(tuple(rng.randrange(f.p) for _ in range(f.k)))
-                for f in spec.summands
-            )
-            h = actors[rng.randrange(len(actors))]
-            o = semidirect_element_order(v, h)
+            o = lcm(*(
+                semidirect_element_order(
+                    f.element(tuple(rng.randrange(f.p) for _ in range(f.k))),
+                    actions[rng.randrange(len(actions))],
+                )
+                for f, actions in factors
+            ))
             assert o in allowed
             seen.add(o)
         assert {3, 15, 51, 85} <= seen
@@ -170,14 +179,12 @@ def test_criterion_9_linear_action_lemmas():
     phi = LinearAction.galois(f)
     assert fixed_space_dim(phi) == 1
     assert minpoly_equals_xs_minus_1(phi, 11)
-    gal = [ActionGroupElement((phi.power(j),)) for j in range(11)]
-    assert semidirect_spectrum((f,), gal).contains(22)
+    assert semidirect_spectrum(f, [phi.power(j) for j in range(11)]).contains(22)
     zeta = subgroup_generator(f, 23)
     mult = LinearAction.multiplication(zeta)
     assert is_fixed_point_free(mult)
     assert all(semidirect_element_order(b, mult) == 23 for b in f.basis())
-    cyc = [ActionGroupElement((mult.power(j),)) for j in range(23)]
-    assert not semidirect_spectrum((f,), cyc).contains(46)
+    assert not semidirect_spectrum(f, [mult.power(j) for j in range(23)]).contains(46)
     for kernel, complement in ((2048, 23), (23, 11), (3**16, 17)):
         assert frobenius_arith_check(kernel, complement)
     report(9, "Galois fixed line, minimal polynomial, order 22, free 23-action, Frobenius arithmetic")
@@ -279,9 +286,9 @@ def test_criterion_11_property_suites():
         LinearAction(f2, zeta**i, e) for i in range(23) for e in range(11)
     ]
     for _ in range(1000):
-        h = ActionGroupElement((rng.choice(actions),))
-        v = (f2.element(tuple(rng.randrange(2) for _ in range(11))),)
-        m = h.order()
+        h = rng.choice(actions)
+        v = f2.element(tuple(rng.randrange(2) for _ in range(11)))
+        m = action_order(h)
         assert semidirect_element_order(v, h) in (m, 2 * m)
 
     report(11, "six randomized property suites, 1000 cases each, zero failures")

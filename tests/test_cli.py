@@ -408,6 +408,17 @@ def test_verify_db_failures_stay_per_check(tmp_path, capsys):
     assert out.splitlines()[-1] == "overall: PASS (4/4 checks)"
 
 
+def test_excluded_orders_needs_each_m_in_the_product(monkeypatch):
+    # 2 * 56 * 37 lies outside spec(J4 x J4), but so does 56 * 37: no element
+    # of order m = 56 * 37 exists for the module to extend
+    first, *rest = verify.CONTRADICTION_ORDERS
+    assert first == (2, (28 * 37, 29 * 37))
+    monkeypatch.setattr(verify, "CONTRADICTION_ORDERS", ((2, (56 * 37, 29 * 37)), *rest))
+    (result,) = verify.run_checks(only="excluded.orders").results
+    assert result.status == "fail"
+    assert result.detail == "(p, m) pairs with m outside the product: [(2, 2072)]"
+
+
 def test_db_query_without_j4_record_exits_2(tmp_path, capsys):
     db = tmp_path / "no_j4.db"
     db.write_text("group L2(23)\norder 2^3 3 11 23\nmu 11,12,23\npi 2,3,11,23\n")

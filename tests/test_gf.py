@@ -10,11 +10,9 @@ from math import gcd
 import pytest
 
 from gkspec.gf import (
-    DIGIT_TABLE_MAX,
     FieldElement,
     FiniteField,
     _conjugate_power,
-    _digit_chunks,
     _digit_rows,
     _order_plan,
     element_order,
@@ -436,8 +434,7 @@ def _digit_by_digit(f, n):
     return tuple(reversed(coeffs))
 
 
-# one chunk; two chunks, with leading zero digits or without; three; and
-# one digit per chunk, where p^2 exceeds the table bound
+# degrees from 1 to 27 and characteristics from 2 to 2^61 - 1
 @pytest.mark.parametrize(
     "p,k",
     [(2, 1), (2, 5), (2, 11), (2, 16), (3, 4), (3, 16), (5, 4), (7, 9), (13, 3),
@@ -453,29 +450,12 @@ def test_element_at_matches_digit_definition(p, k):
             f.element_at(n)
 
 
-def test_digit_chunk_table_is_lazy_and_bounded_for_large_p():
-    calls = _digit_chunks.cache_info()
-    f = FiniteField(11, 5, make_field(11, 5).modulus)
-    assert _digit_chunks.cache_info() == calls  # building a field builds no table
-    assert f.element_at(5) == make_field(11, 5).element_at(5)
-    assert f._digit_table is make_field(11, 5)._digit_table  # shared by (p, w, c)
-    big = make_field(2**61 - 1, 1)
-    assert big._digit_table == range(big.p)
-    # the fewest chunks within the bound, then the shortest chunk length:
-    # GF(3^16) reads two chunks of 8 digits, GF(3^17) three of 6
-    shapes = [(2, 11), (2, 13), (2, 14), (2, 26), (2, 27), (3, 4), (3, 16), (3, 17),
-              (5, 10), (7, 9), (11, 5), (97, 3), (257, 2)]
-    sizes = [len(make_field(p, k)._digit_table) for p, k in shapes]
-    assert sizes == [2048, 8192, 128, 8192, 512, 81, 6561, 729, 3125, 343, 1331, 97, 257]
-    assert DIGIT_TABLE_MAX == 2**13 and max(sizes) <= DIGIT_TABLE_MAX
-
-
 def test_field_pickles_and_copies_after_element_at():
     for p, k in ((3, 16), (3, 4), (7, 9), (257, 2)):
         f = FiniteField(p, k, make_field(p, k).modulus)
         size = len(pickle.dumps(f))
         x = f.element_at(f.order - 2)
-        assert len(pickle.dumps(f)) == size  # the digit table is not pickled
+        assert len(pickle.dumps(f)) == size  # element_at leaves no state on the field
         for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
             assert clone == f and hash(clone) == hash(f)
             assert clone.element_at(f.order - 2) == x

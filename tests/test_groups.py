@@ -3,7 +3,7 @@
 import random
 import re
 import time
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -19,11 +19,10 @@ from gkspec.groups import (
     psl2_order_formula,
     psl2_spectrum,
 )
-from gkspec.linact import action_order
+from gkspec.linact import LinearAction, action_order, semidirect_element_order
 from gkspec.atlasdb import load, stored_spectrum
 from gkspec.orderset import OrderSet, factorize
 from gkspec.verify import run_checks
-from test_gf import _digit_by_digit
 
 
 # -- the three-prime witness -----------------------------------------------------
@@ -34,20 +33,6 @@ def test_remark_group_structure():
     assert spec.actor_orders == (17, 5)
     assert spec.acting_group_size == 85
     assert [element_order(g) for g in spec.generators] == [17, 5]
-    assert len(spec.acting_elements()) == 85
-
-
-def test_acting_elements_built_once_in_order():
-    spec = build_remark_group()
-    first, second = spec.acting_elements(), spec.acting_elements()
-    assert first is not second
-    assert all(a is b for a, b in zip(first, second, strict=True))
-    g1, g2 = spec.generators
-    assert [tuple(c.mult for c in h.components) for h in first] == [
-        (g1**i, g2**j) for i in range(17) for j in range(5)
-    ]
-    first.clear()
-    assert len(spec.acting_elements()) == 85
 
 
 def test_remark_group_spectrum():
@@ -70,9 +55,11 @@ def _sampling_result():
 
 
 def test_remark_sampling_fails_on_an_order_outside_the_spectrum(monkeypatch):
-    true_order = verify.semidirect_element_order
+    true_orders = verify._factor_orders
     monkeypatch.setattr(
-        verify, "semidirect_element_order", lambda v, h: 2 * true_order(v, h)
+        verify,
+        "_factor_orders",
+        lambda f, g, m: [[2 * o for o in row] for row in true_orders(f, g, m)],
     )
     result = _sampling_result()
     assert result.status == "fail"
@@ -83,37 +70,86 @@ def test_remark_sampling_fails_on_an_order_outside_the_spectrum(monkeypatch):
 
 def test_remark_sampling_fails_when_an_expected_order_is_missed(monkeypatch):
     # every pair reported with its acting element's order: 3, 15 and 51 never show
-    monkeypatch.setattr(verify, "semidirect_element_order", lambda v, h: h.order())
+    true_orders = verify._factor_orders
+    monkeypatch.setattr(
+        verify,
+        "_factor_orders",
+        lambda f, g, m: [[row[0], row[0]] for row in true_orders(f, g, m)],
+    )
     result = _sampling_result()
     assert result.status == "fail"
     assert result.detail == "sampling missed expected orders: observed [1, 5, 17, 85]"
 
 
+def test_remark_sampling_fails_on_a_member_no_element_has(monkeypatch):
+    # 255 = 3 * 5 * 17 is no element order; the sampled orders still all lie
+    # in the widened spectrum, so only the equality with the 340 orders fails
+    true_spectrum = verify._remark_spectrum()
+    widened = OrderSet.from_generators(true_spectrum.maximal_elements + (255,))
+    monkeypatch.setattr(verify, "_remark_spectrum", lambda: widened)
+    result = _sampling_result()
+    assert result.status == "fail"
+    assert result.detail == (
+        "element orders [1, 3, 5, 15, 17, 51, 85] differ from the structural spectrum"
+    )
+
+
+class _Tagged(int):
+    """A factor order that remembers its table entry (actor exponent, v != 0)."""
+
+    def __new__(cls, value, entry):
+        tagged = super().__new__(cls, value)
+        tagged.entry = entry
+        return tagged
+
+
 def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
-    # every (v, h) the check passes on, against the seeded draws split in
-    # mixed radix and vectors built from their base-p digits by definition,
-    # not by FiniteField.element_at
+    # every draw's (actor index, a != 0, b != 0), read off the table entries
+    # the check combines, against the seeded draws split in mixed radix
+    true_orders = verify._factor_orders
+    monkeypatch.setattr(
+        verify,
+        "_factor_orders",
+        lambda f, g, m: [
+            [_Tagged(o, (i, z)) for z, o in enumerate(row)]
+            for i, row in enumerate(true_orders(f, g, m))
+        ],
+    )
     seen = []
-    true_order = verify.semidirect_element_order
 
-    def recording(v, h):
-        seen.append((v, h))
-        return true_order(v, h)
+    def recording(x, y):
+        seen.append((x.entry, y.entry))
+        return lcm(x, y)
 
-    monkeypatch.setattr(verify, "semidirect_element_order", recording)
+    monkeypatch.setattr(verify, "lcm", recording)
     assert _sampling_result().status == "pass"
+    draws = [(i * 5 + j, bool(a), bool(b)) for (i, a), (j, b) in seen[: 10**4]]
+    assert len(seen) == 10**4 + 340  # the draws, then every combination once
     spec = build_remark_group()
-    actors = spec.acting_elements()
     big, small = spec.summands
     module_order = big.order * small.order
     rng = random.Random(verify.SAMPLE_SEED)
     expected = []
     for _ in range(10**4):
-        i, n = divmod(rng.randrange(len(actors) * module_order), module_order)
+        i, n = divmod(rng.randrange(85 * module_order), module_order)
         a, b = divmod(n, small.order)
-        v = (big.element(_digit_by_digit(big, a)), small.element(_digit_by_digit(small, b)))
-        expected.append((v, actors[i]))
-    assert len(seen) == 10**4 and seen == expected
+        expected.append((i, a != 0, b != 0))
+    assert draws == expected
+
+
+def test_factor_order_tables_match_semidirect_element_order():
+    # the 17 * 2 + 5 * 2 = 44 entries, each multiplied out in verify,
+    # against the plan rule of linact
+    spec = build_remark_group()
+    entries = 0
+    for f, g, m in zip(spec.summands, spec.generators, spec.actor_orders):
+        table = verify._factor_orders(f, g, m)
+        assert len(table) == m
+        for i, row in enumerate(table):
+            h = LinearAction.multiplication(g**i)
+            assert row == [semidirect_element_order(v, h) for v in (f.zero, f.one)], (f, i)
+            entries += len(row)
+    assert entries == 44
 
 
 def test_proposition_checker_trivial_spectrum():
@@ -143,6 +179,8 @@ def test_semidirect_spec_validation():
         SemidirectSpec.build(((3, 4),), (7,))  # 7 does not divide 80
     with pytest.raises(ValueError):
         SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))  # too large
+    with pytest.raises(ValueError):
+        SemidirectSpec((), (), ())  # V = 0 is no semidirect product described here
 
 
 def test_semidirect_spec_checks_every_generator():

@@ -11,8 +11,8 @@ import pytest
 
 from gkspec.gf import FiniteField, make_field, element_order, subgroup_generator
 from gkspec.groups import build_gamma_frobenius, build_remark_group
+from gkspec import verify
 from gkspec.linact import (
-    ActionGroupElement,
     LinearAction,
     action_order,
     fixed_space_dim,
@@ -23,7 +23,6 @@ from gkspec.linact import (
     semidirect_element_order,
     semidirect_spectrum,
     _closure,
-    _order_plan,
     _t_sum_on,
 )
 
@@ -331,19 +330,19 @@ def test_t_sum_base_cases():
 def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     # every action x -> u x^(p^e) and every vector of a small field; the
     # oracle sums the matrices A^0 + ... + A^(m-1) of h directly, m the
-    # order of h.  T_m is the zero map exactly when the plan has no pending
-    # pair, and the spectrum gains p*m exactly when it is not
+    # order of h.  T_m is the zero map exactly when the plan (m, t) has
+    # m != t, and the spectrum gains p*m exactly when it is not
     field = make_field(p, k)
     vectors = [field.element_at(n) for n in range(field.order)]
     columns = list(zip(*(v.coeffs for v in vectors)))  # every vector, as a k x q matrix
     zero_maps = set()
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
-        _, m, pending = _order_plan((h,))
+        m, t = h._plan
         t_sum = plain_t_sum(h.matrix().rows, m, p)
         zero_map = not any(map(any, t_sum))
-        assert (not pending) == zero_map, h
-        assert semidirect_spectrum((field,), [h]).contains(p * m) == (not zero_map), h
+        assert (m != t) == zero_map, h
+        assert semidirect_spectrum(field, [h]).contains(p * m) == (not zero_map), h
         images = list(zip(*plain_mul(t_sum, columns, p)))
         for v, image in zip(vectors, images):
             assert semidirect_element_order(v, h) == (p * m if any(image) else m), (h, v)
@@ -382,20 +381,13 @@ def test_semidirect_order_base_cases():
     assert semidirect_element_order(F2_11.one, GALOIS) == 22
 
 
-def _pair_mul(v, a, w, b):
-    """(v, a) * (w, b) in the semidirect product, componentwise actions."""
-    return (
-        tuple(x + c.apply(y) for x, c, y in zip(v, a.components, w)),
-        ActionGroupElement(tuple(c.compose(d) for c, d in zip(a.components, b.components))),
-    )
-
-
 def _brute_pair_order(v, h):
-    """Order of (v, h) by direct repeated multiplication; no T-sum involved."""
+    """Order of (v, h) by direct repeated multiplication,
+    (v, a)(w, b) = (v + a(w), ab); no T-sum involved."""
     cv, ch = v, h
     n = 1
-    while not (ch.is_identity and all(x.is_zero for x in cv)):
-        cv, ch = _pair_mul(cv, ch, v, h)
+    while not (ch.is_identity and cv.is_zero):
+        cv, ch = cv + ch.apply(v), ch.compose(h)
         n += 1
         assert n <= 2000
     return n
@@ -407,118 +399,106 @@ def test_order_dichotomy_gamma_frobenius_1000_cases():
     rng = random.Random(18)
     p = 2
     for _ in range(1000):
-        h = ActionGroupElement((rng.choice(actions),))
-        v = (_random_element(F2_11, rng),)
-        m = h.order()
+        h = rng.choice(actions)
+        v = _random_element(F2_11, rng)
+        m = action_order(h)
         got = semidirect_element_order(v, h)
         assert got in (m, p * m)
         assert got == _brute_pair_order(v, h)
+
+
+def _remark_factors():
+    """(field, actions) for the two factors summand x| <generator> of the
+    remark group, every power of the generator as a multiplication."""
+    spec = build_remark_group()
+    return [
+        (f, [LinearAction.multiplication(g**i) for i in range(m)])
+        for f, m, g in zip(spec.summands, spec.actor_orders, spec.generators)
+    ]
 
 
 def test_order_dichotomy_remark_group_1000_cases():
-    spec = build_remark_group()
-    actors = spec.acting_elements()
+    # (v, h) = ((v1, v2), (h1, h2)) has the order lcm of its factor orders
+    factors = _remark_factors()
     rng = random.Random(19)
     p = 3
     for _ in range(1000):
-        h = actors[rng.randrange(len(actors))]
-        v = tuple(_random_element(f, rng) for f in spec.summands)
-        m = h.order()
-        got = semidirect_element_order(v, h)
+        pairs = [(_random_element(f, rng), rng.choice(actions)) for f, actions in factors]
+        m = lcm(*(action_order(h) for _, h in pairs))
+        got = lcm(*(semidirect_element_order(v, h) for v, h in pairs))
         assert got in (m, p * m)
-        assert got == _brute_pair_order(v, h)
+        assert got == lcm(*(_brute_pair_order(v, h) for v, h in pairs))
 
 
-def _galois_pairs(p, k1, k2):
-    """GF(p^k1) + GF(p^k2) and the componentwise actions u x^(p^e) on it,
-    every Galois exponent on each summand and u either 1 or primitive."""
-    summands = (make_field(p, k1), make_field(p, k2))
-    axes = [
-        [
-            LinearAction(f, u, e)
-            for e in range(f.k)
-            for u in (f.one, subgroup_generator(f, f.order - 1))
-        ]
-        for f in summands
-    ]
-    return summands, [ActionGroupElement(combo) for combo in iproduct(*axes)]
-
-
-def _plan_vectors(summands, rng):
-    """Zero, random, and random with one zero component."""
-    zero = tuple(f.zero for f in summands)
-    full = tuple(_random_element(f, rng) for f in summands)
-    return [zero, full] + [
-        tuple(x if i == j else z for i, (x, z) in enumerate(zip(full, zero)))
-        for j in range(len(summands))
-    ]
-
-
-GALOIS_PAIRS = ((2, 4, 2), (3, 3, 2))
-
-
-@pytest.mark.parametrize("p,k1,k2", GALOIS_PAIRS)
-def test_plan_orders_match_pair_oracle_two_summand_galois(p, k1, k2):
-    # here T_m of an identity component vanishes or not as p divides m or
-    # not; the spectrum gains p*m exactly when some basis vector of one
-    # summand, zero in the other, has order p*m
-    summands, elements = _galois_pairs(p, k1, k2)
-    zero = tuple(f.zero for f in summands)
-    basis = [zero[:j] + (b,) + zero[j + 1:] for j, f in enumerate(summands) for b in f.basis()]
-    rng = random.Random(24)
-    gains = set()
-    for h in elements:
-        for v in _plan_vectors(summands, rng):
-            assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
-        m = h.order()
-        assert m == _brute_pair_order(zero, h)
-        gain = any(_brute_pair_order(v, h) == p * m for v in basis)
-        assert semidirect_spectrum(summands, [h]).contains(p * m) == gain, h
-        gains.add(gain)
-    assert gains == {True, False}
+def _remark_group_order(v, exponents, generators, orders):
+    """Order of ((v1, v2), (i1, i2)) in the whole remark group, the actor
+    g1^i1 * g2^i2 acting componentwise: multiplied out by
+    ((v_j), (i_j)) ((w_j), (k_j)) = ((v_j + g_j^i_j w_j), (i_j + k_j))."""
+    cv, ce = v, exponents
+    n = 1
+    while any(ce) or any(not x.is_zero for x in cv):
+        cv = tuple(x + g**i * y for x, g, i, y in zip(cv, generators, ce, v))
+        ce = tuple((i + k) % m for i, k, m in zip(ce, exponents, orders))
+        n += 1
+        assert n <= 2000
+    return n
 
 
 def test_plan_orders_match_pair_oracle_remark_group():
+    # all 85 actors with the 4 zero patterns of (v1, v2), v_j in {0, 1}: the
+    # whole-group product against the lcm of the factor orders, from the
+    # plan rule and from verify's multiplied-out tables
     spec = build_remark_group()
-    zero = tuple(f.zero for f in spec.summands)
-    rng = random.Random(25)
-    for h in spec.acting_elements():
-        assert h.order() == _brute_pair_order(zero, h)
-        for v in _plan_vectors(spec.summands, rng)[2:]:
-            assert semidirect_element_order(v, h) == _brute_pair_order(v, h), (h, v)
+    gens, orders = spec.generators, spec.actor_orders
+    tables = [verify._factor_orders(f, g, m) for f, g, m in zip(spec.summands, gens, orders)]
+    members = set()
+    for exponents in iproduct(*map(range, orders)):
+        for zs in iproduct((0, 1), repeat=2):
+            v = tuple(f.one if z else f.zero for f, z in zip(spec.summands, zs))
+            got = _remark_group_order(v, exponents, gens, orders)
+            plan = lcm(*(
+                semidirect_element_order(x, LinearAction.multiplication(g**i))
+                for x, g, i in zip(v, gens, exponents)
+            ))
+            table = lcm(*(t[i][z] for t, i, z in zip(tables, exponents, zs)))
+            assert got == plan == table, (exponents, zs)
+            members.add(got)
+    assert sorted(members) == build_remark_group().spectrum().members()
+
+
+def _plan_vectors(field, rng):
+    """Zero, and a random vector."""
+    return [field.zero, _random_element(field, rng)]
 
 
 def _plan_cases():
-    """(summands, acting elements): the remark group, the two-summand Galois
-    pairs, and the bare LinearActions of 23:11 on GF(2^11)."""
-    spec = build_remark_group()
-    cases = [(spec.summands, spec.acting_elements()[::4])]
-    cases += [_galois_pairs(*shape) for shape in GALOIS_PAIRS]
-    cases.append(((F2_11,), build_gamma_frobenius(2, 11, 23).actions[::3]))
-    return cases
+    """(field, actions): the two factors of the remark group, and every
+    third LinearAction of 23:11 on GF(2^11)."""
+    return _remark_factors() + [(F2_11, build_gamma_frobenius(2, 11, 23).actions[::3])]
 
 
 def test_plan_same_whichever_caller_fills_it():
     # h._replace() is an equal element whose plan is not yet computed
     rng = random.Random(26)
-    for summands, elements in _plan_cases():
-        for h in elements:
-            vectors = _plan_vectors(summands, rng) + _plan_vectors(summands, rng)[1:]
-            # a fresh element per query never reuses a plan
+    for field, actions in _plan_cases():
+        for h in actions:
+            vectors = _plan_vectors(field, rng) + _plan_vectors(field, rng)[1:]
+            # a fresh action per query never reuses a plan
             fresh = [semidirect_element_order(v, h._replace()) for v in vectors]
-            fresh_spectrum = semidirect_spectrum(summands, [h._replace()])
+            fresh_spectrum = semidirect_spectrum(field, [h._replace()])
             spectrum_first = h._replace()
-            assert semidirect_spectrum(summands, [spectrum_first]) == fresh_spectrum
+            assert semidirect_spectrum(field, [spectrum_first]) == fresh_spectrum
             assert [semidirect_element_order(v, spectrum_first) for v in vectors] == fresh
             order_first = h._replace()
             assert [semidirect_element_order(v, order_first) for v in vectors] == fresh
-            assert semidirect_spectrum(summands, [order_first]) == fresh_spectrum
-            assert spectrum_first._plan == order_first._plan == _order_plan(h.components)
+            assert semidirect_spectrum(field, [order_first]) == fresh_spectrum
+            plan = (action_order(h), _closure(h)[0])
+            assert spectrum_first._plan == order_first._plan == plan
 
 
 def test_plan_invisible_to_eq_hash_repr():
-    for _, elements in _plan_cases():
-        for h in elements[:20]:
+    for _, actions in _plan_cases():
+        for h in actions[:20]:
             planned, bare = h._replace(), h._replace()
             before = hash(planned)
             planned._plan
@@ -529,25 +509,21 @@ def test_plan_invisible_to_eq_hash_repr():
 
 
 def test_plan_filled_by_racing_threads():
-    # in each round, threads query the same fresh elements, whose plans are
+    # in each round, threads query the same fresh actions, whose plans are
     # not yet computed, in the same order; every answer must equal the one
-    # computed on a private element
-    spec = build_remark_group()
+    # computed on a private action
     rng = random.Random(27)
     cases = []
-    for summands, elements in (
-        (spec.summands, spec.acting_elements()),
-        ((F2_11,), build_gamma_frobenius(2, 11, 23).actions[::3]),
-    ):
-        vectors = [tuple(_random_element(f, rng) for f in summands) for _ in range(85)]
-        expected = [semidirect_element_order(v, h._replace()) for v, h in zip(vectors, elements)]
-        cases.append((vectors, elements, expected))
+    for field, actions in _plan_cases():
+        vectors = [_random_element(field, rng) for _ in actions]
+        expected = [semidirect_element_order(v, h._replace()) for v, h in zip(vectors, actions)]
+        cases.append((vectors, actions, expected))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            for vectors, elements, expected in cases:
-                shared = [h._replace() for h in elements]
+            for vectors, actions, expected in cases:
+                shared = [h._replace() for h in actions]
                 results = [None] * 4
 
                 def work(slot):
@@ -568,8 +544,6 @@ def test_plan_filled_by_racing_threads():
 
 def test_semidirect_order_input_validation():
     with pytest.raises(ValueError):
-        semidirect_element_order((F2_11.zero, F2_11.zero), GALOIS)
-    with pytest.raises(ValueError):
         semidirect_element_order(F3_4.zero, GALOIS)
     # the field check is by equality: an equal but distinct field is accepted
     twin = FiniteField(2, 11, F2_11.modulus)
@@ -580,44 +554,27 @@ def test_semidirect_order_input_validation():
     # same characteristic, another degree
     with pytest.raises(ValueError):
         semidirect_element_order(make_field(2, 5).one, GALOIS)
-    gal = [ActionGroupElement((GALOIS.power(j),)) for j in range(11)]
-    assert semidirect_spectrum((twin,), gal) == semidirect_spectrum((F2_11,), gal)
+    gal = [GALOIS.power(j) for j in range(11)]
+    assert semidirect_spectrum(twin, gal) == semidirect_spectrum(F2_11, gal)
 
 
 # -- semidirect spectra ---------------------------------------------------------------------
 
 def test_semidirect_spectrum_galois():
-    gal = [ActionGroupElement((GALOIS.power(j),)) for j in range(11)]
-    spec = semidirect_spectrum((F2_11,), gal)
+    spec = semidirect_spectrum(F2_11, [GALOIS.power(j) for j in range(11)])
     assert spec.contains(22)
     assert spec.members() == [1, 2, 11, 22]
 
 
 def test_semidirect_spectrum_frobenius_kernel():
-    cyc = [ActionGroupElement((MULT23.power(j),)) for j in range(23)]
-    spec = semidirect_spectrum((F2_11,), cyc)
+    spec = semidirect_spectrum(F2_11, [MULT23.power(j) for j in range(23)])
     assert spec.members() == [1, 2, 23]
     assert not spec.contains(46)
 
 
-def test_semidirect_spectrum_trivial_module():
-    # V = 0 is not a semidirect product this function describes
-    with pytest.raises(ValueError):
-        semidirect_spectrum((), [1, 17, 17, 17])
-    with pytest.raises(ValueError):
-        semidirect_spectrum((), [])
-
-
 def test_semidirect_spectrum_validation():
     with pytest.raises(ValueError):
-        semidirect_spectrum((F2_11,), [ActionGroupElement((MULT23, MULT23))])
-    with pytest.raises(ValueError):
-        semidirect_spectrum((F3_4,), [ActionGroupElement((MULT23,))])
-
-
-def test_group_element_requires_shared_characteristic():
-    with pytest.raises(ValueError):
-        ActionGroupElement((MULT23, MULT5))
+        semidirect_spectrum(F3_4, [MULT23])
 
 
 # -- fixed-point freeness and Frobenius arithmetic ----------------------------------------------
@@ -717,19 +674,6 @@ def test_is_fixed_point_free_needs_every_prime_of_t():
         assert not is_fixed_point_free(h), h
 
 
-def test_is_fixed_point_free_two_summands_exhaustive():
-    # every action on GF(2^4) + GF(2^2): h^j fixes a nonzero vector when
-    # either component power does
-    for (h1, d1), (h2, d2) in iproduct(power_scans(2, 4), power_scans(2, 2)):
-        h = ActionGroupElement((h1, h2))
-        if h.is_identity:
-            continue
-        n = lcm(len(d1), len(d2))
-        assert h.order() == n
-        free = not any(d1[j % len(d1)] or d2[j % len(d2)] for j in range(1, n))
-        assert is_fixed_point_free(h) == free, h
-
-
 def test_is_fixed_point_free_beyond_ten_thousand():
     # h = z x^(3^8) on GF(3^16), z primitive: h^2 multiplies by the norm of
     # z, a generator of GF(3^8)*, so h has order 2 * 6560.  The oracle uses
@@ -740,15 +684,11 @@ def test_is_fixed_point_free_beyond_ten_thousand():
     assert n == 13120
     assert all(plain_fixed_dim(h.power(n // r).matrix().rows, 3) == 0 for r in (2, 5, 41))
     assert is_fixed_point_free(h)
-    # with a second summand of order 3 the element's cube fixes (0, 1)
     f216 = make_field(2, 16)
     z = LinearAction.multiplication(subgroup_generator(f216, f216.order - 1))
     assert action_order(z) == 65535
     assert all(plain_fixed_dim(z.power(65535 // r).matrix().rows, 2) == 0 for r in (3, 5, 17, 257))
     assert is_fixed_point_free(z)
-    w = LinearAction.multiplication(subgroup_generator(make_field(2, 2), 3))
-    assert w.power(3).is_identity
-    assert not is_fixed_point_free(ActionGroupElement((z, w)))
 
 
 def test_lemma1_instance_gamma_23_11():
@@ -758,8 +698,7 @@ def test_lemma1_instance_gamma_23_11():
     gamma = build_gamma_frobenius(2, 11, 23)
     assert gamma.frobenius_config
     assert fixed_space_dim(GALOIS) > 0
-    gal = [ActionGroupElement((GALOIS.power(j),)) for j in range(11)]
-    assert semidirect_spectrum((F2_11,), gal).contains(22)
+    assert semidirect_spectrum(F2_11, [GALOIS.power(j) for j in range(11)]).contains(22)
 
 
 def test_frobenius_arith_check():
