@@ -29,13 +29,20 @@ enough apart that no two products meet.  A sum needs only a slot-parallel
 conditional subtraction of p (FiniteField._sub_p).  The ints are
 unbounded, so arithmetic is exact for every p.
 
-Each field computes two tables once, when it is built: the k-1 packed
+Each field computes two tables when it is built: the k-1 packed
 reductions x^(k+i) mod f and the k packed Frobenius images x^(ip) mod f.
-The Frobenius map x -> x^p is GF(p)-linear, so it is the sum of the
-images of the element's coefficients followed by one mod-p pass.
+Every Frobenius power x -> x^(p^e) is GF(p)-linear, so it is the sum of
+the images x^(i p^e) mod f of the element's coefficients followed by one
+mod-p pass (FiniteField._frobenius), one pass whatever e is.  The table of
+an exponent e other than 1 is built on its first use (FiniteField._images):
+y = x^(p^e) by e passes of the first table, then its k-2 further powers.
+So a candidate ring that make_field tests builds only the first table.
 
-Fields and elements are immutable and safe to share between threads; the
-coefficient tuple of an element is derived on demand (FieldElement.coeffs).
+Fields and elements are immutable in value and safe to share between
+threads.  The tables of further exponents are derived state kept in a
+dict on the field, outside equality, hashing and repr; threads racing to
+build one store equal tables.  The coefficient tuple of an element is
+derived on demand (FieldElement.coeffs).
 
 A multiplicative order (element_order) is found in the element's own
 subfield GF(p^d), d the length of its orbit under the Frobenius map, by
@@ -88,6 +95,7 @@ class FiniteField(Record):
             "_lanes": lanes,
             "_reductions": (),
             "_frobenius_images": (1,),
+            "_frobenius_tables": {},  # e -> the images of x -> x^(p^e), see _images
         }
         for name, value in constants.items():
             _set(self, name, value)
@@ -101,11 +109,9 @@ class FiniteField(Record):
             r = self._fold((r & self._low) + (r >> (w * k)) * reductions[0])
             reductions.append(r)
         _set(self, "_reductions", tuple(reductions))
-        xp = self._pow(1 << w, p)
-        images = [1, xp]
-        for _ in range(k - 2):
-            images.append(self._mul(images[-1], xp))
-        _set(self, "_frobenius_images", tuple(images))
+        images = self._power_table(self._pow(1 << w, p))
+        _set(self, "_frobenius_images", images)
+        self._frobenius_tables[1] = images
 
     def __eq__(self, other):
         if self is other:
@@ -192,11 +198,37 @@ class FiniteField(Record):
                 a = self._mul(a, a)
         return result
 
-    def _frobenius(self, v: int) -> int:
-        """v^p: the GF(p)-linear sum of the images of v's coefficients."""
+    def _power_table(self, y: int) -> tuple[int, ...]:
+        """(1, y, y^2, ..., y^(k-1)): k-2 products."""
+        table = [1]
+        if self.k > 1:
+            table.append(y)
+            for _ in range(self.k - 2):
+                table.append(self._mul(table[-1], y))
+        return tuple(table)
+
+    def _images(self, e: int) -> tuple[int, ...]:
+        """The table of x -> x^(p^e) for 0 <= e < k: the packed images
+        x^(i p^e) mod f of the basis, i < k.
+
+        Built on first use from y = x^(p^e), e passes of the e = 1 table,
+        and kept in _frobenius_tables.  A pure function of the field, so
+        threads racing to build it store equal tables.
+        """
+        images = self._frobenius_tables.get(e)
+        if images is None:
+            y = 1 << self._w
+            for _ in range(e):
+                y = self._frobenius(y, self._frobenius_images)
+            images = self._frobenius_tables[e] = self._power_table(y)
+        return images
+
+    def _frobenius(self, v: int, images: tuple[int, ...]) -> int:
+        """v^(p^e) for the table images of x -> x^(p^e) (see _images): the
+        GF(p)-linear sum of the images of v's coefficients, one mod-p pass."""
         w, mask = self._w, self._mask
         acc = 0
-        for image in self._frobenius_images:
+        for image in images:
             if not v:
                 break
             c = v & mask
@@ -221,20 +253,20 @@ class FiniteField(Record):
         k = self.k
         if k == 1:
             return True
-        x = 1 << self._w
+        x, images = 1 << self._w, self._frobenius_images
         t = x
         for _ in range(k):
-            t = self._frobenius(t)
+            t = self._frobenius(t, images)
         if t != x:
             return False
         for r in prime_divisors(k):
             t = x
             for _ in range(k // r):
-                t = self._frobenius(t)
+                t = self._frobenius(t, images)
             b = self._pow(self._sub_p(t + self._p_ones - x), self.p - 1)
             norm = b
             for _ in range(k - 1):
-                b = self._frobenius(b)
+                b = self._frobenius(b, images)
                 norm = self._mul(norm, b)
             if norm != 1:
                 return False
@@ -279,13 +311,14 @@ class FiniteField(Record):
             yield FieldElement(self, 1 << (self._w * j))
 
     def frobenius(self, x: "FieldElement", times: int = 1) -> "FieldElement":
-        """x raised to the p^times power (a GF(p)-linear field automorphism)."""
+        """x raised to the p^times power (a GF(p)-linear field automorphism),
+        in one pass over the table of times mod k."""
         if x.field is not self and x.field != self:
             raise ValueError("element belongs to a different field")
-        v = x.value
-        for _ in range(times % self.k):
-            v = self._frobenius(v)
-        return FieldElement(self, v)
+        e = times % self.k
+        if not e:
+            return FieldElement(self, x.value)
+        return FieldElement(self, self._frobenius(x.value, self._images(e)))
 
     def __str__(self) -> str:
         return f"GF({self.p}^{self.k})/modulus=[{','.join(map(str, self.modulus))}]"
@@ -400,7 +433,9 @@ def make_field(p: int, k: int) -> FiniteField:
     walks monic degree-k polynomials in lexicographic coefficient order,
     builds each candidate's field and keeps the first one that
     FiniteField._is_irreducible accepts, a test run in the candidate's own
-    ring (for k = 1 the modulus is the polynomial x).
+    ring (for k = 1 the modulus is the polynomial x).  A polynomial of
+    degree k >= 2 with a root in GF(p) is reducible, so candidates with a
+    root below min(p, k) (_has_root) are skipped before any ring is built.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -418,10 +453,29 @@ def make_field(p: int, k: int) -> FiniteField:
         for i in range(k - 1, -1, -1):
             coeffs[i] = m % p
             m //= p
+        if _has_root(coeffs, p):
+            continue
         candidate = FiniteField(p, k, tuple(coeffs) + (1,))
         if candidate._is_irreducible():
             return candidate
     raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+def _has_root(coeffs: list[int], p: int) -> bool:
+    """Whether the monic f = x^k + coeffs[k-1] x^(k-1) + ... + coeffs[0]
+    has a root a mod p with 0 <= a < min(p, k).
+
+    Horner at each a: at most k^2 integer steps for every p, and a complete
+    root test over GF(p) when p <= k.
+    """
+    k = len(coeffs)
+    for a in range(min(p, k)):
+        v = 1
+        for c in reversed(coeffs):
+            v = (v * a + c) % p
+        if not v:
+            return True
+    return False
 
 
 def _digit_rows(p: int, n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -504,16 +558,17 @@ def element_order(x: FieldElement) -> int:
         raise ValueError("zero has no multiplicative order")
     f = x.field
     p, v, d = f.p, x.value, f.k
+    images = f._frobenius_images
     conjugates = [v]
     for j in range(1, d // 2 + 1):
-        w = f._frobenius(conjugates[-1])
+        w = f._frobenius(conjugates[-1], images)
         if w == v:
             d = j
             break
         conjugates.append(w)
     reach, entries = _order_plan(p, d)
     while len(conjugates) < reach:
-        conjugates.append(f._frobenius(conjugates[-1]))
+        conjugates.append(f._frobenius(conjugates[-1], images))
     order = 1
     for r, e, n, rows in entries:
         y = pow(v, n, p) if d == 1 else _conjugate_power(f, conjugates, rows)

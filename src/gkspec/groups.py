@@ -56,7 +56,8 @@ class SemidirectSpec(Record):
                 raise ValueError("generator lives in the wrong summand")
             if element_order(g) != m:
                 raise ValueError(f"generator does not have order {m}")
-        if self.acting_group_size > ENUMERATION_LIMIT:
+        # spectrum() enumerates each factor's cyclic group on its own
+        if max(actor_orders) > ENUMERATION_LIMIT:
             raise ValueError("acting group too large to enumerate")
 
     @classmethod

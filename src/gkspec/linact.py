@@ -4,8 +4,11 @@ Every action in scope has the shape x -> u * x^(p^e) for a nonzero field
 element u and a Galois exponent e; that family is closed under composition
 and inversion, so actions are kept in this normal form.  LinearAction.matrix
 and minimal_polynomial realize an action as a k x k matrix over GF(p) for
-callers that want one; nothing else here builds a matrix, and verify's
-linear-action checks read every fact off the closure below.
+callers that want one.  Column j of the matrix is the image u * (x^(p^e))^j
+of x^j, read off the field's table of x -> x^(p^e) (gf.FiniteField._images)
+with one product per column and no Frobenius pass.  Nothing else here
+builds a matrix, and verify's linear-action checks read every fact off the
+closure below.
 
 On top of them sits the exact order formula for elements (v, h) of the
 semidirect product of the field by an action group: (v, h)^m = (T_m(v), 1)
@@ -144,9 +147,11 @@ class LinearAction(Record):
         return result
 
     def matrix(self) -> GFMatrix:
-        """The k x k matrix over GF(p): column j is the image of x^j."""
-        cols = [self.apply(b).coeffs for b in self.field.basis()]
-        return GFMatrix(self.field.p, tuple(zip(*cols)))
+        """The k x k matrix over GF(p): column j is the image
+        u * (x^(p^e))^j of x^j, one product with the field's table entry."""
+        f, u = self.field, self.mult.value
+        cols = [f._unpack(f._mul(u, image)) for image in f._images(self.galois_exp)]
+        return GFMatrix(f.p, tuple(zip(*cols)))
 
 
 def _closure(h: LinearAction) -> tuple[int, FieldElement]:

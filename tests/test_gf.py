@@ -3,6 +3,9 @@
 import copy
 import pickle
 import random
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
@@ -14,6 +17,7 @@ from gkspec.gf import (
     FiniteField,
     _conjugate_power,
     _digit_rows,
+    _has_root,
     _order_plan,
     element_order,
     make_field,
@@ -151,6 +155,54 @@ def test_is_irreducible_matches_trial_division_exhaustively(p, k):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("p,k", IRREDUCIBILITY_SHAPES)
+def test_root_filter_rejects_only_reducible_candidates(p, k):
+    rejected = 0
+    for tail in iproduct(range(p), repeat=k):
+        if _has_root(list(tail), p):
+            rejected += 1
+            assert not _brute_irreducible(list(tail) + [1], p), tail
+        elif p <= k:  # below min(p, k) = p the test sees every residue
+            assert all((sum(c * a**i for i, c in enumerate(tail)) + a**k) % p for a in range(p))
+    assert rejected
+
+
+def _candidate_rings(p, k, monkeypatch):
+    """(modulus, number of candidate rings tested) of an uncached make_field."""
+    tested = []
+    rabin = FiniteField._is_irreducible
+    monkeypatch.setattr(FiniteField, "_is_irreducible", lambda f: tested.append(f) or rabin(f))
+    modulus = make_field.__wrapped__(p, k).modulus
+    monkeypatch.undo()
+    return modulus, len(tested)
+
+
+def test_root_filter_halves_the_candidate_rings(monkeypatch):
+    # GF(3^12) tested 29 candidate rings before the root filter
+    assert _candidate_rings(3, 12, monkeypatch) == (make_field(3, 12).modulus, 13)
+    total = 0
+    for p, k, *_ in SEMIDIRECT_SHAPES:
+        modulus, rings = _candidate_rings(p, k, monkeypatch)
+        assert modulus == make_field(p, k).modulus
+        total += rings
+    assert total == 74  # 148 before the root filter
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_make_field_of_a_large_prime_finishes_in_bounded_time(p):
+    # a root filter over all of GF(p) would take p steps per candidate
+    t0 = time.perf_counter()
+    f = make_field.__wrapped__(p, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert _is_irreducible_quadratic(f.modulus, p)
+
+
+def _is_irreducible_quadratic(modulus, p):
+    """x^2 + bx + c is irreducible exactly when b^2 - 4c is a non-square (p odd)."""
+    c, b, _ = modulus
+    return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+
+
 # -- arithmetic laws ---------------------------------------------------------------
 
 def _random_element(field, rng):
@@ -209,6 +261,54 @@ def test_frobenius_is_additive():
         for _ in range(200):
             a, b = _random_element(f, rng), _random_element(f, rng)
             assert f.frobenius(a + b) == f.frobenius(a) + f.frobenius(b)
+
+
+FROBENIUS_SHAPES = [(2, 11), (3, 16), (7, 9), (43, 2), (2, 43), (3037000493, 2)]
+
+
+@pytest.mark.parametrize("p,k", FROBENIUS_SHAPES)
+def test_frobenius_power_matches_square_and_multiply_and_repeated_maps(p, k):
+    f = FiniteField(p, k, make_field(p, k).modulus)  # a fresh field: no table built yet
+    rng = random.Random(p + k)
+    xs = [f.one, f.element([p - 1] * k)] + [_random_element(f, rng) for _ in range(3)]
+    for e in range(-k, 2 * k):
+        for x in xs:
+            want = x ** (p ** (e % k))
+            v = x.value
+            for _ in range(e % k):
+                v = f._frobenius(v, f._frobenius_images)
+            assert f.frobenius(x, e) == want == FieldElement(f, v), (e, x)
+    assert f == make_field(p, k) and hash(f) == hash(make_field(p, k))
+
+
+def test_frobenius_tables_filled_by_racing_threads():
+    # threads apply every Frobenius power on the same fresh field, whose
+    # tables are not yet built; each answer must equal square-and-multiply
+    p, k = 3, 16
+    modulus = make_field(p, k).modulus
+    rng = random.Random(29)
+    xs = [_random_element(make_field(p, k), rng) for _ in range(4)]
+    expected = [[(x ** (p**e)).value for e in range(k)] for x in xs]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            f = FiniteField(p, k, modulus)
+            results = [None] * 4
+
+            def work(slot):
+                results[slot] = [[f.frobenius(x, e).value for e in range(k)] for x in xs]
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+            assert sorted(f._frobenius_tables) == list(range(1, k))
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_mixed_field_operations_rejected():
@@ -348,7 +448,7 @@ def test_conjugate_power_matches_square_and_multiply(p, k):
         x = f.element_at(rng.randrange(f.order)).value
         conjugates = [x]
         for _ in range(width - 1):
-            conjugates.append(f._frobenius(conjugates[-1]))
+            conjugates.append(f._frobenius(conjugates[-1], f._frobenius_images))
         assert _conjugate_power(f, conjugates, rows) == f._pow(x, n), n
     # each cofactor of the plans divides p^d - 1 and is laid out as above
     for d in (d for d in range(1, k + 1) if k % d == 0):
@@ -460,3 +560,10 @@ def test_field_pickles_and_copies_after_element_at():
             assert clone == f and hash(clone) == hash(f)
             assert clone.element_at(f.order - 2) == x
         assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
+        # the Frobenius tables built on first use travel with the field
+        exponents = range(1, k, 2)
+        images = [f.frobenius(x, e) for e in exponents]
+        for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f and hash(clone) == hash(f)
+            assert clone._frobenius_tables == f._frobenius_tables
+            assert [clone.frobenius(FieldElement(clone, x.value), e) for e in exponents] == images

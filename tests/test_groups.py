@@ -21,7 +21,7 @@ from gkspec.groups import (
 )
 from gkspec.linact import LinearAction, action_order, semidirect_element_order
 from gkspec.atlasdb import load, stored_spectrum
-from gkspec.orderset import OrderSet, factorize
+from gkspec.orderset import OrderSet, factorize, product_spectrum
 from gkspec.verify import run_checks
 
 
@@ -178,9 +178,27 @@ def test_semidirect_spec_validation():
     with pytest.raises(ValueError):
         SemidirectSpec.build(((3, 4),), (7,))  # 7 does not divide 80
     with pytest.raises(ValueError):
-        SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))  # too large
+        SemidirectSpec.build(((2, 17), (2, 11)), (2**17 - 1, 23))  # one actor too large
     with pytest.raises(ValueError):
         SemidirectSpec((), (), ())  # V = 0 is no semidirect product described here
+
+
+def test_semidirect_spec_bounds_each_actor_order_not_their_product():
+    # 2047^2 > ENUMERATION_LIMIT, but the spectrum enumerates 2 x 2047 plans
+    spec = SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))
+    assert spec.acting_group_size == 2047**2
+    factor = SemidirectSpec.build(((2, 11),), (2047,)).spectrum()
+    assert spec.spectrum() == product_spectrum(factor, factor)
+    assert factor.members() == sorted({1, 2} | {d for d in range(1, 2048) if 2047 % d == 0})
+
+
+def test_semidirect_spec_refuses_actor_order_beyond_enumeration_limit():
+    # 2^61 - 1 divides |GF(2^61)| - 1, so only the per-actor bound stops
+    # this before the spectrum lists 2^61 - 1 plans
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 5))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_semidirect_spec_checks_every_generator():

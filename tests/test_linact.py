@@ -131,6 +131,22 @@ def test_matrix_realizes_action():
             assert tuple(m.matvec(v.coeffs)) == h.apply(v).coeffs
 
 
+@pytest.mark.parametrize("p,k", [(3, 16), (7, 9)])
+def test_matrix_columns_are_powers_of_the_frobenius_image(p, k):
+    # column j is u * (x^j)^(p^e), by square-and-multiply, not by the tables
+    field = FiniteField(p, k, make_field(p, k).modulus)
+    x = field.element([0, 1] + [0] * (k - 2))
+    rng = random.Random(p * k)
+    for _ in range(10):
+        u, e = _random_element(field, rng), rng.randrange(k)
+        if u.is_zero:
+            continue
+        rows = LinearAction(field, u, e).matrix().rows
+        for j in range(k):
+            column = tuple(row[j] for row in rows)
+            assert column == (u * (x**j) ** (p**e)).coeffs, (u, e, j)
+
+
 # -- orders -------------------------------------------------------------------------
 
 def test_action_order_examples():

@@ -61,7 +61,7 @@ def _cases():
         (CrosscheckReport, ("name", "status", "detail"), ("L2(23)", "verified", "matches"),
          ("J4", "cited", "no oracle"), {"status": "cited"}, ()),
         (FiniteField, ("p", "k", "modulus"), (3, 4, f.modulus), (3, 1, f3.modulus),
-         {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_images")),
+         {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_images", "_frobenius_tables")),
         (SemidirectSpec, spec_fields, _values(spec, spec_fields), _values(spec2, spec_fields),
          {"generators": (spec.generators[0] ** 2,)}, ()),
         (GammaSemilinearGroup, gamma_fields, _values(gamma, gamma_fields),
