@@ -60,9 +60,9 @@ def _cmd_gk(args) -> int:
     if args.dot:
         sys.stdout.write(g.dot())
         return 0
-    print(f"vertices: {','.join(map(str, g.vertices))}")
+    print(f"vertices: {','.join(map(str, g.vertices)) or '-'}")
     edges = " ".join(f"{p}-{q}" for p, q in sorted(g.edges))
-    print(f"edges: {edges if edges else '-'}")
+    print(f"edges: {edges or '-'}")
     return 0
 
 

@@ -11,11 +11,12 @@ builds a matrix, and verify's linear-action checks read every fact off the
 closure below.
 
 On top of them sits the exact order formula for elements (v, h) of the
-semidirect product of the field by an action group: (v, h)^m = (T_m(v), 1)
-for m the order of h and T_m = 1 + h + ... + h^(m-1), so the order is m
-when T_m kills v and p*m otherwise.  A group acting on several summands,
-each multiplied by its own factor, is the direct product of one such
-semidirect product per summand; its spectrum is the lcm closure of theirs
+semidirect product of the field by the cyclic group <h>:
+(v, h)^m = (T_m(v), 1) for m the order of h and
+T_m = 1 + h + ... + h^(m-1), so the order is m when T_m kills v and p*m
+otherwise.  A group acting on several summands, each multiplied by its
+own factor, is the direct product of one such semidirect product per
+summand; its spectrum is the lcm closure of theirs
 (orderset.product_spectrum).
 
 Every fact about h used here is read off one closure (Lidl and
@@ -38,8 +39,12 @@ The part of this that depends on h alone is its plan (m, t): T_m is the
 zero map exactly when m != t.  When m = t, T_t is never zero: its t terms
 h^i = u_i * x^(p^(ie)), i < t, carry t distinct field automorphisms, so
 by Artin's independence of characters (Lang, Algebra, VI 4) no sum of them
-with nonzero u_i vanishes.  So a semidirect spectrum is read off the plans
-alone, and a single element order evaluates T_t on its one vector.
+with nonzero u_i vanishes.  So a single element order evaluates T_t on
+its one vector.  With s = ord(c), the h^j of order d are those with
+gcd(j, m) = m/d, of closure length t / gcd(m/d, t) as t | m; so some
+(v, h^j) has order p*d exactly when d | t and gcd(d, s) = 1, and the
+spectrum of GF(p^k) x| <h> is the closure of {m, p*t'}, t' the largest
+divisor of t prime to s.
 
 A LinearAction computes its plan once, on first use, and keeps it outside
 the value fields (_record.derived): equality, hashing and repr never see
@@ -55,10 +60,7 @@ from operator import mul
 
 from ._record import Record, _set, derived
 from .gf import FieldElement, FiniteField, element_order
-from .orderset import OrderSet, _is_prime, prime_divisors
-
-# The most actions semidirect_spectrum enumerates.
-ENUMERATION_LIMIT = 10**5
+from .orderset import OrderSet, _is_prime
 
 
 class GFMatrix(Record):
@@ -171,8 +173,17 @@ def _closure(h: LinearAction) -> tuple[int, FieldElement]:
 
 def action_order(h: LinearAction) -> int:
     """Least m >= 1 with h^m the identity: t * ord(c) for the closure (t, c)."""
-    t, c = _closure(h)
-    return t * element_order(c)
+    return h._plan[0]
+
+
+def _free_part(h: LinearAction) -> int:
+    """t': the largest divisor of t prime to m / t, for the plan (m, t)."""
+    m, t = h._plan
+    g = gcd(t, m // t)
+    while g > 1:
+        t //= g
+        g = gcd(t, g)
+    return t
 
 
 def fixed_space_dim(h: LinearAction) -> int:
@@ -234,19 +245,21 @@ def minpoly_equals_xs_minus_1(h: LinearAction, s: int) -> bool:
     """Whether the minimal polynomial of h is exactly x^s - 1.
 
     Requires s prime and the order of h equal to s.  The answer is read off
-    the closure (t, c): s = t * ord(c) is prime, so either t = s and c = 1,
-    or t = 1.  When t = s, h^s is the identity while 1, h, ..., h^(s-1)
-    carry s distinct field automorphisms, so by Artin's independence of
-    characters no polynomial of degree below s kills h: the minimal
-    polynomial is x^s - 1.  When t = 1, h is multiplication by c, whose
-    minimal polynomial is the irreducible one of c over GF(p), never x^s - 1
-    (that has the factor x - 1 and degree s >= 2).
+    the plan (m, t) of the closure (t, c): m = s = t * ord(c) is prime, so
+    either t = s and c = 1, or t = 1.  When t = s, h^s is the identity
+    while 1, h, ..., h^(s-1) carry s distinct field automorphisms, so by
+    Artin's independence of characters no polynomial of degree below s
+    kills h: the minimal polynomial is x^s - 1.  When t = 1, h is
+    multiplication by c, whose minimal polynomial is the irreducible one of
+    c over GF(p), never x^s - 1 (that has the factor x - 1 and degree
+    s >= 2).
     """
     if not _is_prime(s):
         raise ValueError("s must be prime")
-    if action_order(h) != s:
+    m, t = h._plan
+    if m != s:
         raise ValueError("action order must equal s")
-    return _closure(h)[0] == s
+    return t == s
 
 
 def _t_sum_on(h: LinearAction, m: int, v: FieldElement) -> FieldElement:
@@ -273,41 +286,21 @@ def semidirect_element_order(v: FieldElement, h: LinearAction) -> int:
     return m
 
 
-def semidirect_spectrum(field: FiniteField, actions) -> OrderSet:
-    """Exact element-order spectrum of GF(p^k) x| H.
-
-    actions lists every member of the acting group H, each a LinearAction
-    on field.  The spectrum is the closure of {1, p}, p the characteristic,
-    with every acting order m, or p*m for each h whose T_m is not the zero
-    map, that is each h whose plan (m, t) has m == t (module docstring); no
-    T-sum is evaluated.
-    """
-    actions = list(actions)
-    if len(actions) > ENUMERATION_LIMIT:
-        raise ValueError("acting group too large to enumerate")
-    p = field.p
-    gens = {1, p}
-    for h in actions:
-        if h.field != field:
-            raise ValueError("action does not act on the field")
-        m, t = h._plan
-        gens.add(p * m if m == t else m)
-    return OrderSet.from_generators(gens)
+def semidirect_spectrum(h: LinearAction) -> OrderSet:
+    """Exact element-order spectrum of GF(p^k) x| <h>: the closure of
+    {m, p*t'} for the plan (m, t) of h (module docstring).  No power of h
+    is formed and no T-sum is evaluated."""
+    return OrderSet.from_generators((h._plan[0], h.field.p * _free_part(h)))
 
 
 def is_fixed_point_free(h: LinearAction) -> bool:
-    """Whether every nontrivial power of h fixes only zero.
-
-    This is the defining property of the acting side of a Frobenius
-    configuration.  It is read off the closure (t, c) (module docstring):
-    every prime of t must divide the order of c.  The cost does not grow
-    with the order of h.
-    """
+    """Whether every nontrivial power of h fixes only zero, as the acting
+    side of a Frobenius configuration must: whether t' = 1, that is every
+    prime of t divides ord(c) (module docstring), at a cost not growing
+    with the order of h."""
     if h.is_identity:
         raise ValueError("the identity has the whole space as fixed points")
-    t, c = _closure(h)
-    d = element_order(c)
-    return all(d % r == 0 for r in prime_divisors(t))
+    return _free_part(h) == 1
 
 
 def frobenius_arith_check(kernel_order: int, complement_order: int) -> bool:

@@ -356,7 +356,7 @@ def _check_linact_galois(corpus):
 def _check_linact_order22(corpus):
     f = make_field(2, 11)
     phi = LinearAction.galois(f)
-    spec = semidirect_spectrum(f, [phi.power(j) for j in range(11)])
+    spec = semidirect_spectrum(phi)
     _require(spec.contains(22), "order 22 missing from the Galois semidirect spectrum")
     _require(
         semidirect_element_order(f.one, phi) == 22,
@@ -375,7 +375,7 @@ def _check_linact_kernel(corpus):
         all(semidirect_element_order(b, mult) == 23 for b in f.basis()),
         "T_23 of the multiplication should vanish",
     )
-    spec = semidirect_spectrum(f, [mult.power(j) for j in range(23)])
+    spec = semidirect_spectrum(mult)
     _require(not spec.contains(46), "no order 46: the T-sum vanishes")
     _require(spec.members() == [1, 2, 23], f"kernel semidirect spectrum is {spec.members()}")
     gamma = groups.build_gamma_frobenius(2, 11, 23)

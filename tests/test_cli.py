@@ -96,6 +96,13 @@ def test_gk_named_group(capsys):
     assert out.splitlines()[1] == "edges: 2-3 2-5 2-7 2-11 3-5 3-7 3-11 5-7"
 
 
+def test_gk_trivial(capsys):
+    # no primes: both lines print "-", as the pi line of spectrum does
+    code, out, _ = run(capsys, "gk", "--gens", "1")
+    assert code == 0
+    assert out == "vertices: -\nedges: -\n"
+
+
 def test_gk_dot_output(capsys):
     code, out, _ = run(capsys, "gk", "--group", "J4", "--dot")
     assert code == 0

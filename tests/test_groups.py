@@ -178,13 +178,12 @@ def test_semidirect_spec_validation():
     with pytest.raises(ValueError):
         SemidirectSpec.build(((3, 4),), (7,))  # 7 does not divide 80
     with pytest.raises(ValueError):
-        SemidirectSpec.build(((2, 17), (2, 11)), (2**17 - 1, 23))  # one actor too large
-    with pytest.raises(ValueError):
         SemidirectSpec((), (), ())  # V = 0 is no semidirect product described here
 
 
-def test_semidirect_spec_bounds_each_actor_order_not_their_product():
-    # 2047^2 > ENUMERATION_LIMIT, but the spectrum enumerates 2 x 2047 plans
+def test_semidirect_spec_spectrum_is_product_of_factors():
+    # an acting group of 2047^2 elements; its spectrum is read off one plan
+    # per factor
     spec = SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))
     assert spec.acting_group_size == 2047**2
     factor = SemidirectSpec.build(((2, 11),), (2047,)).spectrum()
@@ -192,12 +191,25 @@ def test_semidirect_spec_bounds_each_actor_order_not_their_product():
     assert factor.members() == sorted({1, 2} | {d for d in range(1, 2048) if 2047 % d == 0})
 
 
-def test_semidirect_spec_refuses_actor_order_beyond_enumeration_limit():
-    # 2^61 - 1 divides |GF(2^61)| - 1, so only the per-actor bound stops
-    # this before the spectrum lists 2^61 - 1 plans
+def test_semidirect_spec_large_actor_orders_in_bounded_time():
+    # every actor order dividing |F| - 1 is accepted, up to 2^61 - 1 on
+    # GF(2^61): a factor spectrum is the closure of {m, p} for a unit
+    # multiplication of order m, and no power of its generator is formed
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="too large to enumerate"):
-        SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 5))
+    mersenne17 = SemidirectSpec.build(((2, 17),), (2**17 - 1,)).spectrum()
+    assert mersenne17.maximal_elements == (2, 2**17 - 1)
+    kernel23 = SemidirectSpec.build(((2, 11),), (23,)).spectrum()
+    pair = SemidirectSpec.build(((2, 17), (2, 11)), (2**17 - 1, 23)).spectrum()
+    assert pair == product_spectrum(mersenne17, kernel23)
+    mersenne61 = SemidirectSpec.build(((2, 61),), (2**61 - 1,)).spectrum()
+    assert mersenne61.maximal_elements == (2, 2**61 - 1)
+    c2, c5 = (SemidirectSpec.build(((3, 4),), (m,)).spectrum() for m in (2, 5))
+    assert c5.maximal_elements == (3, 5)
+    pair = SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 2)).spectrum()
+    assert pair == product_spectrum(mersenne61, c2)
+    # with C5 the element order 5 * (2^61 - 1) leaves the 64-bit range
+    with pytest.raises(OverflowError):
+        SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 5)).spectrum()
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -25,6 +25,7 @@ from gkspec.linact import (
     _closure,
     _t_sum_on,
 )
+from gkspec.orderset import OrderSet
 
 F2_11 = make_field(2, 11)
 F3_4 = make_field(3, 4)
@@ -347,23 +348,35 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
     # every action x -> u x^(p^e) and every vector of a small field; the
     # oracle sums the matrices A^0 + ... + A^(m-1) of h directly, m the
     # order of h.  T_m is the zero map exactly when the plan (m, t) has
-    # m != t, and the spectrum gains p*m exactly when it is not
+    # m != t, and the spectrum gains p*m exactly when it is not.  Each h^j
+    # is another action of the walk, so the spectrum of GF(p^k) x| <h> is
+    # checked against the closure of the largest orders m_j or p*m_j of
+    # the pairs (v, h^j) found there; m is checked as the number of powers
+    # of h, so this reads no plan
     field = make_field(p, k)
     vectors = [field.element_at(n) for n in range(field.order)]
     columns = list(zip(*(v.coeffs for v in vectors)))  # every vector, as a k x q matrix
-    zero_maps = set()
+    zero_maps, verdicts = set(), {}
     for u, e in iproduct(vectors[1:], range(k)):
         h = LinearAction(field, u, e)
         m, t = h._plan
         t_sum = plain_t_sum(h.matrix().rows, m, p)
         zero_map = not any(map(any, t_sum))
         assert (m != t) == zero_map, h
-        assert semidirect_spectrum(field, [h]).contains(p * m) == (not zero_map), h
+        assert semidirect_spectrum(h).contains(p * m) == (not zero_map), h
         images = list(zip(*plain_mul(t_sum, columns, p)))
         for v, image in zip(vectors, images):
             assert semidirect_element_order(v, h) == (p * m if any(image) else m), (h, v)
         zero_maps.add(zero_map)
+        verdicts[h] = (m, zero_map)
     assert zero_maps == {True, False}
+    for h, (m, _) in verdicts.items():
+        powers = [h]
+        while not powers[-1].is_identity:
+            powers.append(powers[-1] * h)
+        assert len(powers) == m, h
+        gens = {mj if zero else p * mj for mj, zero in map(verdicts.get, powers)}
+        assert semidirect_spectrum(h) == OrderSet.from_generators(gens), h
 
 
 def test_t_sum_on_matches_defining_sum():
@@ -501,14 +514,15 @@ def test_plan_same_whichever_caller_fills_it():
             vectors = _plan_vectors(field, rng) + _plan_vectors(field, rng)[1:]
             # a fresh action per query never reuses a plan
             fresh = [semidirect_element_order(v, h._replace()) for v in vectors]
-            fresh_spectrum = semidirect_spectrum(field, [h._replace()])
+            fresh_spectrum = semidirect_spectrum(h._replace())
             spectrum_first = h._replace()
-            assert semidirect_spectrum(field, [spectrum_first]) == fresh_spectrum
+            assert semidirect_spectrum(spectrum_first) == fresh_spectrum
             assert [semidirect_element_order(v, spectrum_first) for v in vectors] == fresh
             order_first = h._replace()
             assert [semidirect_element_order(v, order_first) for v in vectors] == fresh
-            assert semidirect_spectrum(field, [order_first]) == fresh_spectrum
-            plan = (action_order(h), _closure(h)[0])
+            assert semidirect_spectrum(order_first) == fresh_spectrum
+            t, c = _closure(h)
+            plan = (t * element_order(c), t)
             assert spectrum_first._plan == order_first._plan == plan
 
 
@@ -570,27 +584,21 @@ def test_semidirect_order_input_validation():
     # same characteristic, another degree
     with pytest.raises(ValueError):
         semidirect_element_order(make_field(2, 5).one, GALOIS)
-    gal = [GALOIS.power(j) for j in range(11)]
-    assert semidirect_spectrum(twin, gal) == semidirect_spectrum(F2_11, gal)
+    assert semidirect_spectrum(LinearAction.galois(twin)) == semidirect_spectrum(GALOIS)
 
 
 # -- semidirect spectra ---------------------------------------------------------------------
 
 def test_semidirect_spectrum_galois():
-    spec = semidirect_spectrum(F2_11, [GALOIS.power(j) for j in range(11)])
+    spec = semidirect_spectrum(GALOIS)
     assert spec.contains(22)
     assert spec.members() == [1, 2, 11, 22]
 
 
 def test_semidirect_spectrum_frobenius_kernel():
-    spec = semidirect_spectrum(F2_11, [MULT23.power(j) for j in range(23)])
+    spec = semidirect_spectrum(MULT23)
     assert spec.members() == [1, 2, 23]
     assert not spec.contains(46)
-
-
-def test_semidirect_spectrum_validation():
-    with pytest.raises(ValueError):
-        semidirect_spectrum(F3_4, [MULT23])
 
 
 # -- fixed-point freeness and Frobenius arithmetic ----------------------------------------------
@@ -714,7 +722,7 @@ def test_lemma1_instance_gamma_23_11():
     gamma = build_gamma_frobenius(2, 11, 23)
     assert gamma.frobenius_config
     assert fixed_space_dim(GALOIS) > 0
-    assert semidirect_spectrum(F2_11, [GALOIS.power(j) for j in range(11)]).contains(22)
+    assert semidirect_spectrum(GALOIS).contains(22)
 
 
 def test_frobenius_arith_check():
