@@ -344,14 +344,17 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     (groups.psl2_order_counts), order from groups.psl2_order_formula.  Any
     stored fact that disagrees is a hard CrosscheckError.  Everything else
     is reported as cited data (its internal consistency was already
-    validated at construction).
+    validated at construction).  A q the census rejects is a RecordError.
     """
     q = parse_psl2_name(record.name)
     if q is None or q > PSL2_MAX_Q:
         return CrosscheckReport(
             record.name, "cited", "no in-range oracle; cited data, internally consistent"
         )
-    oracle = record_from_psl2(q)
+    try:
+        oracle = record_from_psl2(q)
+    except ValueError as exc:  # q no prime power, or below 2
+        raise RecordError(record.name, str(exc)) from None
     problems = [
         fact
         for fact in ("order", "pi", "mu", "has9", "has25")

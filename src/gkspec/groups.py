@@ -1,8 +1,8 @@
 """Named group constructions and their exact spectra.
 
-Three families live here: semidirect products of field summands by cyclic
-unit-multiplication groups (including the three-prime tightness witness),
-semilinear kernel-complement groups inside GammaL1(p^k) such as 23:11 on
+Three families live here: the three-prime tightness witness, given by the
+two unit multiplications that act on its field summands, semilinear
+kernel-complement groups inside GammaL1(p^k) such as 23:11 on
 GF(2^11), and PSL2(q) spectra from a census of SL2(q) over its two tori,
 of orders q - 1 and q + 1 (Dickson).  No spectrum lists an acting group,
 matrix or field element; enumeration and the trace recurrence survive as
@@ -15,79 +15,32 @@ spectrum criterion rounds out the module.
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
-from math import gcd, prod
+from functools import cache
+from math import gcd
 
 from ._record import Record, _set
-from .gf import FieldElement, FiniteField, element_order, make_field, subgroup_generator
-from .linact import LinearAction, semidirect_spectrum
-from .orderset import OrderSet, factorize, product_spectrum
+from .gf import FieldElement, FiniteField, make_field, subgroup_generator
+from .linact import LinearAction
+from .orderset import OrderSet, factorize
 
 # The most maps build_gamma_frobenius lists in its actions tuple.
 ENUMERATION_LIMIT = 10**5
 
 
-class SemidirectSpec(Record):
-    """Field summands acted on by a product of cyclic unit groups.
-
-    Actor j multiplies on summand j by generators[j], an element of exact
-    order actor_orders[j], and acts trivially on every other summand.  So
-    the group is the direct product of the single-summand semidirect
-    products summands[j] x| <generators[j]>, and its spectrum is the
-    product (lcm closure) of their closed-form spectra, whatever the
-    actor orders (linact.semidirect_spectrum).
-    """
-
-    _fields = ("summands", "actor_orders", "generators")
-
-    def __init__(
-        self,
-        summands: tuple[FiniteField, ...],
-        actor_orders: tuple[int, ...],
-        generators: tuple[FieldElement, ...],
-    ):
-        _set(self, "summands", summands)
-        _set(self, "actor_orders", actor_orders)
-        _set(self, "generators", generators)
-        n = len(summands)
-        if not n:
-            raise ValueError("at least one summand is required")
-        if len(actor_orders) != n or len(generators) != n:
-            raise ValueError("one actor order and one generator per summand are required")
-        for f, m, g in zip(summands, actor_orders, generators):
-            if (f.order - 1) % m != 0:
-                raise ValueError(f"{m} does not divide |{f}| - 1")
-            if g.field != f:
-                raise ValueError("generator lives in the wrong summand")
-            if element_order(g) != m:
-                raise ValueError(f"generator does not have order {m}")
-
-    @classmethod
-    def build(cls, field_shapes, actor_orders) -> "SemidirectSpec":
-        fields = tuple(make_field(p, k) for p, k in field_shapes)
-        gens = tuple(
-            subgroup_generator(f, m) for f, m in zip(fields, actor_orders)
-        )
-        return cls(fields, tuple(actor_orders), gens)
-
-    @property
-    def acting_group_size(self) -> int:
-        return prod(self.actor_orders)
-
-    def spectrum(self) -> OrderSet:
-        factors = [semidirect_spectrum(LinearAction.multiplication(g)) for g in self.generators]
-        return reduce(product_spectrum, factors)
-
-
 @cache
-def build_remark_group() -> SemidirectSpec:
-    """The tightness witness: GF(3^16)+ x GF(3^4)+ acted on by C17 x C5.
+def build_remark_group() -> tuple[LinearAction, LinearAction]:
+    """The tightness witness GF(3^16)+ x GF(3^4)+ acted on by C17 x C5, as
+    its two acting multiplications, each on its own summand.
 
-    Its spectrum has three primes, every prime pair appears as an element
-    order, no member has three distinct prime divisors, and no prime
-    divides another prime minus one.
+    Its spectrum, the product of the two factors' semidirect spectra, has
+    three primes, every prime pair appears as an element order, no member
+    has three distinct prime divisors, and no prime divides another prime
+    minus one.
     """
-    return SemidirectSpec.build(((3, 16), (3, 4)), (17, 5))
+    return tuple(
+        LinearAction.multiplication(subgroup_generator(make_field(3, k), m))
+        for k, m in ((16, 17), (4, 5))
+    )
 
 
 def check_proposition_hypotheses(
@@ -140,6 +93,19 @@ class GammaSemilinearGroup(Record):
         _set(self, "frobenius_config", frobenius_config)
 
 
+def gamma_frobenius_config(p: int, k: int, kernel_order: int, complement_order: int) -> bool:
+    """build_gamma_frobenius's arguments checked and its frobenius_config
+    flag, no map listed: e-th Frobenius powers fix a nontrivial kernel
+    element exactly when gcd(p^e - 1, kernel_order) > 1."""
+    m, c = kernel_order, complement_order
+    if m < 1 or (make_field(p, k).order - 1) % m != 0:
+        raise ValueError(f"{m} does not divide {p}^{k} - 1")
+    if c < 1 or k % c != 0:
+        raise ValueError("complement order must divide the extension degree")
+    step = k // c
+    return c > 1 and all(gcd(p ** ((step * e) % k) - 1, m) == 1 for e in range(1, c))
+
+
 def build_gamma_frobenius(
     p: int, k: int, kernel_order: int, complement_order: int | None = None
 ) -> GammaSemilinearGroup:
@@ -147,32 +113,23 @@ def build_gamma_frobenius(
 
     complement_order must divide k and defaults to k (the full Galois
     group); passing 1 degenerates to the cyclic kernel alone.  The
-    Frobenius flag is computed directly: e-th Frobenius powers fix a
-    nontrivial kernel element exactly when gcd(p^e - 1, kernel_order) > 1.
-    The actions tuple lists every map, so groups of more than
-    ENUMERATION_LIMIT maps are refused.
+    Frobenius flag is gamma_frobenius_config's.  The actions tuple lists
+    every map, so groups of more than ENUMERATION_LIMIT maps are refused.
     """
-    field = make_field(p, k)
-    m = kernel_order
-    if (field.order - 1) % m != 0:
-        raise ValueError(f"{m} does not divide {p}^{k} - 1")
     c = k if complement_order is None else complement_order
-    if c < 1 or k % c != 0:
-        raise ValueError("complement order must divide the extension degree")
-    if m * c > ENUMERATION_LIMIT:
+    fpf = gamma_frobenius_config(p, k, kernel_order, c)
+    if kernel_order * c > ENUMERATION_LIMIT:
         raise ValueError("acting group too large to enumerate")
+    field = make_field(p, k)
     step = k // c
-    zeta = subgroup_generator(field, m)
+    zeta = subgroup_generator(field, kernel_order)
     powers = [field.one]
-    for _ in range(m - 1):
+    for _ in range(kernel_order - 1):
         powers.append(powers[-1] * zeta)
     actions = tuple(
         LinearAction(field, u, (step * e) % k) for u in powers for e in range(c)
     )
-    fpf = c > 1 and all(
-        gcd(p ** ((step * e) % k) - 1, m) == 1 for e in range(1, c)
-    )
-    return GammaSemilinearGroup(field, m, c, zeta, actions, fpf)
+    return GammaSemilinearGroup(field, kernel_order, c, zeta, actions, fpf)
 
 
 PSL2_MAX_Q = 64  # largest q that psl2_order_counts accepts

@@ -12,7 +12,7 @@ unexpected exceptions are reported as failures too, never swallowed.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, reduce
 from math import lcm
 
 from . import atlasdb, groups, primegraph
@@ -99,7 +99,7 @@ class Corpus:
 @cache
 def _remark_spectrum() -> OrderSet:
     """The witness spectrum, read by three checks and built once per process."""
-    return groups.build_remark_group().spectrum()
+    return reduce(product_spectrum, map(semidirect_spectrum, groups.build_remark_group()))
 
 
 def _require(cond: bool, message: str):
@@ -249,17 +249,17 @@ def _check_remark_hypotheses(corpus):
     return "both hypotheses hold and the three-prime bound is attained"
 
 
-def _factor_orders(field, generator, m) -> list[list[int]]:
-    """orders[i][z]: the order of (z, g^i) in field x| <g>, g the generator
-    (of order m) acting by multiplication and z the vector 0 or 1.
+def _factor_orders(h) -> list[list[int]]:
+    """orders[i][z]: the order of (z, g^i) in field x| <g>, h the
+    multiplication by g and z the vector 0 or 1, for i until g^i is one.
 
     Each order is found by multiplying the pair out,
-    (v, u)(w, x) = (v + u*w, u*x), until the identity; no plan or T-sum is
-    read.
+    (v, u)(w, x) = (v + u*w, u*x), until the identity; no plan, T-sum or
+    element_order is read.
     """
-    orders = []
-    for i in range(m):
-        u = generator**i
+    field = h.field
+    orders, u = [], field.one
+    while not (orders and u.is_one):
         row = []
         for v in (field.zero, field.one):
             w, x, n = v, u, 1
@@ -267,6 +267,7 @@ def _factor_orders(field, generator, m) -> list[list[int]]:
                 w, x, n = w + x * v, x * u, n + 1
             row.append(n)
         orders.append(row)
+        u = u * h.mult
     return orders
 
 
@@ -277,14 +278,11 @@ def _check_remark_sampling(corpus):
     # a nonzero scalar c, is an automorphism (multiplications commute), so a
     # factor order depends only on h and on whether v is zero: the tables
     # hold every order in the group.
-    spec = groups.build_remark_group()
+    actions = groups.build_remark_group()
     structural = set(_remark_spectrum().members())
-    big, small = (
-        _factor_orders(f, g, m)
-        for f, g, m in zip(spec.summands, spec.generators, spec.actor_orders)
-    )
-    small_order = spec.summands[1].order
-    module_order = spec.summands[0].order * small_order
+    big, small = map(_factor_orders, actions)
+    small_order = actions[1].field.order
+    module_order = actions[0].field.order * small_order
     actors = len(big) * len(small)
     rng = random.Random(SAMPLE_SEED)
     seen = set()
@@ -378,8 +376,9 @@ def _check_linact_kernel(corpus):
     spec = semidirect_spectrum(mult)
     _require(not spec.contains(46), "no order 46: the T-sum vanishes")
     _require(spec.members() == [1, 2, 23], f"kernel semidirect spectrum is {spec.members()}")
-    gamma = groups.build_gamma_frobenius(2, 11, 23)
-    _require(gamma.frobenius_config, "23:11 should be a Frobenius configuration")
+    _require(
+        groups.gamma_frobenius_config(2, 11, 23, 11), "23:11 should be a Frobenius configuration"
+    )
     return "23 acts freely: spectrum {1,2,23}, no 46; 23:11 is Frobenius"
 
 

@@ -124,12 +124,12 @@ def test_criterion_7_remark_group():
     def build_and_sample():
         # actor j multiplies summand j only, so (v, h) is a pair of factor
         # elements (v_j, h_j) and its order the lcm of the factor orders
-        spec = groups.build_remark_group()
-        structural = spec.spectrum()
+        big, small = groups.build_remark_group()
+        structural = product_spectrum(semidirect_spectrum(big), semidirect_spectrum(small))
         rng = random.Random(424242)
         factors = [
-            (f, [LinearAction.multiplication(g**i) for i in range(m)])
-            for f, m, g in zip(spec.summands, spec.actor_orders, spec.generators)
+            (h.field, [LinearAction.multiplication(h.mult**i) for i in range(m)])
+            for h, m in ((big, 17), (small, 5))
         ]
         allowed = set(structural.members())
         seen = set()

@@ -154,12 +154,18 @@ def test_coclique_beyond_64_vertices(capsys):
 
 
 def test_db_check_library_value_error_exits_2(tmp_path, capsys):
+    # the census rejects q; the message names the record that held it
     db = tmp_path / "l2_6.db"
     db.write_text("group L2(6)\norder 2 3\npi 2,3\n")
     code, out, err = run(capsys, "db", "check", "--db", str(db))
     assert code == 2
     assert out == ""
-    assert err == "error: 6 is not a prime power\n"
+    assert err == "error: record L2(6): 6 is not a prime power\n"
+    for q in (1, 0):
+        db.write_text(f"group L2({q})\npi 2,3\n")
+        code, out, err = run(capsys, "db", "check", "--db", str(db))
+        assert (code, out) == (2, "")
+        assert err == f"error: record L2({q}): q must be a prime power in [2, 64]\n"
 
 
 def test_db_check_huge_psl2_name_is_cited(tmp_path, capsys):

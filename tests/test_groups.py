@@ -3,23 +3,29 @@
 import random
 import re
 import time
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
 
 from gkspec import groups, verify
-from gkspec.gf import element_order
+from gkspec.gf import element_order, make_field, subgroup_generator
 from gkspec.groups import (
-    SemidirectSpec,
     build_gamma_frobenius,
     build_remark_group,
     check_proposition_hypotheses,
+    gamma_frobenius_config,
     parse_psl2_name,
     psl2_order_counts,
     psl2_order_formula,
     psl2_spectrum,
 )
-from gkspec.linact import LinearAction, action_order, semidirect_element_order
+from gkspec.linact import (
+    LinearAction,
+    action_order,
+    semidirect_element_order,
+    semidirect_spectrum,
+)
 from gkspec.atlasdb import load, stored_spectrum
 from gkspec.orderset import OrderSet, factorize, product_spectrum
 from gkspec.verify import run_checks
@@ -28,22 +34,21 @@ from gkspec.verify import run_checks
 # -- the three-prime witness -----------------------------------------------------
 
 def test_remark_group_structure():
-    spec = build_remark_group()
-    assert [(f.p, f.k) for f in spec.summands] == [(3, 16), (3, 4)]
-    assert spec.actor_orders == (17, 5)
-    assert spec.acting_group_size == 85
-    assert [element_order(g) for g in spec.generators] == [17, 5]
+    actions = build_remark_group()
+    assert all(isinstance(h, LinearAction) and h.galois_exp == 0 for h in actions)
+    assert [(h.field.p, h.field.k) for h in actions] == [(3, 16), (3, 4)]
+    assert [element_order(h.mult) for h in actions] == [17, 5]
 
 
 def test_remark_group_spectrum():
-    s = build_remark_group().spectrum()
+    s = verify._remark_spectrum()
     assert s.members() == [1, 3, 5, 15, 17, 51, 85]
     assert s.pi() == (3, 5, 17)
     assert s.sigma() == 2
 
 
 def test_remark_group_hypotheses_hold_with_equality():
-    s = build_remark_group().spectrum()
+    s = verify._remark_spectrum()
     assert check_proposition_hypotheses(s) == ((), ())
     assert s.pi() == (3, 5, 17)
     assert s.sigma() == 2
@@ -59,7 +64,7 @@ def test_remark_sampling_fails_on_an_order_outside_the_spectrum(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_factor_orders",
-        lambda f, g, m: [[2 * o for o in row] for row in true_orders(f, g, m)],
+        lambda h: [[2 * o for o in row] for row in true_orders(h)],
     )
     result = _sampling_result()
     assert result.status == "fail"
@@ -74,7 +79,7 @@ def test_remark_sampling_fails_when_an_expected_order_is_missed(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_factor_orders",
-        lambda f, g, m: [[row[0], row[0]] for row in true_orders(f, g, m)],
+        lambda h: [[row[0], row[0]] for row in true_orders(h)],
     )
     result = _sampling_result()
     assert result.status == "fail"
@@ -110,9 +115,9 @@ def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_factor_orders",
-        lambda f, g, m: [
+        lambda h: [
             [_Tagged(o, (i, z)) for z, o in enumerate(row)]
-            for i, row in enumerate(true_orders(f, g, m))
+            for i, row in enumerate(true_orders(h))
         ],
     )
     seen = []
@@ -125,8 +130,7 @@ def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
     assert _sampling_result().status == "pass"
     draws = [(i * 5 + j, bool(a), bool(b)) for (i, a), (j, b) in seen[: 10**4]]
     assert len(seen) == 10**4 + 340  # the draws, then every combination once
-    spec = build_remark_group()
-    big, small = spec.summands
+    big, small = (h.field for h in build_remark_group())
     module_order = big.order * small.order
     rng = random.Random(verify.SAMPLE_SEED)
     expected = []
@@ -140,14 +144,14 @@ def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
 def test_factor_order_tables_match_semidirect_element_order():
     # the 17 * 2 + 5 * 2 = 44 entries, each multiplied out in verify,
     # against the plan rule of linact
-    spec = build_remark_group()
     entries = 0
-    for f, g, m in zip(spec.summands, spec.generators, spec.actor_orders):
-        table = verify._factor_orders(f, g, m)
+    for h, m in zip(build_remark_group(), (17, 5)):
+        f, g = h.field, h.mult
+        table = verify._factor_orders(h)
         assert len(table) == m
         for i, row in enumerate(table):
-            h = LinearAction.multiplication(g**i)
-            assert row == [semidirect_element_order(v, h) for v in (f.zero, f.one)], (f, i)
+            power = LinearAction.multiplication(g**i)
+            assert row == [semidirect_element_order(v, power) for v in (f.zero, f.one)], (f, i)
             entries += len(row)
     assert entries == 44
 
@@ -174,56 +178,42 @@ def test_proposition_checker_lists_failing_pairs_in_order():
     assert check_proposition_hypotheses(s) == (((2, 3), (2, 5)), ((2, 5), (3, 5)))
 
 
-def test_semidirect_spec_validation():
-    with pytest.raises(ValueError):
-        SemidirectSpec.build(((3, 4),), (7,))  # 7 does not divide 80
-    with pytest.raises(ValueError):
-        SemidirectSpec((), (), ())  # V = 0 is no semidirect product described here
+def _multiplication(p, k, m):
+    """The multiplication by the chosen element of order m on GF(p^k)."""
+    return LinearAction.multiplication(subgroup_generator(make_field(p, k), m))
 
 
 def test_semidirect_spec_spectrum_is_product_of_factors():
-    # an acting group of 2047^2 elements; its spectrum is read off one plan
-    # per factor
-    spec = SemidirectSpec.build(((2, 11), (2, 11)), (2047, 2047))
-    assert spec.acting_group_size == 2047**2
-    factor = SemidirectSpec.build(((2, 11),), (2047,)).spectrum()
-    assert spec.spectrum() == product_spectrum(factor, factor)
+    # an acting group of 2047^2 elements, C2047 on each of two copies of
+    # GF(2^11), built as the remark spectrum is; one plan per factor
+    h = _multiplication(2, 11, 2047)
+    factor = semidirect_spectrum(h)
     assert factor.members() == sorted({1, 2} | {d for d in range(1, 2048) if 2047 % d == 0})
+    both = reduce(product_spectrum, map(semidirect_spectrum, (h, h)))
+    assert both == product_spectrum(factor, factor)
+    assert both.maximal_elements == (2 * 2047,)
 
 
 def test_semidirect_spec_large_actor_orders_in_bounded_time():
-    # every actor order dividing |F| - 1 is accepted, up to 2^61 - 1 on
-    # GF(2^61): a factor spectrum is the closure of {m, p} for a unit
-    # multiplication of order m, and no power of its generator is formed
+    # every multiplication order dividing |F| - 1 is accepted, up to
+    # 2^61 - 1 on GF(2^61): a factor spectrum is the closure of {m, p} for a
+    # unit multiplication of order m, and no power of it is formed
     t0 = time.perf_counter()
-    mersenne17 = SemidirectSpec.build(((2, 17),), (2**17 - 1,)).spectrum()
-    assert mersenne17.maximal_elements == (2, 2**17 - 1)
-    kernel23 = SemidirectSpec.build(((2, 11),), (23,)).spectrum()
-    pair = SemidirectSpec.build(((2, 17), (2, 11)), (2**17 - 1, 23)).spectrum()
-    assert pair == product_spectrum(mersenne17, kernel23)
-    mersenne61 = SemidirectSpec.build(((2, 61),), (2**61 - 1,)).spectrum()
-    assert mersenne61.maximal_elements == (2, 2**61 - 1)
-    c2, c5 = (SemidirectSpec.build(((3, 4),), (m,)).spectrum() for m in (2, 5))
+    m17, m61 = 2**17 - 1, 2**61 - 1
+    mersenne17 = semidirect_spectrum(_multiplication(2, 17, m17))
+    assert mersenne17.maximal_elements == (2, m17)
+    kernel23 = semidirect_spectrum(_multiplication(2, 11, 23))
+    pair = product_spectrum(mersenne17, kernel23)
+    assert pair.maximal_elements == (2 * 23, 2 * m17, 23 * m17)
+    mersenne61 = semidirect_spectrum(_multiplication(2, 61, m61))
+    assert mersenne61.maximal_elements == (2, m61)
+    c2, c5 = (semidirect_spectrum(_multiplication(3, 4, m)) for m in (2, 5))
     assert c5.maximal_elements == (3, 5)
-    pair = SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 2)).spectrum()
-    assert pair == product_spectrum(mersenne61, c2)
+    assert product_spectrum(mersenne61, c2).maximal_elements == (6, 2 * m61, 3 * m61)
     # with C5 the element order 5 * (2^61 - 1) leaves the 64-bit range
     with pytest.raises(OverflowError):
-        SemidirectSpec.build(((2, 61), (3, 4)), (2**61 - 1, 5)).spectrum()
+        product_spectrum(mersenne61, c5)
     assert time.perf_counter() - t0 < 1.0
-
-
-def test_semidirect_spec_checks_every_generator():
-    remark = build_remark_group()
-    summands, gens = remark.summands, remark.generators
-    assert SemidirectSpec(summands, (17, 5), gens).spectrum().members() == [1, 3, 5, 15, 17, 51, 85]
-    with pytest.raises(ValueError):
-        SemidirectSpec(summands, (17, 5), gens[:1])  # one generator short
-    with pytest.raises(ValueError):
-        # the identity is no generator of order 17: the spectrum would lose 17, 51, 85
-        SemidirectSpec(summands, (17, 5), (summands[0].one, gens[1]))
-    with pytest.raises(ValueError):
-        SemidirectSpec(summands, (17, 5), (gens[0], gens[1] ** 5))
 
 
 # -- GammaL1 configurations --------------------------------------------------------
@@ -267,11 +257,20 @@ def test_gamma_non_frobenius_configuration():
     assert not gamma.frobenius_config
 
 
+def test_gamma_frobenius_config_matches_the_built_group():
+    # the flag without the listed maps, on every configuration above
+    for args in ((2, 11, 23, 11), (2, 11, 89, 11), (3, 16, 17, 16), (3, 16, 17, 1), (2, 6, 7, 6)):
+        assert gamma_frobenius_config(*args) is build_gamma_frobenius(*args).frobenius_config, args
+
+
 def test_gamma_rejects_bad_divisibility():
     with pytest.raises(ValueError):
         build_gamma_frobenius(2, 11, 7)
     with pytest.raises(ValueError):
         build_gamma_frobenius(2, 11, 23, complement_order=5)
+    for args in ((2, 11, 7, 11), (2, 11, 0, 11), (2, 11, 23, 5), (2, 11, 23, 0)):
+        with pytest.raises(ValueError):
+            gamma_frobenius_config(*args)
 
 
 def test_gamma_refuses_acting_group_beyond_enumeration_limit():

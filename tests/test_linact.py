@@ -437,12 +437,11 @@ def test_order_dichotomy_gamma_frobenius_1000_cases():
 
 
 def _remark_factors():
-    """(field, actions) for the two factors summand x| <generator> of the
-    remark group, every power of the generator as a multiplication."""
-    spec = build_remark_group()
+    """(field, actions) for the two factors field x| <h> of the remark
+    group, every power of its multiplication h as a multiplication."""
     return [
-        (f, [LinearAction.multiplication(g**i) for i in range(m)])
-        for f, m, g in zip(spec.summands, spec.actor_orders, spec.generators)
+        (h.field, [LinearAction.multiplication(h.mult**i) for i in range(element_order(h.mult))])
+        for h in build_remark_group()
     ]
 
 
@@ -477,13 +476,15 @@ def test_plan_orders_match_pair_oracle_remark_group():
     # all 85 actors with the 4 zero patterns of (v1, v2), v_j in {0, 1}: the
     # whole-group product against the lcm of the factor orders, from the
     # plan rule and from verify's multiplied-out tables
-    spec = build_remark_group()
-    gens, orders = spec.generators, spec.actor_orders
-    tables = [verify._factor_orders(f, g, m) for f, g, m in zip(spec.summands, gens, orders)]
+    actions = build_remark_group()
+    fields = [h.field for h in actions]
+    gens = [h.mult for h in actions]
+    orders = [element_order(g) for g in gens]
+    tables = [verify._factor_orders(h) for h in actions]
     members = set()
     for exponents in iproduct(*map(range, orders)):
         for zs in iproduct((0, 1), repeat=2):
-            v = tuple(f.one if z else f.zero for f, z in zip(spec.summands, zs))
+            v = tuple(f.one if z else f.zero for f, z in zip(fields, zs))
             got = _remark_group_order(v, exponents, gens, orders)
             plan = lcm(*(
                 semidirect_element_order(x, LinearAction.multiplication(g**i))
@@ -492,7 +493,7 @@ def test_plan_orders_match_pair_oracle_remark_group():
             table = lcm(*(t[i][z] for t, i, z in zip(tables, exponents, zs)))
             assert got == plan == table, (exponents, zs)
             members.add(got)
-    assert sorted(members) == build_remark_group().spectrum().members()
+    assert sorted(members) == verify._remark_spectrum().members()
 
 
 def _plan_vectors(field, rng):

@@ -17,7 +17,7 @@ import gkspec
 from gkspec import atlasdb
 from gkspec.atlasdb import CrosscheckReport, FilterResult, GroupRecord
 from gkspec.gf import FiniteField, make_field, subgroup_generator
-from gkspec.groups import GammaSemilinearGroup, SemidirectSpec, build_gamma_frobenius
+from gkspec.groups import GammaSemilinearGroup, build_gamma_frobenius
 from gkspec.linact import GFMatrix, LinearAction
 from gkspec.orderset import Factorization, OrderSet
 from gkspec.primegraph import PrimeGraph
@@ -44,9 +44,6 @@ def _cases():
         "name", "pi", ("order", object, None), ("mu", object, None),
         ("has9", object, None), ("has25", object, None), ("notes", object, ()),
     )
-    spec = SemidirectSpec.build(((3, 4),), (5,))
-    spec2 = SemidirectSpec.build(((3, 4), (3, 2)), (5, 2))
-    spec_fields = ("summands", "actor_orders", "generators")
     gamma, gamma2 = build_gamma_frobenius(2, 4, 5), build_gamma_frobenius(2, 4, 3)
     gamma_fields = (
         "field", "kernel_order", "complement_order", "kernel_generator", "actions",
@@ -62,8 +59,6 @@ def _cases():
          ("J4", "cited", "no oracle"), {"status": "cited"}, ()),
         (FiniteField, ("p", "k", "modulus"), (3, 4, f.modulus), (3, 1, f3.modulus),
          {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_images", "_frobenius_tables")),
-        (SemidirectSpec, spec_fields, _values(spec, spec_fields), _values(spec2, spec_fields),
-         {"generators": (spec.generators[0] ** 2,)}, ()),
         (GammaSemilinearGroup, gamma_fields, _values(gamma, gamma_fields),
          _values(gamma2, gamma_fields), {"frobenius_config": not gamma.frobenius_config}, ()),
         (GFMatrix, ("p", "rows"), (2, ((1, 0), (1, 1))), (3, ((1,),)), {"p": 5}, ()),
