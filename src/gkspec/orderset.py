@@ -224,17 +224,31 @@ class OrderSet(Record):
             if m > INT64_MAX:
                 raise OverflowError("element exceeds the 64-bit range")
             last = m
-        for a in elems:
-            for b in elems:
-                if a != b and b % a == 0:
+        # increasing, so only a later element can be a multiple of an earlier
+        for i, a in enumerate(elems):
+            for b in elems[i + 1 :]:
+                if b % a == 0:
                     raise ValueError(f"{a} divides {b}: not an antichain")
+
+    @classmethod
+    def _trusted(cls, maximal_elements) -> "OrderSet":
+        """An OrderSet of an antichain already known valid, without re-checking.
+
+        For from_generators, which builds the antichain itself."""
+        s = object.__new__(cls)
+        _set(s, "maximal_elements", maximal_elements)
+        return s
 
     @classmethod
     def from_generators(cls, gens) -> "OrderSet":
         """The divisor closure of the given integers.
 
-        Duplicates and elements dividing another generator are dropped, so
-        the stored antichain is canonical regardless of input order.
+        The distinct generators are swept from largest to smallest, and g is
+        kept unless a kept element is a multiple of it.  Testing the kept
+        maxima alone is enough: a dropped generator divides a kept one, so
+        by transitivity so does each of its divisors.  The antichain is
+        canonical regardless of input order, and is stored by the trusted
+        constructor without a second antichain check.
         """
         gens = list(gens)
         if not gens:
@@ -244,9 +258,14 @@ class OrderSet(Record):
                 raise ValueError("generators must be positive")
             if g > INT64_MAX:
                 raise OverflowError("generator exceeds the 64-bit range")
-        uniq = sorted(set(gens))
-        keep = [g for g in uniq if not any(h != g and h % g == 0 for h in uniq)]
-        return cls(tuple(keep))
+        keep: list[int] = []
+        for g in sorted(set(gens), reverse=True):
+            for h in keep:
+                if h % g == 0:
+                    break
+            else:
+                keep.append(g)
+        return cls._trusted(tuple(reversed(keep)))
 
     def contains(self, n: int) -> bool:
         """True iff n divides some maximal element."""

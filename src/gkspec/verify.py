@@ -253,20 +253,20 @@ def _factor_orders(h) -> list[list[int]]:
     """orders[i][z]: the order of (z, g^i) in field x| <g>, h the
     multiplication by g and z the vector 0 or 1, for i until g^i is one.
 
-    Each order is found by multiplying the pair out,
-    (v, u)(w, x) = (v + u*w, u*x), until the identity; no plan, T-sum or
-    element_order is read.
+    Each row walks the powers of (1, u), u = g^i, once, by the group law
+    (w, x)(1, u) = (w + x, x*u): the first power with x one gives the order
+    of (0, u), and the first with x one and w zero the order of (1, u).  No
+    plan, T-sum or element_order is read.
     """
     field = h.field
     orders, u = [], field.one
     while not (orders and u.is_one):
-        row = []
-        for v in (field.zero, field.one):
-            w, x, n = v, u, 1
-            while not (w.is_zero and x.is_one):
-                w, x, n = w + x * v, x * u, n + 1
-            row.append(n)
-        orders.append(row)
+        w, x, n, order_0 = field.one, u, 1, 0
+        while not (w.is_zero and x.is_one):
+            if not order_0 and x.is_one:
+                order_0 = n
+            w, x, n = w + x, x * u, n + 1
+        orders.append([order_0 or n, n])
         u = u * h.mult
     return orders
 
@@ -276,31 +276,38 @@ def _check_remark_sampling(corpus):
     # of the factors summand x| <generator>, and an element's order is the
     # lcm of its two factor orders.  In each factor (v, h) -> (c*v, h), for
     # a nonzero scalar c, is an automorphism (multiplications commute), so a
-    # factor order depends only on h and on whether v is zero: the tables
-    # hold every order in the group.
+    # factor order depends only on h and on whether v is zero: the table
+    # holds every order in the group, at 4*i + 2*(a != 0) + (b != 0) for
+    # actor i (multiplying by g1^(i // 5) and g2^(i % 5)) and vector
+    # components a and b.
     actions = groups.build_remark_group()
     structural = set(_remark_spectrum().members())
     big, small = map(_factor_orders, actions)
+    table = [lcm(x, y) for row in big for other in small for x in row for y in other]
     small_order = actions[1].field.order
     module_order = actions[0].field.order * small_order
     actors = len(big) * len(small)
-    rng = random.Random(SAMPLE_SEED)
-    seen = set()
-    for _ in range(10**4):
-        # one uniform draw from the whole group: (actor, vector) in mixed
-        # radix, actor i multiplying by g1^(i // 5) and g2^(i % 5), and
-        # vector index a (b) zero exactly for the zero vector
-        i, n = divmod(rng.randrange(actors * module_order), module_order)
-        a, b = divmod(n, small_order)
-        o = lcm(big[i // len(small)][a != 0], small[i % len(small)][b != 0])
-        if o not in structural:
-            raise CheckFailure(f"sampled element order {o} outside the structural spectrum")
-        seen.add(o)
+    # 10^4 uniform draws from the whole group: (actor, vector) in mixed
+    # radix, vector index a * small_order + b, and a (b) zero exactly for
+    # the zero component.  choices takes floor(random() * n), and random()
+    # has 2^53 equally likely values, so each of the n = 85 * 3^20 elements
+    # is drawn with probability within a relative n / 2^53 (about 3 * 10^-5)
+    # of 1/n.
+    draws = random.Random(SAMPLE_SEED).choices(range(actors * module_order), k=10**4)
+    seen = {
+        table[
+            d // module_order * 4 + (d % module_order >= small_order) * 2 + (d % small_order != 0)
+        ]
+        for d in draws
+    }
+    outside = seen - structural
+    if outside:
+        raise CheckFailure(f"sampled element order {min(outside)} outside the structural spectrum")
     # orders 1 and 5 need an exactly-zero component in the large summand, so
     # only the positive-density orders are required to show up
     if not {3, 15, 51, 85} <= seen:
         raise CheckFailure(f"sampling missed expected orders: observed {sorted(seen)}")
-    every = {lcm(x, y) for row in big for x in row for other in small for y in other}
+    every = set(table)
     _require(
         every == structural, f"element orders {sorted(every)} differ from the structural spectrum"
     )

@@ -108,9 +108,24 @@ class _Tagged(int):
         return tagged
 
 
+class _Recorded(_Tagged):
+    """An element order that logs its entry each time it is hashed, that is
+    each time the check puts it in a set."""
+
+    def __new__(cls, value, entry, log):
+        recorded = super().__new__(cls, value, entry)
+        recorded.log = log
+        return recorded
+
+    def __hash__(self):
+        self.log.append(self.entry)
+        return int.__hash__(self)
+
+
 def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
     # every draw's (actor index, a != 0, b != 0), read off the table entries
-    # the check combines, against the seeded draws split in mixed radix
+    # the check puts in its set of orders seen, against an independent replay
+    # of the seeded draws split in mixed radix
     true_orders = verify._factor_orders
     monkeypatch.setattr(
         verify,
@@ -120,25 +135,51 @@ def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
             for i, row in enumerate(true_orders(h))
         ],
     )
-    seen = []
+    reads = []
 
     def recording(x, y):
-        seen.append((x.entry, y.entry))
-        return lcm(x, y)
+        (i, a), (j, b) = x.entry, y.entry
+        return _Recorded(lcm(x, y), (i * 5 + j, bool(a), bool(b)), reads)
 
     monkeypatch.setattr(verify, "lcm", recording)
     assert _sampling_result().status == "pass"
-    draws = [(i * 5 + j, bool(a), bool(b)) for (i, a), (j, b) in seen[: 10**4]]
-    assert len(seen) == 10**4 + 340  # the draws, then every combination once
-    big, small = (h.field for h in build_remark_group())
-    module_order = big.order * small.order
-    rng = random.Random(verify.SAMPLE_SEED)
+    assert len(reads) == 10**4 + 340  # the draws, then every combination once
+    assert sorted(reads[10**4 :]) == [
+        (i, a, b) for i in range(85) for a in (False, True) for b in (False, True)
+    ]
+    big, small = (h.field.order for h in build_remark_group())
+    module_order = big * small
+    draws = random.Random(verify.SAMPLE_SEED).choices(range(85 * module_order), k=10**4)
     expected = []
-    for _ in range(10**4):
-        i, n = divmod(rng.randrange(85 * module_order), module_order)
-        a, b = divmod(n, small.order)
+    for d in draws:
+        i, n = divmod(d, module_order)
+        a, b = divmod(n, small)
         expected.append((i, a != 0, b != 0))
-    assert draws == expected
+    assert reads[: 10**4] == expected
+
+
+def two_walk_factor_orders(h):
+    """orders[i][z] for (z, g^i), z = 0 and 1 walked separately by
+    (v, u)(w, x) = (v + u*w, u*x) until the identity: the former form of
+    verify._factor_orders, kept as the oracle for its one walk per row."""
+    field = h.field
+    orders, u = [], field.one
+    while not (orders and u.is_one):
+        row = []
+        for v in (field.zero, field.one):
+            w, x, n = v, u, 1
+            while not (w.is_zero and x.is_one):
+                w, x, n = w + x * v, x * u, n + 1
+            row.append(n)
+        orders.append(row)
+        u = u * h.mult
+    return orders
+
+
+def test_factor_orders_match_the_two_walk_oracle():
+    tables = [verify._factor_orders(h) for h in build_remark_group()]
+    assert tables == [two_walk_factor_orders(h) for h in build_remark_group()]
+    assert sum(len(row) for table in tables for row in table) == 44
 
 
 def test_factor_order_tables_match_semidirect_element_order():

@@ -201,6 +201,37 @@ def test_from_generators_reduces():
         OrderSet.from_generators([])
 
 
+# The quadratic filter from_generators used before its descending sweep,
+# kept as the oracle: a distinct generator is maximal iff no other one is a
+# multiple of it.
+
+def quadratic_antichain(gens):
+    uniq = sorted(set(gens))
+    return tuple(g for g in uniq if not any(h != g and h % g == 0 for h in uniq))
+
+
+# small values, divisor chains up to 3 * 2^61 and 2^62, and values just
+# below 2^63
+GENERATOR = st.one_of(
+    st.integers(1, 60),
+    st.integers(0, 61).map(lambda e: 3 << e),
+    st.integers(0, 62).map(lambda e: 1 << e),
+    st.integers(INT64_MAX - 2**20, INT64_MAX),
+)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(st.lists(GENERATOR, min_size=1, max_size=12), st.integers(0, 12), st.randoms())
+def test_from_generators_matches_quadratic_filter(gens, repeats, rnd):
+    gens = gens + gens[:repeats]  # duplicates
+    rnd.shuffle(gens)
+    s = OrderSet.from_generators(gens)
+    assert s.maximal_elements == quadratic_antichain(gens)
+    assert OrderSet.from_generators(gens + [1]) == s
+    # the trusted path returns nothing the validating constructor refuses
+    assert OrderSet(s.maximal_elements) == s
+
+
 def test_direct_construction_validates_antichain():
     with pytest.raises(ValueError):
         OrderSet((2, 4))
