@@ -1,14 +1,14 @@
 """Semilinear actions on the additive group of a finite field.
 
 Every action in scope has the shape x -> u * x^(p^e) for a nonzero field
-element u and a Galois exponent e; that family is closed under composition
-and inversion, so actions are kept in this normal form.  LinearAction.matrix
-and minimal_polynomial realize an action as a k x k matrix over GF(p) for
+element u and a Galois exponent e, so an action is kept as that pair.  No
+power or composite of an action is ever formed: every fact used here is
+read off one closure of (u, e), below.  LinearAction.matrix and
+minimal_polynomial realize an action as a k x k matrix over GF(p) for
 callers that want one.  Column j of the matrix is the image u * (x^(p^e))^j
 of x^j, read off the field's table of x -> x^(p^e) (gf.FiniteField._images)
 with one product per column and no Frobenius pass.  Nothing else here
-builds a matrix, and verify's linear-action checks read every fact off the
-closure below.
+builds a matrix.
 
 On top of them sits the exact order formula for elements (v, h) of the
 semidirect product of the field by the cyclic group <h>:
@@ -78,7 +78,8 @@ class GFMatrix(Record):
 
 
 class LinearAction(Record):
-    """Invertible GF(p)-linear map x -> mult * x^(p^galois_exp) on GF(p^k)."""
+    """Invertible GF(p)-linear map x -> mult * x^(p^galois_exp) on GF(p^k),
+    in the normal form every action in scope has."""
 
     _fields = ("field", "mult", "galois_exp")
 
@@ -92,10 +93,6 @@ class LinearAction(Record):
             raise ValueError("action must be invertible: zero multiplier")
         if not 0 <= galois_exp < field.k:
             raise ValueError("Galois exponent out of range")
-
-    @classmethod
-    def identity(cls, field: FiniteField) -> "LinearAction":
-        return cls(field, field.one, 0)
 
     @classmethod
     def multiplication(cls, u: FieldElement) -> "LinearAction":
@@ -118,35 +115,6 @@ class LinearAction(Record):
 
     def apply(self, x: FieldElement) -> FieldElement:
         return self.mult * self.field.frobenius(x, self.galois_exp)
-
-    def compose(self, other: "LinearAction") -> "LinearAction":
-        """self after other; the normal form is closed under composition."""
-        if self.field != other.field:
-            raise ValueError("actions on different fields")
-        f = self.field
-        u = self.mult * f.frobenius(other.mult, self.galois_exp)
-        return LinearAction(f, u, (self.galois_exp + other.galois_exp) % f.k)
-
-    def __mul__(self, other: "LinearAction") -> "LinearAction":
-        return self.compose(other)
-
-    def inverse(self) -> "LinearAction":
-        f = self.field
-        e_inv = (-self.galois_exp) % f.k
-        w = f.frobenius(self.mult, e_inv).inverse()
-        return LinearAction(f, w, e_inv)
-
-    def power(self, j: int) -> "LinearAction":
-        if j < 0:
-            return self.inverse().power(-j)
-        result = LinearAction.identity(self.field)
-        base = self
-        while j:
-            if j & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            j >>= 1
-        return result
 
     def matrix(self) -> GFMatrix:
         """The k x k matrix over GF(p): column j is the image

@@ -144,13 +144,11 @@ def _check_product_membership(corpus):
 
 
 def _check_product_oracle(corpus):
-    from math import gcd
-
     members = corpus.j4().members()
     brute: set[int] = set()
     for x in members:
         for y in members:
-            v = x // gcd(x, y) * y
+            v = lcm(x, y)
             d = 1
             while d * d <= v:
                 if v % d == 0:

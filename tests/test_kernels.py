@@ -446,7 +446,7 @@ def test_trace_census_counts_follow_quadratic_character(q):
     field = make_field(p, k)
     elements = [field.element_at(n) for n in range(q)]
     squares = {(x * x).value for x in elements}
-    four = field.scalar(4)
+    four = field.element([4] + [0] * (k - 1))
     for t, count in trace_counts(field):
         disc = t * t - four
         chi = 0 if disc.is_zero else (1 if disc.value in squares else -1)

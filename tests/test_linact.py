@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from functools import cache
-from itertools import product as iproduct
+from itertools import count, islice, product as iproduct
 from math import gcd, lcm
 
 import pytest
@@ -47,6 +47,16 @@ def _random_action(field, rng):
             return LinearAction(field, u, rng.randrange(field.k))
 
 
+def action_powers(h):
+    """h^0, h^1, h^2, ... read off apply alone: h^j is x -> u_j x^(p^(je)),
+    so j * e mod k is its Galois exponent and u_j = h^j(1) is h applied j
+    times to 1.  Test oracle, independent of any composition formula."""
+    f, u = h.field, h.field.one
+    for j in count():
+        yield LinearAction(f, u, j * h.galois_exp % f.k)
+        u = h.apply(u)
+
+
 # Plain-list matrix arithmetic over GF(p) for the oracles below, independent
 # of gkspec.linact.GFMatrix; a matrix is a sequence of rows.
 
@@ -68,6 +78,17 @@ def plain_combination(coeffs, mats, p):
     ]
 
 
+def plain_power(a, j, p):
+    """a^j, j >= 0, by square-and-multiply."""
+    result = plain_identity(len(a))
+    while j:
+        if j & 1:
+            result = plain_mul(result, a, p)
+        a = plain_mul(a, a, p)
+        j >>= 1
+    return result
+
+
 def plain_t_sum(a, m, p):
     """The defining sum A^0 + A^1 + ... + A^(m-1) of T_m, for A = a."""
     k = len(a)
@@ -78,7 +99,7 @@ def plain_t_sum(a, m, p):
     return t_sum
 
 
-# -- construction and composition --------------------------------------------------
+# -- construction and matrices ----------------------------------------------------
 
 def test_action_validation():
     with pytest.raises(ValueError):
@@ -96,30 +117,8 @@ def test_linearity_audit_random():
             h = _random_action(field, rng)
             a, b = _random_element(field, rng), _random_element(field, rng)
             assert h.apply(a + b) == h.apply(a) + h.apply(b)
-            lam = field.scalar(rng.randrange(field.p))
+            lam = field.element([rng.randrange(field.p)] + [0] * (field.k - 1))
             assert h.apply(lam * a) == lam * h.apply(a)
-
-
-def test_composition_matches_function_composition():
-    rng = random.Random(12)
-    for _ in range(300):
-        a = _random_action(F3_4, rng)
-        b = _random_action(F3_4, rng)
-        x = _random_element(F3_4, rng)
-        assert (a * b).apply(x) == a.apply(b.apply(x))
-    a = _random_action(F2_11, rng)
-    assert (a * a.inverse()).is_identity
-    assert (a.inverse() * a).is_identity
-
-
-def test_power_matches_repeated_composition():
-    rng = random.Random(13)
-    for _ in range(100):
-        h = _random_action(F3_4, rng)
-        acc = LinearAction.identity(F3_4)
-        for j in range(6):
-            assert h.power(j) == acc
-            acc = h * acc
 
 
 def test_matrix_realizes_action():
@@ -154,7 +153,7 @@ def test_action_order_examples():
     f316 = make_field(3, 16)
     assert action_order(LinearAction.multiplication(subgroup_generator(f316, 17))) == 17
     assert action_order(GALOIS) == 11
-    assert action_order(LinearAction.identity(F2_11)) == 1
+    assert action_order(LinearAction(F2_11, F2_11.one)) == 1
 
 
 def test_action_order_matches_naive_iteration():
@@ -162,19 +161,14 @@ def test_action_order_matches_naive_iteration():
     for _ in range(200):
         h = _random_action(F3_4, rng)
         n = action_order(h)
-        acc = h
-        steps = 1
-        while not acc.is_identity:
-            acc = acc * h
-            steps += 1
-            assert steps <= 400
+        steps = next(j for j, hj in enumerate(action_powers(h)) if j and hj.is_identity or j > 400)
         assert steps == n
 
 
 # -- fixed spaces and minimal polynomials ---------------------------------------------
 
 def test_fixed_space_dims():
-    assert fixed_space_dim(LinearAction.identity(F2_11)) == 11
+    assert fixed_space_dim(LinearAction(F2_11, F2_11.one)) == 11
     assert fixed_space_dim(GALOIS) == 1  # the prime subfield
     assert fixed_space_dim(MULT23) == 0
 
@@ -197,7 +191,7 @@ def test_minpoly_mult5_degree_capped_below_s():
 
 def test_minpoly_preconditions():
     with pytest.raises(ValueError):
-        minpoly_equals_xs_minus_1(LinearAction.identity(F2_11), 1)  # 1 not prime
+        minpoly_equals_xs_minus_1(LinearAction(F2_11, F2_11.one), 1)  # 1 not prime
     with pytest.raises(ValueError):
         minpoly_equals_xs_minus_1(GALOIS, 5)  # order is 11, not 5
 
@@ -237,7 +231,7 @@ def enumerated_minimal_polynomial(rows, p):
 def test_minimal_polynomial_matches_enumeration(p, k):
     f = make_field(p, k)
     rng = random.Random(17 + p)
-    multipliers = [f.scalar(a) for a in range(1, p)]  # the prime subfield
+    multipliers = [f.element([a] + [0] * (k - 1)) for a in range(1, p)]  # the prime subfield
     multipliers += [_random_element(f, rng) for _ in range(12)]
     degrees = set()
     for u in multipliers:
@@ -257,11 +251,11 @@ def closed_form_minimal_polynomial(h):
     by c, and mu_c is the product of y - r over the distinct conjugates
     r = c^(p^i) of c, the minimal polynomial of c over GF(p).
 
-    Test oracle: c comes from LinearAction.power, not from the closure.
+    Test oracle: c = h^t(1) comes from action_powers, not from the closure.
     """
     f = h.field
     t = f.k // gcd(h.galois_exp, f.k)
-    ht = h.power(t)
+    ht = next(islice(action_powers(h), t, None))
     assert ht.galois_exp == 0
     conjugates = [ht.mult]
     while conjugates[-1] ** f.p != ht.mult:
@@ -371,10 +365,8 @@ def test_t_sum_kills_matches_defining_sum_exhaustive(p, k):
         verdicts[h] = (m, zero_map)
     assert zero_maps == {True, False}
     for h, (m, _) in verdicts.items():
-        powers = [h]
-        while not powers[-1].is_identity:
-            powers.append(powers[-1] * h)
-        assert len(powers) == m, h
+        powers = list(islice(action_powers(h), 1, m + 1))
+        assert powers[-1].is_identity and not any(hj.is_identity for hj in powers[:-1]), h
         gens = {mj if zero else p * mj for mj, zero in map(verdicts.get, powers)}
         assert semidirect_spectrum(h) == OrderSet.from_generators(gens), h
 
@@ -404,22 +396,24 @@ def test_t_sum_on_matches_defining_sum():
 
 def test_semidirect_order_base_cases():
     assert semidirect_element_order(F2_11.zero, GALOIS) == 11
-    assert semidirect_element_order(F2_11.one, LinearAction.identity(F2_11)) == 2
-    assert semidirect_element_order(F3_4.one, LinearAction.identity(F3_4)) == 3
+    assert semidirect_element_order(F2_11.one, LinearAction(F2_11, F2_11.one)) == 2
+    assert semidirect_element_order(F3_4.one, LinearAction(F3_4, F3_4.one)) == 3
     # the vector 1 has trace 1, realizing an order-22 element
     assert semidirect_element_order(F2_11.one, GALOIS) == 22
 
 
 def _brute_pair_order(v, h):
     """Order of (v, h) by direct repeated multiplication,
-    (v, a)(w, b) = (v + a(w), ab); no T-sum involved."""
-    cv, ch = v, h
-    n = 1
-    while not (ch.is_identity and cv.is_zero):
-        cv, ch = cv + ch.apply(v), ch.compose(h)
-        n += 1
-        assert n <= 2000
-    return n
+    (v, a)(w, b) = (v + a(w), ab): (v, h)^n (v, h) = (c_n + h^n(v), h^(n+1))
+    for (v, h)^n = (c_n, h^n), with h^n(v) carried along by one apply per
+    step; no T-sum involved."""
+    cv, hv = v, v
+    for n, hn in enumerate(islice(action_powers(h), 1, None), 1):
+        if hn.is_identity and cv.is_zero:
+            return n
+        hv = h.apply(hv)
+        cv = cv + hv
+        assert n < 2000
 
 
 def test_order_dichotomy_gamma_frobenius_1000_cases():
@@ -612,7 +606,7 @@ def test_is_fixed_point_free():
         LinearAction.multiplication(subgroup_generator(f316, 17))
     )
     with pytest.raises(ValueError):
-        is_fixed_point_free(LinearAction.identity(F2_11))
+        is_fixed_point_free(LinearAction(F2_11, F2_11.one))
 
 
 # Test oracles for the closed forms read off the closure (t, c): plain-list
@@ -707,12 +701,14 @@ def test_is_fixed_point_free_beyond_ten_thousand():
     h = LinearAction(f, subgroup_generator(f, f.order - 1), 8)
     n = action_order(h)
     assert n == 13120
-    assert all(plain_fixed_dim(h.power(n // r).matrix().rows, 3) == 0 for r in (2, 5, 41))
+    a = h.matrix().rows
+    assert all(plain_fixed_dim(plain_power(a, n // r, 3), 3) == 0 for r in (2, 5, 41))
     assert is_fixed_point_free(h)
     f216 = make_field(2, 16)
     z = LinearAction.multiplication(subgroup_generator(f216, f216.order - 1))
     assert action_order(z) == 65535
-    assert all(plain_fixed_dim(z.power(65535 // r).matrix().rows, 2) == 0 for r in (3, 5, 17, 257))
+    a = z.matrix().rows
+    assert all(plain_fixed_dim(plain_power(a, 65535 // r, 2), 2) == 0 for r in (3, 5, 17, 257))
     assert is_fixed_point_free(z)
 
 

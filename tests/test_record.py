@@ -133,7 +133,7 @@ def test_replace_validates_afresh():
         OrderSet((4, 6))._replace(maximal_elements=(2, 4))
     f = make_field(3, 4)
     with pytest.raises(ValueError, match="zero multiplier"):
-        LinearAction.identity(f)._replace(mult=f.zero)
+        LinearAction(f, f.one)._replace(mult=f.zero)
 
 
 def _modules_added(*statements):
