@@ -1,16 +1,19 @@
 """Immutable value classes without the dataclasses module.
 
 A subclass names its value fields, in constructor order, in the class
-attribute _fields, and its own __init__ stores them with _set before
-validating them.  _set is object.__setattr__, which keeps the attributes
-in CPython's fast shared-key layout; writing to __dict__ directly would
-make every later attribute read slower.  Record derives from _fields what a
-frozen dataclass derives from its field list: equality with instances of
-the same class only, the hash of the field tuple, a Name(a=..., b=...)
-repr and attributes that cannot be assigned or deleted.  Any other
-attribute, such as one a derived descriptor fills on first use, is derived
-state that equality, hash and repr never see.  Pickling and copying
-restore __dict__ directly, so they never call __init__.
+attribute _fields.  Record's constructor stores them by position or by
+name with _set (object.__setattr__, which keeps the attributes in
+CPython's fast shared-key layout; writing to __dict__ directly would make
+every later attribute read slower) and, as a frozen dataclass does, raises
+TypeError for a missing, extra, repeated or unknown field.  A subclass
+writes its own __init__ only to validate or derive state, with parameters
+named exactly _fields, in order, which _replace relies on.  Record derives
+from _fields what a frozen dataclass derives from its field list: equality
+with instances of the same class only, the hash of the field tuple, a
+Name(a=..., b=...) repr and attributes that cannot be assigned or deleted.
+Any other attribute, such as one a derived descriptor fills on first use,
+is derived state that equality, hash and repr never see.  Pickling and
+copying restore __dict__ directly, so they never call __init__.
 """
 
 from __future__ import annotations
@@ -44,7 +47,16 @@ class derived:
 
 
 class Record:
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{self.__class__.__qualname__}() takes each field of {names} once")
+        for name in names:
+            _set(self, name, values[name])
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -265,12 +265,6 @@ def stored_spectrum(db, name: str) -> OrderSet:
 class FilterResult(Record):
     _fields = ("matches", "insufficient")
 
-    def __init__(
-        self, matches: tuple[tuple[str, tuple[int, ...]], ...], insufficient: tuple[str, ...]
-    ):
-        _set(self, "matches", matches)
-        _set(self, "insufficient", insufficient)
-
 
 def run_filter(db, target_primes: tuple[int, ...]) -> FilterResult:
     """Select the records of Lemmas 8 and 9; deterministic, name-sorted.
@@ -313,13 +307,10 @@ class CrosscheckError(ValueError):
 
 
 class CrosscheckReport(Record):
+    # status: "verified" (oracle matched every fact), "partial" (oracle
+    # matched every stored fact, some facts absent) or "cited" (no oracle in
+    # range)
     _fields = ("name", "status", "detail")
-
-    def __init__(self, name: str, status: str, detail: str):
-        # status: "verified" (oracle matched) or "cited" (no oracle in range)
-        _set(self, "name", name)
-        _set(self, "status", status)
-        _set(self, "detail", detail)
 
 
 def record_from_psl2(q: int) -> GroupRecord:
@@ -342,9 +333,11 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by
     record_from_psl2: spectrum and flags from the torus census
     (groups.psl2_order_counts), order from groups.psl2_order_formula.  Any
-    stored fact that disagrees is a hard CrosscheckError.  Everything else
-    is reported as cited data (its internal consistency was already
-    validated at construction).  A q the census rejects is a RecordError.
+    stored fact that disagrees is a hard CrosscheckError.  A record that
+    agrees but lacks some of order, mu, has9 and has25 is partial, not
+    verified, and the detail names what it lacks.  Everything else is
+    reported as cited data (its internal consistency was already validated
+    at construction).  A q the census rejects is a RecordError.
     """
     q = parse_psl2_name(record.name)
     if q is None or q > PSL2_MAX_Q:
@@ -355,17 +348,14 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
         oracle = record_from_psl2(q)
     except ValueError as exc:  # q no prime power, or below 2
         raise RecordError(record.name, str(exc)) from None
-    problems = [
-        fact
-        for fact in ("order", "pi", "mu", "has9", "has25")
-        if getattr(record, fact) is not None
-        and getattr(record, fact) != getattr(oracle, fact)
-    ]
+    facts = {fact: getattr(record, fact) for fact in ("order", "pi", "mu", "has9", "has25")}
+    missing = [f for f, v in facts.items() if v is None]
+    problems = [f for f, v in facts.items() if v is not None and v != getattr(oracle, f)]
     if problems:
         raise CrosscheckError(
-            f"record {record.name} disagrees with the torus census: "
-            + ", ".join(problems)
+            f"record {record.name} disagrees with the torus census: {', '.join(problems)}"
         )
-    return CrosscheckReport(
-        record.name, "verified", f"matches the PSL2({q}) torus census"
-    )
+    detail = f"matches the PSL2({q}) torus census"
+    if missing:
+        return CrosscheckReport(record.name, "partial", f"{detail}; stores no {', '.join(missing)}")
+    return CrosscheckReport(record.name, "verified", detail)

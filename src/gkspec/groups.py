@@ -18,8 +18,8 @@ import re
 from functools import cache
 from math import gcd
 
-from ._record import Record, _set
-from .gf import FieldElement, FiniteField, make_field, subgroup_generator
+from ._record import Record
+from .gf import make_field, subgroup_generator
 from .linact import LinearAction
 from .orderset import OrderSet, factorize
 
@@ -75,22 +75,6 @@ class GammaSemilinearGroup(Record):
         "field", "kernel_order", "complement_order", "kernel_generator", "actions",
         "frobenius_config",
     )
-
-    def __init__(
-        self,
-        field: FiniteField,
-        kernel_order: int,
-        complement_order: int,
-        kernel_generator: FieldElement,
-        actions: tuple[LinearAction, ...],
-        frobenius_config: bool,
-    ):
-        _set(self, "field", field)
-        _set(self, "kernel_order", kernel_order)
-        _set(self, "complement_order", complement_order)
-        _set(self, "kernel_generator", kernel_generator)
-        _set(self, "actions", actions)
-        _set(self, "frobenius_config", frobenius_config)
 
 
 def gamma_frobenius_config(p: int, k: int, kernel_order: int, complement_order: int) -> bool:

@@ -68,10 +68,6 @@ class GFMatrix(Record):
 
     _fields = ("p", "rows")
 
-    def __init__(self, p: int, rows: tuple[tuple[int, ...], ...]):
-        _set(self, "p", p)
-        _set(self, "rows", rows)
-
     def matvec(self, v) -> list[int]:
         p = self.p
         return [sum(map(mul, r, v)) % p for r in self.rows]

@@ -16,7 +16,7 @@ from functools import cache, reduce
 from math import lcm
 
 from . import atlasdb, groups, primegraph
-from ._record import Record, _set
+from ._record import Record
 from .gf import make_field, subgroup_generator, element_order
 from .linact import (
     LinearAction,
@@ -57,21 +57,11 @@ class CheckFailure(Exception):
 
 
 class CheckResult(Record):
-    _fields = ("check_id", "citation", "status", "detail")
-
-    def __init__(self, check_id: str, citation: str, status: str, detail: str):
-        # status: "pass" | "fail"
-        _set(self, "check_id", check_id)
-        _set(self, "citation", citation)
-        _set(self, "status", status)
-        _set(self, "detail", detail)
+    _fields = ("check_id", "citation", "status", "detail")  # status: "pass" | "fail"
 
 
 class VerificationReport(Record):
     _fields = ("results",)
-
-    def __init__(self, results: tuple[CheckResult, ...]):
-        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -377,6 +377,7 @@ def test_crosscheck_l2_records_verified():
 
 def test_crosscheck_detects_tampering():
     good = next(r for r in load() if r.name == "L2(23)")
+    # each tampered record is partial too (order or mu absent), and still raises
     bad = good._replace(mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
     with pytest.raises(CrosscheckError, match=r"torus census: pi, mu$"):
         crosscheck_record(bad)
@@ -385,9 +386,22 @@ def test_crosscheck_detects_tampering():
     )
     with pytest.raises(CrosscheckError, match=r"torus census: order, pi, has25$"):
         crosscheck_record(bad)
-    # facts a record does not store are not compared
+    # facts a record does not store are not compared, and it is not verified
     sparse = good._replace(order=None, mu=None, has9=None, has25=None)
-    assert crosscheck_record(sparse).status == "verified"
+    assert crosscheck_record(sparse).status == "partial"
+
+
+def test_crosscheck_partial_record_is_not_verified():
+    good = next(r for r in load() if r.name == "L2(23)")
+    stripped = parse_records("group L2(23)\npi 2,3,11,23\n")[0]
+    report = crosscheck_record(stripped)
+    assert (report.name, report.status) == ("L2(23)", "partial")
+    assert report.detail == (
+        "matches the PSL2(23) torus census; stores no order, mu, has9, has25"
+    )
+    assert crosscheck_record(good._replace(has25=None)).detail.endswith("stores no has25")
+    assert crosscheck_record(good).status == "verified"
+
 
 
 def test_record_from_psl2_consistent():

@@ -249,6 +249,14 @@ def test_db_check_output_on_embedded_corpus(capsys):
     ])
 
 
+def test_db_check_marks_an_incomplete_l2_record_partial(tmp_path, capsys):
+    db = tmp_path / "stripped.db"
+    db.write_text("group L2(23)\npi 2,3,11,23\n")
+    code, out, err = run(capsys, "db", "check", "--db", str(db))
+    assert (code, err) == (0, "")
+    assert out == "L2(23): partial (matches the PSL2(23) torus census; stores no order, mu, has9, has25)\n"
+
+
 def test_db_override_with_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.db"
     bad.write_text("group X\nmu 9\npi 2,3\nflag has9 false\n")

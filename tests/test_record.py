@@ -6,7 +6,10 @@ frozen dataclass of the same name and fields, the semantics it replaced.
 
 import copy
 import dataclasses
+import importlib
+import inspect
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,8 @@ import pytest
 import gkspec
 from gkspec import atlasdb
 from gkspec.atlasdb import CrosscheckReport, FilterResult, GroupRecord
-from gkspec.gf import FiniteField, make_field, subgroup_generator
+from gkspec._record import Record
+from gkspec.gf import FieldElement, FiniteField, make_field, subgroup_generator
 from gkspec.groups import GammaSemilinearGroup, build_gamma_frobenius
 from gkspec.linact import GFMatrix, LinearAction
 from gkspec.orderset import Factorization, OrderSet
@@ -58,7 +62,8 @@ def _cases():
         (CrosscheckReport, ("name", "status", "detail"), ("L2(23)", "verified", "matches"),
          ("J4", "cited", "no oracle"), {"status": "cited"}, ()),
         (FiniteField, ("p", "k", "modulus"), (3, 4, f.modulus), (3, 1, f3.modulus),
-         {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_images", "_frobenius_tables")),
+         {"modulus": (2, 0, 0, 1, 1)}, ("order", "_hash", "_frobenius_tables")),
+        (FieldElement, ("field", "value"), (f, u.value), (f3, 2), {"value": 1}, ()),
         (GammaSemilinearGroup, gamma_fields, _values(gamma, gamma_fields),
          _values(gamma2, gamma_fields), {"frobenius_config": not gamma.frobenius_config}, ()),
         (GFMatrix, ("p", "rows"), (2, ((1, 0), (1, 1))), (3, ((1,),)), {"p": 5}, ()),
@@ -84,6 +89,7 @@ def test_value_class_behaves_as_a_frozen_dataclass(case):
     ref_cls = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
     names = _names(fields)
     x, twin, other, ref = cls(*args), cls(*args), cls(*other_args), ref_cls(*args)
+    assert cls(**dict(zip(names, args))) == x
 
     assert repr(x) == repr(ref)
     assert hash(x) == hash(ref) == hash(twin)
@@ -112,10 +118,45 @@ def test_value_class_behaves_as_a_frozen_dataclass(case):
 
     fresh = x._replace()
     assert fresh == x and fresh is not x
-    assert "_plan" not in vars(fresh)
+    assert "_plan" not in getattr(fresh, "__dict__", {})
     assert repr(x._replace(**change)) == repr(dataclasses.replace(ref, **change))
     with pytest.raises(TypeError):
         x._replace(other=None)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0].__name__ for case in CASES])
+def test_constructor_rejects_missing_extra_repeated_and_unknown_fields(case):
+    cls, fields, args, *_ = case
+    names = _names(fields)
+    required = sum(isinstance(field, str) for field in fields)
+    for bad_args, bad_kwargs in (
+        (args[: required - 1], {}),  # missing
+        ((*args, None), {}),  # extra
+        (args, {names[0]: args[0]}),  # repeated
+        (args, {"other": None}),  # unknown
+    ):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_every_record_constructor_takes_its_fields_in_order():
+    # _replace calls the constructor with every field by name
+    classes, todo = set(), [Record]
+    for module in pkgutil.iter_modules(gkspec.__path__):
+        importlib.import_module(f"gkspec.{module.name}")
+    while todo:
+        sub = todo.pop().__subclasses__()
+        classes.update(sub)
+        todo += sub
+    assert classes == {case[0] for case in CASES}
+    for cls in classes:
+        if cls.__init__ is Record.__init__:
+            positional = cls(*range(len(cls._fields)))
+            by_name = cls(**{name: i for i, name in enumerate(cls._fields)})
+            assert positional._astuple() == by_name._astuple() == tuple(range(len(cls._fields)))
+        else:
+            params = list(inspect.signature(cls.__init__).parameters)
+            assert params == ["self", *cls._fields], cls
 
 
 def test_value_classes_never_equal_across_classes():
