@@ -54,8 +54,8 @@ class RecordError(ValueError):
 class GroupRecord(Record):
     """One database entry for a finite simple group.
 
-    pi is always present.  order, mu and the two membership flags are
-    optional; when present they must be mutually consistent (validated at
+    pi is always present.  order, mu and the two membership flags may be
+    None; when present they must be mutually consistent (validated at
     construction): pi equals the primes of order, the primes of mu lie in
     pi, and each flag agrees with mu membership.  By Lagrange's theorem an
     element order divides |G|, so with order present each mu generator's
@@ -70,11 +70,11 @@ class GroupRecord(Record):
         self,
         name: str,
         pi: tuple[int, ...],
-        order: Factorization | None = None,
-        mu: OrderSet | None = None,
-        has9: bool | None = None,
-        has25: bool | None = None,
-        notes: tuple[str, ...] = (),
+        order: Factorization | None,
+        mu: OrderSet | None,
+        has9: bool | None,
+        has25: bool | None,
+        notes: tuple[str, ...],
     ):
         _set(self, "name", name)
         _set(self, "pi", pi)

@@ -70,10 +70,8 @@ class FiniteField(Record):
         _set(self, "p", p)
         _set(self, "k", k)
         _set(self, "modulus", modulus)
-        # The order p^k, kernel constants, tables and the hash: derived from
-        # (p, k, modulus), so they take no part in equality or repr.  Every
-        # FieldElement hash hashes its field, so the field's hash is computed
-        # once.
+        # The order p^k, kernel constants and tables: derived from
+        # (p, k, modulus), so they take no part in equality, hash or repr.
         w = (2 * k * (p - 1) ** 2).bit_length()
         mask, low = (1 << w) - 1, (1 << (w * k)) - 1
         ones = low // mask
@@ -85,7 +83,6 @@ class FiniteField(Record):
             lanes = (-(-(1 << s) // p), s, g0, (g0 << w) & low, (g0 << (2 * w)) & low)
         constants = {
             "order": p**k,
-            "_hash": hash((p, k, modulus)),
             "_w": w,
             "_mask": mask,  # one slot
             "_low": low,  # the k slots of a reduced element
@@ -111,14 +108,14 @@ class FiniteField(Record):
         self._frobenius_tables[1] = self._power_table(self._pow(1 << w, p))
 
     def __eq__(self, other):
+        # Record's equality, after an identity test: every LinearAction
+        # construction and every frobenius call compares two fields, almost
+        # always the one make_field returned
         if self is other:
             return True
-        if other.__class__ is self.__class__:
-            return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        return NotImplemented
+        return Record.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = Record.__hash__
 
     # -- packed kernel ----------------------------------------------------------
 
@@ -321,12 +318,11 @@ class FieldElement(Record):
     """An element of a field: the field and the packed coefficients (see the
     module docstring).
 
-    A slotted Record of the two, so immutable with a
-    FieldElement(field=..., value=...) repr.  It is built by every
-    arithmetic operation, so it overrides only __init__, which stores
-    through the slot descriptors, and __eq__ and __hash__, which read the
-    two slots directly; __reduce__ pickles it, as the slots leave no
-    __dict__ to restore.
+    A slotted Record of the two, so immutable, compared and hashed by
+    (field, value), with a FieldElement(field=..., value=...) repr.  It is
+    built by every arithmetic operation, so it overrides __init__, which
+    stores through the slot descriptors; __reduce__ pickles it, as the
+    slots leave no __dict__ to restore.
     """
 
     __slots__ = ("field", "value")
@@ -340,14 +336,6 @@ class FieldElement(Record):
 
     def __reduce__(self):
         return FieldElement, (self.field, self.value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.value) == (other.field, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
 
     def _check_same(self, other: "FieldElement"):
         if self.field is not other.field and self.field != other.field:
@@ -524,7 +512,6 @@ def _conjugate_power(f: FiniteField, conjugates, rows) -> int:
     return y
 
 
-@lru_cache(maxsize=8192)
 def element_order(x: FieldElement) -> int:
     """Multiplicative order of a nonzero element.
 
@@ -542,15 +529,15 @@ def element_order(x: FieldElement) -> int:
     every power is pow(v, n, p).  In all: at most k - 1 Frobenius maps,
     and per prime r at most bit_length(p - 1) - 1 squarings, one product
     per set bit of the cofactor's digits and e - 1 powers by r.  This earns
-    its lines: the plain descent x ** ((p^k - 1) / r^e) behind the same
-    cache answered 32% fewer semidirect benchmark queries a second.  The
-    cache is one line and saves little: a replay of semidirect benchmark
-    seed 901 hit it on 316 of 772 calls, 273 of them the identity, never
-    holding more than 456 entries, and the hits would cost 1.3 ms uncached
-    against 61 ms for the misses; a verify run hits it on 5 of 9 calls.
+    its lines: the plain descent x ** ((p^k - 1) / r^e), both then behind
+    an lru_cache, answered 32% fewer semidirect benchmark queries a second.
+    The identity returns 1 at once: it made 273 of the 772 calls in a
+    replay of semidirect benchmark seed 901.
     """
     if x.is_zero:
         raise ValueError("zero has no multiplicative order")
+    if x.is_one:
+        return 1
     f = x.field
     p, v, d = f.p, x.value, f.k
     images = f._frobenius_tables[1]

@@ -91,16 +91,16 @@ def gamma_frobenius_config(p: int, k: int, kernel_order: int, complement_order: 
 
 
 def build_gamma_frobenius(
-    p: int, k: int, kernel_order: int, complement_order: int | None = None
+    p: int, k: int, kernel_order: int, complement_order: int
 ) -> GammaSemilinearGroup:
     """The group of semilinear maps u * frobenius^e with u^kernel_order = 1.
 
-    complement_order must divide k and defaults to k (the full Galois
-    group); passing 1 degenerates to the cyclic kernel alone.  The
-    Frobenius flag is gamma_frobenius_config's.  The actions tuple lists
-    every map, so groups of more than ENUMERATION_LIMIT maps are refused.
+    complement_order must divide k: k gives the full Galois group, 1 the
+    cyclic kernel alone.  The Frobenius flag is gamma_frobenius_config's.
+    The actions tuple lists every map, so groups of more than
+    ENUMERATION_LIMIT maps are refused.
     """
-    c = k if complement_order is None else complement_order
+    c = complement_order
     fpf = gamma_frobenius_config(p, k, kernel_order, c)
     if kernel_order * c > ENUMERATION_LIMIT:
         raise ValueError("acting group too large to enumerate")

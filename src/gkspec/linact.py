@@ -79,7 +79,7 @@ class LinearAction(Record):
 
     _fields = ("field", "mult", "galois_exp")
 
-    def __init__(self, field: FiniteField, mult: FieldElement, galois_exp: int = 0):
+    def __init__(self, field: FiniteField, mult: FieldElement, galois_exp: int):
         _set(self, "field", field)
         _set(self, "mult", mult)
         _set(self, "galois_exp", galois_exp)

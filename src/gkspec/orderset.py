@@ -204,31 +204,17 @@ class OrderSet(Record):
     """A divisor-closed set stored by its maximal-element antichain.
 
     The represented set is {d >= 1 : d divides some maximal element}; it
-    always contains 1.  The antichain must be sorted strictly increasing
-    with no element dividing another.
+    always contains 1.  The antichain must be the tuple from_generators
+    builds from it: sorted strictly increasing, with no element dividing
+    another.
     """
 
     _fields = ("maximal_elements",)
 
     def __init__(self, maximal_elements: tuple[int, ...]):
         _set(self, "maximal_elements", maximal_elements)
-        elems = maximal_elements
-        if not elems:
-            raise ValueError("an OrderSet needs at least one element")
-        last = 0
-        for m in elems:
-            if m < 1:
-                raise ValueError("elements must be positive")
-            if m <= last:
-                raise ValueError("maximal elements must be strictly increasing")
-            if m > INT64_MAX:
-                raise OverflowError("element exceeds the 64-bit range")
-            last = m
-        # increasing, so only a later element can be a multiple of an earlier
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                if b % a == 0:
-                    raise ValueError(f"{a} divides {b}: not an antichain")
+        if maximal_elements != OrderSet.from_generators(maximal_elements).maximal_elements:
+            raise ValueError(f"{maximal_elements} is not an antichain in increasing order")
 
     @classmethod
     def _trusted(cls, maximal_elements) -> "OrderSet":

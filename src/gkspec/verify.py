@@ -86,9 +86,8 @@ class Corpus:
         self.j4xj4 = cache(lambda: product_spectrum(j4(), j4()))
 
 
-@cache
 def _remark_spectrum() -> OrderSet:
-    """The witness spectrum, read by three checks and built once per process."""
+    """The witness spectrum, read by three checks."""
     return reduce(product_spectrum, map(semidirect_spectrum, groups.build_remark_group()))
 
 
@@ -325,15 +324,15 @@ def _psl2_intersection_check(q, targets, expected):
 
 
 def _check_psl2_32(corpus):
-    return _psl2_intersection_check(32, (11, 23, 29, 31, 37, 43), (11, 31))
+    return _psl2_intersection_check(32, atlasdb.LEMMA_QUERIES["8"], (11, 31))
 
 
 def _check_psl2_43(corpus):
-    return _psl2_intersection_check(43, (11, 23, 29, 31, 37, 43), (11, 43))
+    return _psl2_intersection_check(43, atlasdb.LEMMA_QUERIES["8"], (11, 43))
 
 
 def _check_psl2_29(corpus):
-    return _psl2_intersection_check(29, (5, 23, 29, 37, 43), (5, 29))
+    return _psl2_intersection_check(29, atlasdb.LEMMA_QUERIES["9"], (5, 29))
 
 
 # -- linear actions at desk scale ----------------------------------------------

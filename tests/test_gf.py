@@ -355,7 +355,6 @@ def test_element_order_of_powers_of_order17_generator():
     g = subgroup_generator(make_field(3, 16), 17)
     for i in range(2 * 17):
         assert element_order(g**i) == 17 // gcd(i, 17)
-        assert element_order.__wrapped__(g**i) == 17 // gcd(i, 17)
 
 
 def full_exponent_order(x):
@@ -395,9 +394,8 @@ def test_element_order_exhaustive_by_generator_powers(p, k):
         if len(powers) == q1:
             break
     assert len(set(powers)) == q1 and f.zero not in powers
-    order = element_order.__wrapped__
     for i, x in enumerate(powers):
-        assert order(x) == q1 // gcd(i, q1), i
+        assert element_order(x) == q1 // gcd(i, q1), i
 
 
 ORDER_SHAPES = [shape[:2] for shape in SEMIDIRECT_SHAPES] + [(43, 2), (2, 43), (2**61 - 1, 1)]
@@ -407,9 +405,11 @@ ORDER_SHAPES = [shape[:2] for shape in SEMIDIRECT_SHAPES] + [(43, 2), (2, 43), (
 def test_element_order_certificates_random(p, k):
     f = make_field(p, k)
     rng = random.Random(p * 100 + k)
-    for _ in range(25):
-        x = f.element_at(rng.randrange(1, f.order))
-        n = element_order.__wrapped__(x)
+    xs = [f.element_at(rng.randrange(1, f.order)) for _ in range(25)]
+    if p == 2**61 - 1:
+        xs.append(f.one)  # answered before the Frobenius orbit
+    for x in xs:
+        n = element_order(x)
         assert (f.order - 1) % n == 0 and x**n == f.one
         for r in factorize(n).primes:
             assert x ** (n // r) != f.one
@@ -419,7 +419,7 @@ def test_element_order_certificates_random(p, k):
 @pytest.mark.parametrize("p,k", [(2, 12), (3, 16), (5, 10), (7, 6), (43, 2)])
 def test_element_order_of_subfield_elements(p, k):
     f = make_field(p, k)
-    order = element_order.__wrapped__
+    order = element_order
     for n in range(1, p):
         n_one = f.element([n] + [0] * (k - 1))
         assert order(n_one) == next(m for m in range(1, p) if pow(n, m, p) == 1)

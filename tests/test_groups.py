@@ -260,7 +260,7 @@ def test_semidirect_spec_large_actor_orders_in_bounded_time():
 # -- GammaL1 configurations --------------------------------------------------------
 
 def test_gamma_23_11():
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     assert len(gamma.actions) == 23 * 11
     assert gamma.kernel_order == 23 and gamma.complement_order == 11
     assert gamma.frobenius_config
@@ -269,7 +269,7 @@ def test_gamma_23_11():
 
 
 def test_gamma_89_11():
-    gamma = build_gamma_frobenius(2, 11, 89)
+    gamma = build_gamma_frobenius(2, 11, 89, 11)
     assert gamma.frobenius_config
     assert len(gamma.actions) == 89 * 11
     assert [j for j in range(1, 12) if pow(2, j, 89) == 1] == [11]
@@ -285,7 +285,7 @@ def test_gamma_degenerate_complement_is_remark_cyclic():
 
 
 def test_gamma_full_galois_on_3_16():
-    gamma = build_gamma_frobenius(3, 16, 17)
+    gamma = build_gamma_frobenius(3, 16, 17, 16)
     assert gamma.complement_order == 16
     # 3 has order 16 modulo 17, so the full Galois complement acts freely
     assert gamma.frobenius_config
@@ -294,7 +294,7 @@ def test_gamma_full_galois_on_3_16():
 def test_gamma_non_frobenius_configuration():
     # 2^6 - 1 = 63 = 7 * 9; the order of 2 modulo 7 is 3 < 6, so a proper
     # Galois power fixes kernel elements
-    gamma = build_gamma_frobenius(2, 6, 7)
+    gamma = build_gamma_frobenius(2, 6, 7, 6)
     assert not gamma.frobenius_config
 
 
@@ -306,7 +306,7 @@ def test_gamma_frobenius_config_matches_the_built_group():
 
 def test_gamma_rejects_bad_divisibility():
     with pytest.raises(ValueError):
-        build_gamma_frobenius(2, 11, 7)
+        build_gamma_frobenius(2, 11, 7, 11)
     with pytest.raises(ValueError):
         build_gamma_frobenius(2, 11, 23, complement_order=5)
     for args in ((2, 11, 7, 11), (2, 11, 0, 11), (2, 11, 23, 5), (2, 11, 23, 0)):
@@ -319,13 +319,13 @@ def test_gamma_refuses_acting_group_beyond_enumeration_limit():
     # before it lists (2^61 - 1) * 61 maps
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="too large to enumerate"):
-        build_gamma_frobenius(2, 61, 2**61 - 1)
+        build_gamma_frobenius(2, 61, 2**61 - 1, 61)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_gamma_element_orders_match_frobenius_structure():
     # in a Frobenius group of order 253 every element order is 1, 11 or 23
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     orders = sorted({action_order(a) for a in gamma.actions})
     assert orders == [1, 11, 23]
 
@@ -333,7 +333,7 @@ def test_gamma_element_orders_match_frobenius_structure():
 def test_gamma_23_11_complement_moves_every_kernel_element():
     # field-level confirmation of the Frobenius flag: no proper Galois power
     # fixes any nontrivial 23rd root of unity
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     f = gamma.field
     zeta = gamma.kernel_generator
     for e in range(1, 11):

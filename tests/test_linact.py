@@ -153,7 +153,7 @@ def test_action_order_examples():
     f316 = make_field(3, 16)
     assert action_order(LinearAction.multiplication(subgroup_generator(f316, 17))) == 17
     assert action_order(GALOIS) == 11
-    assert action_order(LinearAction(F2_11, F2_11.one)) == 1
+    assert action_order(LinearAction(F2_11, F2_11.one, 0)) == 1
 
 
 def test_action_order_matches_naive_iteration():
@@ -168,7 +168,7 @@ def test_action_order_matches_naive_iteration():
 # -- fixed spaces and minimal polynomials ---------------------------------------------
 
 def test_fixed_space_dims():
-    assert fixed_space_dim(LinearAction(F2_11, F2_11.one)) == 11
+    assert fixed_space_dim(LinearAction(F2_11, F2_11.one, 0)) == 11
     assert fixed_space_dim(GALOIS) == 1  # the prime subfield
     assert fixed_space_dim(MULT23) == 0
 
@@ -191,7 +191,7 @@ def test_minpoly_mult5_degree_capped_below_s():
 
 def test_minpoly_preconditions():
     with pytest.raises(ValueError):
-        minpoly_equals_xs_minus_1(LinearAction(F2_11, F2_11.one), 1)  # 1 not prime
+        minpoly_equals_xs_minus_1(LinearAction(F2_11, F2_11.one, 0), 1)  # 1 not prime
     with pytest.raises(ValueError):
         minpoly_equals_xs_minus_1(GALOIS, 5)  # order is 11, not 5
 
@@ -291,7 +291,7 @@ def test_lemma2_dichotomy_on_instance_corpus():
     # wherever the minimal polynomial is exactly x^s - 1, the fixed space is
     # nontrivial; instances with prime order in the constructed corpus
     instances = [(GALOIS, 11), (MULT5, 5), (MULT23, 23)]
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     for a in gamma.actions:
         if not a.is_identity and action_order(a) in (11, 23):
             instances.append((a, action_order(a)))
@@ -396,8 +396,8 @@ def test_t_sum_on_matches_defining_sum():
 
 def test_semidirect_order_base_cases():
     assert semidirect_element_order(F2_11.zero, GALOIS) == 11
-    assert semidirect_element_order(F2_11.one, LinearAction(F2_11, F2_11.one)) == 2
-    assert semidirect_element_order(F3_4.one, LinearAction(F3_4, F3_4.one)) == 3
+    assert semidirect_element_order(F2_11.one, LinearAction(F2_11, F2_11.one, 0)) == 2
+    assert semidirect_element_order(F3_4.one, LinearAction(F3_4, F3_4.one, 0)) == 3
     # the vector 1 has trace 1, realizing an order-22 element
     assert semidirect_element_order(F2_11.one, GALOIS) == 22
 
@@ -417,7 +417,7 @@ def _brute_pair_order(v, h):
 
 
 def test_order_dichotomy_gamma_frobenius_1000_cases():
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     actions = [a for a in gamma.actions]
     rng = random.Random(18)
     p = 2
@@ -498,7 +498,7 @@ def _plan_vectors(field, rng):
 def _plan_cases():
     """(field, actions): the two factors of the remark group, and every
     third LinearAction of 23:11 on GF(2^11)."""
-    return _remark_factors() + [(F2_11, build_gamma_frobenius(2, 11, 23).actions[::3])]
+    return _remark_factors() + [(F2_11, build_gamma_frobenius(2, 11, 23, 11).actions[::3])]
 
 
 def test_plan_same_whichever_caller_fills_it():
@@ -606,7 +606,7 @@ def test_is_fixed_point_free():
         LinearAction.multiplication(subgroup_generator(f316, 17))
     )
     with pytest.raises(ValueError):
-        is_fixed_point_free(LinearAction(F2_11, F2_11.one))
+        is_fixed_point_free(LinearAction(F2_11, F2_11.one, 0))
 
 
 # Test oracles for the closed forms read off the closure (t, c): plain-list
@@ -716,7 +716,7 @@ def test_lemma1_instance_gamma_23_11():
     # the 23:11 configuration acting on GF(2^11)+: the complement generator
     # has nontrivial fixed space and the semidirect product with its cyclic
     # group reaches order 2*11
-    gamma = build_gamma_frobenius(2, 11, 23)
+    gamma = build_gamma_frobenius(2, 11, 23, 11)
     assert gamma.frobenius_config
     assert fixed_space_dim(GALOIS) > 0
     assert semidirect_spectrum(GALOIS).contains(22)
