@@ -32,7 +32,7 @@ from functools import cache
 
 from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
-from .orderset import Factorization, OrderSet, _is_prime, factorize
+from .orderset import Factorization, OrderSet, _is_prime, _numeral, factorize
 
 
 class ParseError(ValueError):
@@ -90,8 +90,11 @@ class GroupRecord(Record):
         if tuple(sorted(set(self.pi))) != self.pi:
             raise RecordError(self.name, "pi must be sorted and distinct")
         for p in self.pi:
-            if not _is_prime(p):
-                raise RecordError(self.name, f"{p} in pi is not prime")
+            try:
+                if not _is_prime(p):
+                    raise RecordError(self.name, f"{p} in pi is not prime")
+            except OverflowError as exc:
+                raise RecordError(self.name, f"pi: {exc}") from None
         if self.order is not None:
             if self.order.primes != self.pi:
                 raise RecordError(self.name, "pi does not match the primes of order")
@@ -129,20 +132,20 @@ class GroupRecord(Record):
 def _parse_order(text: str, line_no: int) -> Factorization:
     pairs = []
     for token in text.split():
-        base, _, exp = token.partition("^")
+        base, caret, exp = token.partition("^")
         try:
-            pairs.append((int(base), int(exp) if exp else 1))
+            pairs.append((_numeral(base), _numeral(exp) if caret else 1))
         except ValueError:
             raise ParseError(line_no, f"bad order token {token!r}") from None
     try:
         return Factorization(tuple(pairs))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(line_no, str(exc)) from None
 
 
 def _parse_ints(text: str, line_no: int) -> list[int]:
     try:
-        return [int(t) for t in text.split(",")]
+        return [_numeral(t) for t in text.split(",")]
     except ValueError:
         raise ParseError(line_no, f"bad integer list {text!r}") from None
 
@@ -199,8 +202,9 @@ def parse_records(text: str) -> list[GroupRecord]:
         if key == "order":
             current["order"] = _parse_order(rest, line_no)
         elif key == "mu":
+            gens = _parse_ints(rest, line_no)
             try:
-                current["mu"] = OrderSet(tuple(sorted(_parse_ints(rest, line_no))))
+                current["mu"] = OrderSet(tuple(sorted(gens)))
             except (ValueError, OverflowError) as exc:
                 raise ParseError(line_no, str(exc)) from None
         elif key == "pi":

@@ -33,7 +33,7 @@ def _spectrum_for(args) -> OrderSet:
 def _print_summary(s: OrderSet):
     pi = s.pi()
     print(f"maximal: {s.serialize()}")
-    print(f"members: {s.member_count()}")
+    print(f"members: {len(s.members())}")
     print(f"pi: {','.join(map(str, pi)) if pi else '-'}")
     print(f"sigma: {s.sigma()}")
 

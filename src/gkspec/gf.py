@@ -37,6 +37,8 @@ mod-p pass (FiniteField._frobenius), one pass whatever e is.  The table of
 an exponent e other than 1 is built on its first use (FiniteField._images):
 y = x^(p^e) by e passes of the first table, then its k-2 further powers.
 So a candidate ring that make_field tests builds only the first table.
+The irreducibility test and linact's closures share one norm down to a
+subfield (FiniteField._norm).
 
 Fields and elements are immutable in value and safe to share between
 threads.  The tables of further exponents are derived state kept in a
@@ -163,7 +165,9 @@ class FiniteField(Record):
 
         Slots must hold at most 2p-1.  Adding 2^(w-1) - p (not negative, by
         the width rule) to a slot sets its top bit exactly when the slot
-        holds p or more, and never carries.
+        holds p or more, and never carries.  On sums over odd p it beats
+        _fold: 440 against 1,129 ns on GF(3^16), 402 against 1,157 on GF(7^9)
+        (timeit, 2 vCPUs), and verify makes about 900 such additions (p = 3).
         """
         w = self._w
         return t - self.p * (((t + self._bias) >> (w - 1)) & self._ones)
@@ -240,7 +244,7 @@ class FiniteField(Record):
         product of fields GF(p^d) (by the CRT), in which a^(p^k - 1) = 1
         holds exactly for the units.  So each gcd is 1 exactly when
         d^(p^k - 1) is 1 for d = x^(p^(k/r)) - x.  That power is the norm
-        b * b^p * ... * b^(p^(k-1)) of b = d^(p-1), as
+        _norm(b, 1) of b = d^(p-1) down to GF(p), as
         (p^k - 1) = (p - 1)(1 + p + ... + p^(k-1)): k - 1 Frobenius maps
         and k - 1 products.
         """
@@ -258,13 +262,20 @@ class FiniteField(Record):
             for _ in range(k // r):
                 t = self._frobenius(t, images)
             b = self._pow(self._sub_p(t + self._p_ones - x), self.p - 1)
-            norm = b
-            for _ in range(k - 1):
-                b = self._frobenius(b, images)
-                norm = self._mul(norm, b)
-            if norm != 1:
+            if self._norm(b, 1) != 1:
                 return False
         return True
+
+    def _norm(self, v: int, g: int) -> int:
+        """The norm v * v^(p^g) * ... * v^(p^(k-g)) down to GF(p^g), g | k: k/g - 1
+        passes of the table of g, a product after each; v itself for g = k."""
+        norm = v
+        if g < self.k:
+            images = self._images(g)
+            for _ in range(self.k // g - 1):
+                v = self._frobenius(v, images)
+                norm = self._mul(norm, v)
+        return norm
 
     # -- element constructors -------------------------------------------------
 
@@ -309,9 +320,6 @@ class FiniteField(Record):
         if not e:
             return FieldElement(self, x.value)
         return FieldElement(self, self._frobenius(x.value, self._images(e)))
-
-    def __str__(self) -> str:
-        return f"GF({self.p}^{self.k})/modulus=[{','.join(map(str, self.modulus))}]"
 
 
 class FieldElement(Record):
@@ -386,14 +394,6 @@ class FieldElement(Record):
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
-    def serialize(self) -> str:
-        """Text form p,k:[c0,c1,...,c_{k-1}]."""
-        f = self.field
-        return f"{f.p},{f.k}:[{','.join(map(str, self.coeffs))}]"
-
-    def __str__(self) -> str:
-        return self.serialize()
-
 
 _set_field = FieldElement.field.__set__
 _set_value = FieldElement.value.__set__
@@ -420,7 +420,8 @@ def make_field(p: int, k: int) -> FiniteField:
     if k == 1:
         return FiniteField(p, 1, (0, 1))
     # a zero constant term means a root at zero, so lex order effectively
-    # starts at the first candidate with c0 = 1
+    # starts at the first candidate with c0 = 1; itertools.product over the
+    # digits would build a tuple of range(p), a MemoryError at p = 2^31 - 1
     for n in range(p ** (k - 1), p**k):
         coeffs = [0] * k
         m = n

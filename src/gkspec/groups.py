@@ -64,17 +64,14 @@ def check_proposition_hypotheses(
 class GammaSemilinearGroup(Record):
     """Subgroup of GammaL1(p^k): kernel of unit multiplications, Galois complement.
 
-    actions lists all kernel_order * complement_order semilinear maps
-    u * frobenius^e with u in the order-m unit subgroup.  frobenius_config
+    actions lists all kernel order * complement order semilinear maps
+    u * frobenius^e with u a power of kernel_generator.  frobenius_config
     records whether every nontrivial complement element acts without fixed
     points on the kernel subgroup, i.e. whether kernel:complement is a
     Frobenius configuration.
     """
 
-    _fields = (
-        "field", "kernel_order", "complement_order", "kernel_generator", "actions",
-        "frobenius_config",
-    )
+    _fields = ("field", "kernel_generator", "actions", "frobenius_config")
 
 
 def gamma_frobenius_config(p: int, k: int, kernel_order: int, complement_order: int) -> bool:
@@ -113,7 +110,7 @@ def build_gamma_frobenius(
     actions = tuple(
         LinearAction(field, u, (step * e) % k) for u in powers for e in range(c)
     )
-    return GammaSemilinearGroup(field, kernel_order, c, zeta, actions, fpf)
+    return GammaSemilinearGroup(field, zeta, actions, fpf)
 
 
 PSL2_MAX_Q = 64  # largest q that psl2_order_counts accepts

@@ -123,16 +123,12 @@ class LinearAction(Record):
 def _closure(h: LinearAction) -> tuple[int, FieldElement]:
     """(t, c) with t = k / gcd(e, k) and h^t multiplication by c.
 
-    c is the norm u * u^(p^g) * ... * u^(p^((t-1)g)), g = gcd(e, k); see
-    the module docstring.  A multiplication (t = 1) costs nothing.
+    c is the norm u * u^(p^g) * ... * u^(p^((t-1)g)), g = gcd(e, k), by
+    FiniteField._norm, which costs nothing for a multiplication (t = 1).
     """
     f = h.field
     g = gcd(h.galois_exp, f.k)
-    c = conjugate = h.mult
-    for _ in range(f.k // g - 1):
-        conjugate = f.frobenius(conjugate, g)
-        c = c * conjugate
-    return f.k // g, c
+    return f.k // g, FieldElement(f, f._norm(h.mult.value, g))
 
 
 def action_order(h: LinearAction) -> int:

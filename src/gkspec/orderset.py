@@ -8,10 +8,11 @@ members stay cheap and exact.
 
 Factorization strips the primes below 2^10 by division, tests what is
 left with deterministic Miller-Rabin on the first twelve primes as bases
-(exact far beyond 2^64; Sorenson and Webster, Math. Comp. 2017) and
-splits composites with Pollard rho in Brent's variant (Brent, BIT 1980),
-so every value below 2^63 is factored, tested and expanded into divisors
-in bounded time.
+and splits composites with Pollard rho in Brent's variant (Brent, BIT
+1980), so every value below 2^63 is factored, tested and expanded into
+divisors in bounded time.  The primality test is exact below the least
+composite passing all twelve bases, psi_12 = 318665857834031151167461
+(Sorenson and Webster, Math. Comp. 2017), and answers only below 2^63.
 
 Values are immutable after construction and safe for concurrent read-only
 use.  All arithmetic is exact; any intermediate value that would exceed
@@ -39,10 +40,19 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 
 # the 172 primes below 2^10: a number below 2^20 that none of them divides
-# is prime
+# is prime (factorize's cofactor rule)
 _SMALL_PRIMES = _primes_below(1 << 10)
 _SMALL_SQUARE = 1 << 20
 _MR_BASES = _SMALL_PRIMES[:12]  # 2, 3, ..., 37
+
+
+def _numeral(token: str) -> int:
+    """A numeral's value: ASCII digits, blanks around them allowed (int alone
+    also takes a sign, 2_3 as 23 and non-ASCII digits)."""
+    digits = token.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad numeral {token!r}")
+    return int(digits)
 
 
 def _divisors(n: int) -> list[int]:
@@ -78,12 +88,6 @@ class Factorization(Record):
         _set(f, "pairs", pairs)
         return f
 
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
@@ -94,23 +98,17 @@ class Factorization(Record):
                 return e
         return 0
 
-    def __str__(self) -> str:
-        return " ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.pairs) or "1"
-
 
 def _is_prime(n: int) -> bool:
-    """Primality by the small-prime table below 2^20, by Miller-Rabin above."""
-    if n < _SMALL_SQUARE:
-        if n < 2:
-            return False
-        for p in _SMALL_PRIMES:
-            if p * p > n:
-                return True
-            if n % p == 0:
-                return False
-        return True
-    if n % 2 == 0:
-        return False
+    """Exact primality for n <= INT64_MAX: division by the twelve bases, then
+    Miller-Rabin on them from 37^2 on; OverflowError above INT64_MAX."""
+    if n > INT64_MAX:
+        raise OverflowError(f"{n} exceeds the 64-bit range")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 1369:  # 37^2: a composite here has a prime factor below 37
+        return n > 1
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -269,9 +267,6 @@ class OrderSet(Record):
             out.update(_divisors(m))
         return sorted(out)
 
-    def member_count(self) -> int:
-        return len(self.members())
-
     def pi(self) -> tuple[int, ...]:
         """Union of prime divisors of all members, increasing."""
         out: set[int] = set()
@@ -302,13 +297,10 @@ class OrderSet(Record):
     @classmethod
     def parse(cls, text: str) -> "OrderSet":
         try:
-            gens = [int(part) for part in text.split(",")]
+            gens = [_numeral(part) for part in text.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad order-set text {text!r}") from exc
         return cls.from_generators(gens)
-
-    def __str__(self) -> str:
-        return "{" + self.serialize() + "}"
 
 
 def _lcm_checked(a: int, b: int) -> int:

@@ -12,7 +12,7 @@ unexpected exceptions are reported as failures too, never swallowed.
 from __future__ import annotations
 
 import random
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from math import lcm
 
 from . import atlasdb, groups, primegraph
@@ -314,25 +314,11 @@ def _check_psl2_23(corpus):
     return "spectrum {1,2,3,4,6,11,12,23}; order 6072"
 
 
-def _psl2_intersection_check(q, targets, expected):
-    got = tuple(sorted(set(groups.psl2_spectrum(q).pi()) & set(targets)))
+def _check_psl2_targets(q, lemma, expected, corpus):
+    got = tuple(sorted(set(groups.psl2_spectrum(q).pi()) & set(atlasdb.LEMMA_QUERIES[lemma])))
     _require(got == expected, f"PSL2({q}) target primes {got}, expected {expected}")
-    return (
-        f"target primes {{{','.join(map(str, expected))}}}; "
-        f"order {groups.psl2_order_formula(q)}"
-    )
-
-
-def _check_psl2_32(corpus):
-    return _psl2_intersection_check(32, atlasdb.LEMMA_QUERIES["8"], (11, 31))
-
-
-def _check_psl2_43(corpus):
-    return _psl2_intersection_check(43, atlasdb.LEMMA_QUERIES["8"], (11, 43))
-
-
-def _check_psl2_29(corpus):
-    return _psl2_intersection_check(29, atlasdb.LEMMA_QUERIES["9"], (5, 29))
+    order = groups.psl2_order_formula(q)
+    return f"target primes {{{','.join(map(str, expected))}}}; order {order}"
 
 
 # -- linear actions at desk scale ----------------------------------------------
@@ -418,18 +404,11 @@ _LEMMA9_EXPECTED = (
 )
 
 
-def _check_db_lemma8(corpus):
-    result = atlasdb.run_filter(corpus.records(), atlasdb.LEMMA_QUERIES["8"])
-    _require(result.matches == _LEMMA8_EXPECTED, f"filter returned {result.matches}")
+def _check_db_lemma(lemma, expected, count, corpus):
+    result = atlasdb.run_filter(corpus.records(), atlasdb.LEMMA_QUERIES[lemma])
+    _require(result.matches == expected, f"filter returned {result.matches}")
     _require(not result.insufficient, f"undecidable records: {result.insufficient}")
-    return "exactly the seven listed groups with the stated prime intersections"
-
-
-def _check_db_lemma9(corpus):
-    result = atlasdb.run_filter(corpus.records(), atlasdb.LEMMA_QUERIES["9"])
-    _require(result.matches == _LEMMA9_EXPECTED, f"filter returned {result.matches}")
-    _require(not result.insufficient, f"undecidable records: {result.insufficient}")
-    return "exactly the five listed groups with the stated prime intersections"
+    return f"exactly the {count} listed groups with the stated prime intersections"
 
 
 def _check_db_insufficient(corpus):
@@ -465,16 +444,16 @@ CHECKS = (
     ("remark.hypotheses", "Proposition 1", _check_remark_hypotheses),
     ("remark.sampling", "Remark", _check_remark_sampling),
     ("psl2.q23", "Lemma 8(1)", _check_psl2_23),
-    ("psl2.q32", "Lemma 8(4)", _check_psl2_32),
-    ("psl2.q43", "Lemma 8(6)", _check_psl2_43),
-    ("psl2.q29", "Lemma 9(3)", _check_psl2_29),
+    ("psl2.q32", "Lemma 8(4)", partial(_check_psl2_targets, 32, "8", (11, 31))),
+    ("psl2.q43", "Lemma 8(6)", partial(_check_psl2_targets, 43, "8", (11, 43))),
+    ("psl2.q29", "Lemma 9(3)", partial(_check_psl2_targets, 29, "9", (5, 29))),
     ("linact.galois", "Lemma 2", _check_linact_galois),
     ("linact.order22", "Lemma 1", _check_linact_order22),
     ("linact.kernel", "Lemma 3", _check_linact_kernel),
     ("frobenius.arithmetic", "Lemma 3(1)", _check_frobenius_arithmetic),
     ("db.load", "Lemmas 8-9", _check_db_load),
-    ("db.lemma8", "Lemma 8", _check_db_lemma8),
-    ("db.lemma9", "Lemma 9", _check_db_lemma9),
+    ("db.lemma8", "Lemma 8", partial(_check_db_lemma, "8", _LEMMA8_EXPECTED, "seven")),
+    ("db.lemma9", "Lemma 9", partial(_check_db_lemma, "9", _LEMMA9_EXPECTED, "five")),
     ("db.insufficient", "Lemma 8", _check_db_insufficient),
 )
 

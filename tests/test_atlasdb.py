@@ -1,6 +1,7 @@
 """Record database: parser, invariants, selection filters, crosschecks."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,24 @@ def test_parse_positions_errors():
         parse_records("group A\nmu 9223372036854775808\npi 2\n")  # 2^63
     with pytest.raises(ParseError):
         parse_records("group A\n")  # record without pi
+    # psi_12 passes Miller-Rabin on all twelve bases but lies above 2^63, so
+    # it is refused by name, never loaded as a prime
+    psi_12 = "318665857834031151167461"
+    with pytest.raises(RecordError, match=psi_12):
+        parse_records(f"group A\npi 2,{psi_12}\n")
+    with pytest.raises(ParseError, match=f"line 2: {psi_12}"):
+        parse_records(f"group A\norder 2 {psi_12}\npi 2,{psi_12}\n")
+    # int() alone read each of these as a record of the group 2: numerals
+    # are ASCII digits, and a power has digits on both sides of the ^
+    for line in (
+        "order 2^", "order 2^+1", "order +2", "order 2^\u0661", "order 2^0_1",
+        "mu +2", "mu 0_2", "mu \u0662",
+    ):
+        with pytest.raises(ParseError, match="^line 3: bad (order token|integer list) "):
+            parse_records(f"group A\npi 2\n{line}\n")
+    for line in ("pi +2", "pi 0_2", "pi \u0662"):
+        with pytest.raises(ParseError, match="^line 2: bad integer list "):
+            parse_records(f"group A\n{line}\n")
 
 
 def test_mu_line_must_be_an_antichain():
@@ -220,7 +239,7 @@ def test_record_lagrange_invariants():
     # exponents are compared, so orders beyond 2^63 (|J4| is about 8.7e19) work
     big = "order 2^21 3^3 5 7 11^3 23 29 31 37 43\npi 2,3,5,7,11,23,29,31,37,43\n"
     (j4,) = parse_records("group Y\n" + big + "mu 2097152,1331\n")
-    assert j4.order.value() > 2**63
+    assert prod(p**e for p, e in j4.order.pairs) > 2**63
     with pytest.raises(RecordError, match="mu generator 4194304"):
         parse_records("group Y\n" + big + "mu 4194304\n")
 

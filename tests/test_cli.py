@@ -55,6 +55,10 @@ def test_spectrum_rejects_zero(capsys):
     code, _, err = run(capsys, "spectrum", "0")
     assert code == 2
     assert "error" in err
+    # int() would read 2_3 as 23
+    code, _, err = run(capsys, "spectrum", "2_3")
+    assert code == 2
+    assert "error" in err
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,29 @@ def test_frobenius_tables_filled_by_racing_threads():
         sys.setswitchinterval(old_interval)
 
 
+# the semidirect benchmark's fields, verify's three and a prime field
+NORM_SHAPES = sorted({s[:2] for s in SEMIDIRECT_SHAPES} | {(3, 16), (3, 4), (2, 11), (43, 1)})
+
+
+@pytest.mark.parametrize("p,k", NORM_SHAPES)
+def test_norm_is_the_product_of_the_conjugates(p, k):
+    f = FiniteField(p, k, make_field(p, k).modulus)  # a fresh field: only the table of 1
+    rng = random.Random(p * k)
+    xs = [f.zero, f.one, f.element([p - 1] * k)] + [_random_element(f, rng) for _ in range(4)]
+    # g = k: the norm is v itself, and no table is built
+    for x in xs:
+        assert f._norm(x.value, k) == x.value
+    assert sorted(f._frobenius_tables) == [1]
+    for g in [g for g in range(1, k) if k % g == 0]:
+        for x in xs:
+            want = f.one
+            for i in range(k // g):
+                want = want * f.frobenius(x, i * g)
+            norm = FieldElement(f, f._norm(x.value, g))
+            assert norm == want, (g, x)
+            assert f.frobenius(norm, g) == norm  # it lies in GF(p^g)
+
+
 def test_mixed_field_operations_rejected():
     a = make_field(2, 5).one
     b = make_field(3, 4).one
@@ -502,19 +525,7 @@ def test_multiplicative_group_cyclicity_witness():
         assert element_order(g) == f.order - 1
 
 
-# -- serialization ---------------------------------------------------------------------
-
-def test_element_serialize_text():
-    f = make_field(3, 4)
-    x = f.element((2, 1, 0, 2))
-    assert x.serialize() == str(x) == "3,4:[2,1,0,2]"
-    assert make_field(2, 5).zero.serialize() == "2,5:[0,0,0,0,0]"
-
-
-def test_field_text_form():
-    f = make_field(2, 5)
-    assert str(f) == "GF(2^5)/modulus=[{}]".format(",".join(map(str, f.modulus)))
-
+# -- element indexing ------------------------------------------------------------------
 
 def test_element_at_lexicographic():
     f = make_field(3, 2)

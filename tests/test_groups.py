@@ -262,7 +262,8 @@ def test_semidirect_spec_large_actor_orders_in_bounded_time():
 def test_gamma_23_11():
     gamma = build_gamma_frobenius(2, 11, 23, 11)
     assert len(gamma.actions) == 23 * 11
-    assert gamma.kernel_order == 23 and gamma.complement_order == 11
+    assert element_order(gamma.kernel_generator) == 23
+    assert sorted({a.galois_exp for a in gamma.actions}) == list(range(11))
     assert gamma.frobenius_config
     # the arithmetic witness: 2 has order 11 modulo 23
     assert [j for j in range(1, 12) if pow(2, j, 23) == 1] == [11]
@@ -286,7 +287,7 @@ def test_gamma_degenerate_complement_is_remark_cyclic():
 
 def test_gamma_full_galois_on_3_16():
     gamma = build_gamma_frobenius(3, 16, 17, 16)
-    assert gamma.complement_order == 16
+    assert sorted({a.galois_exp for a in gamma.actions}) == list(range(16))
     # 3 has order 16 modulo 17, so the full Galois complement acts freely
     assert gamma.frobenius_config
 

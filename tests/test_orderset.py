@@ -1,7 +1,7 @@
 """Order-set algebra: construction, queries, products, randomized laws."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +87,7 @@ def test_factorize_roundtrip_random():
     for _ in range(500):
         n = rng.randrange(1, 10**7)
         f = factorize(n)
-        assert f.value() == n
+        assert prod(p**e for p, e in f.pairs) == n
         for p, e in f.pairs:
             assert e >= 1
             assert factorize(p).pairs == ((p, 1),)
@@ -100,9 +100,24 @@ def test_is_prime_matches_trial_division_below_2_17():
 
 
 def test_is_prime_across_the_miller_rabin_threshold():
-    # below 2^20 the table decides, from 2^20 on Miller-Rabin does
+    # _is_prime's own threshold, 37^2, is inside the test above; 2^20 is
+    # factorize's, below which a cofactor is prime without a test
     for n in range(2**20 - 3000, 2**20 + 3000):
         assert _is_prime(n) == trial_is_prime(n), n
+
+
+def test_is_prime_matches_sympy():
+    # an oracle written by other hands, on random n across the 64-bit range
+    from sympy import isprime
+    rng = random.Random(2063)
+    for _ in range(2000):
+        n = rng.randrange(2**20, 2**63)
+        assert _is_prime(n) == isprime(n), n
+    for _ in range(200):
+        n = rng.randrange(2**20, 2**63) | 1
+        while not isprime(n):
+            n += 2
+        assert _is_prime(n), n
 
 
 def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
@@ -117,6 +132,14 @@ def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
     assert factorize(3825123056546413051).pairs == (
         (149491, 1), (747451, 1), (34233211, 1)
     )
+    # psi_12 = 399165290221 * 798330580441 passes all twelve bases; it lies
+    # above 2^63, where the test refuses to answer
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    with pytest.raises(OverflowError, match=str(psi_12)):
+        _is_prime(psi_12)
+    with pytest.raises(OverflowError):
+        _is_prime(INT64_MAX + 1)
 
 
 def test_factorize_matches_trial_division_on_hard_cofactors():
@@ -142,7 +165,7 @@ def test_factorize_output_passes_public_validation():
         cases += [p * q, p * p, p**3, rng.randrange(1, 2**16) * p * q]
     for n in cases:
         f = factorize(n)
-        assert Factorization(f.pairs) == f and f.value() == n, n
+        assert Factorization(f.pairs) == f and prod(p**e for p, e in f.pairs) == n, n
     assert factorize(cases[0]).pairs == ((1000000000000000003, 1),)
     assert factorize(cases[1]).pairs == ((2147483647, 2),)
     assert factorize(cases[2]).pairs == ((2147483629, 1), (2147483647, 1))
@@ -158,7 +181,7 @@ def test_divisors_match_brute_force():
 @given(st.integers(1, INT64_MAX))
 def test_factorize_roundtrip_int64(n):
     f = factorize(n)
-    assert f.value() == n
+    assert prod(p**e for p, e in f.pairs) == n
     assert all(_is_prime(p) for p in f.primes)
     # factors below 2^40 are checked against the oracle as well
     assert all(p >= 2**40 or trial_is_prime(p) for p in f.primes)
@@ -169,8 +192,9 @@ def test_j4_order_reconstructs():
     j4_order = Factorization(
         ((2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1), (37, 1), (43, 1))
     )
-    assert j4_order.value() == 2**21 * 3**3 * 5 * 7 * 11**3 * 23 * 29 * 31 * 37 * 43
-    assert str(j4_order) == "2^21 3^3 5 7 11^3 23 29 31 37 43"
+    assert prod(p**e for p, e in j4_order.pairs) == (
+        2**21 * 3**3 * 5 * 7 * 11**3 * 23 * 29 * 31 * 37 * 43
+    )
     assert j4_order == record(load(), "J4").order
 
 

@@ -39,10 +39,7 @@ def _cases():
     by_name = {r.name: r for r in atlasdb.load()}
     record_fields = ("name", "pi", "order", "mu", "has9", "has25", "notes")
     gamma, gamma2 = build_gamma_frobenius(2, 4, 5, 4), build_gamma_frobenius(2, 4, 3, 4)
-    gamma_fields = (
-        "field", "kernel_order", "complement_order", "kernel_generator", "actions",
-        "frobenius_config",
-    )
+    gamma_fields = ("field", "kernel_generator", "actions", "frobenius_config")
     check = CheckResult("db.load", "[atlas]", "pass", "16 records")
     return [
         (GroupRecord, record_fields, _values(by_name["L2(23)"], record_fields),
