@@ -2,9 +2,15 @@
 
 An OrderSet represents a set of positive integers that is closed under
 taking divisors, stored by its maximal elements: the antichain of members
-not dividing any other member.  All queries reduce to divisibility tests
-against that antichain, so sets whose full expansion has thousands of
-members stay cheap and exact.
+not dividing any other member.  All queries work on that antichain, so
+sets whose full expansion has thousands of members stay cheap and exact.
+Membership and inclusion are divisibility tests against it; the prime and
+member queries (pi, sigma, restricted_sigma, members) read its
+factorization, which an OrderSet computes once, on the first such query,
+and keeps as derived state that equality, hash and repr never see.  One
+factorization thus serves verify's repeated queries on J4's spectrum and
+its square, and the CLI's spectrum, product and wreath2, which ask pi,
+members and sigma of one set.
 
 Factorization strips the primes below 2^10 by division, tests what is
 left with deterministic Miller-Rabin on the first twelve primes as bases
@@ -24,7 +30,7 @@ from __future__ import annotations
 from itertools import count
 from math import gcd, isqrt
 
-from ._record import Record, _set
+from ._record import Record, _set, derived
 
 INT64_MAX = 2**63 - 1
 
@@ -55,9 +61,10 @@ def _numeral(token: str) -> int:
     return int(digits)
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(pairs) -> list[int]:
+    """The divisors, sorted, of the number with these (prime, exponent) pairs."""
     divs = [1]
-    for p, e in factorize(n).pairs:
+    for p, e in pairs:
         divs = [d * p**i for i in range(e + 1) for d in divs]
     return sorted(divs)
 
@@ -260,23 +267,25 @@ class OrderSet(Record):
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
+    @derived
+    def _factored(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each maximal element's (prime, exponent) pairs, in antichain order."""
+        return tuple(factorize(m).pairs for m in self.maximal_elements)
+
     def members(self) -> list[int]:
         """The full represented set, sorted.  Cost grows with the expansion."""
         out: set[int] = set()
-        for m in self.maximal_elements:
-            out.update(_divisors(m))
+        for pairs in self._factored:
+            out.update(_divisors(pairs))
         return sorted(out)
 
     def pi(self) -> tuple[int, ...]:
         """Union of prime divisors of all members, increasing."""
-        out: set[int] = set()
-        for m in self.maximal_elements:
-            out.update(prime_divisors(m))
-        return tuple(sorted(out))
+        return tuple(sorted({p for pairs in self._factored for p, _ in pairs}))
 
     def sigma(self) -> int:
         """Largest number of distinct primes dividing a single member."""
-        return max(len(prime_divisors(m)) for m in self.maximal_elements)
+        return max(map(len, self._factored))
 
     def restricted_sigma(self, primes) -> int:
         """Largest |pi(x) & primes| over members x.
@@ -285,7 +294,7 @@ class OrderSet(Record):
         pi of the element it divides.
         """
         pset = set(primes)
-        return max(len(set(prime_divisors(m)) & pset) for m in self.maximal_elements)
+        return max(sum(p in pset for p, _ in pairs) for pairs in self._factored)
 
     def issubset(self, other: "OrderSet") -> bool:
         return all(other.contains(m) for m in self.maximal_elements)
@@ -328,6 +337,9 @@ def wreath2_spectrum(a: OrderSet) -> OrderSet:
     closure of {2m : m maximal in a}.
     """
     gens = set(product_spectrum(a, a).maximal_elements)
+    top = a.maximal_elements[-1]
+    if 2 * top > INT64_MAX:
+        raise OverflowError(f"2*{top} exceeds the 64-bit range")
     gens.update(2 * m for m in a.maximal_elements)
     return OrderSet.from_generators(gens)
 

@@ -135,15 +135,13 @@ def _check_product_membership(corpus):
 def _check_product_oracle(corpus):
     members = corpus.j4().members()
     brute: set[int] = set()
-    for x in members:
-        for y in members:
-            v = lcm(x, y)
-            d = 1
-            while d * d <= v:
-                if v % d == 0:
-                    brute.add(d)
-                    brute.add(v // d)
-                d += 1
+    for v in {lcm(x, y) for x in members for y in members}:
+        d = 1
+        while d * d <= v:
+            if v % d == 0:
+                brute.add(d)
+                brute.add(v // d)
+            d += 1
     _require(
         sorted(brute) == corpus.j4xj4().members(),
         "lcm-closure differs from the double-enumeration oracle",

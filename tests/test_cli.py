@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gkspec import atlasdb, verify
 from gkspec.atlasdb import LEMMA_QUERIES
 from gkspec.cli import main
+from gkspec.orderset import OrderSet
 
 J4_GENS = "16,23,24,28,29,30,31,35,37,40,42,43,44,66"
 J4_ORDER = "order 2^21 3^3 5 7 11^3 23 29 31 37 43\n"
@@ -191,6 +192,13 @@ def test_product_overflow_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: lcm(4611686018427387847,3) exceeds the 64-bit range\n"
+
+
+def test_wreath2_overflow_exits_2(capsys):
+    # the input is in range; its double, the order of a swapping element, is not
+    code, out, err = run(capsys, "wreath2", "9223372036854775807")
+    assert (code, out) == (2, "")
+    assert err == "error: 2*9223372036854775807 exceeds the 64-bit range\n"
 
 
 def test_db_query_lemma8(capsys):
@@ -442,6 +450,19 @@ def test_excluded_orders_needs_each_m_in_the_product(monkeypatch):
     (result,) = verify.run_checks(only="excluded.orders").results
     assert result.status == "fail"
     assert result.detail == "(p, m) pairs with m outside the product: [(2, 2072)]"
+
+
+def test_product_oracle_fails_on_a_wrong_closure():
+    corpus = verify.Corpus()
+    detail = verify._check_product_oracle(corpus)
+    assert detail == "matches the brute-force oracle on all 208 members"
+    maxima = corpus.j4xj4().maximal_elements
+    # the closure less its largest maximal element, and with one non-member
+    for gens in (maxima[:-1], (*maxima, 9 * maxima[-1])):
+        wrong = OrderSet.from_generators(gens)
+        corpus.j4xj4 = lambda: wrong
+        with pytest.raises(verify.CheckFailure, match="^lcm-closure differs from the double"):
+            verify._check_product_oracle(corpus)
 
 
 def test_db_query_without_j4_record_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkspec import orderset, verify
 from gkspec.atlasdb import load, record, stored_spectrum
 from gkspec.orderset import (
     Factorization,
@@ -174,7 +175,19 @@ def test_factorize_output_passes_public_validation():
 def test_divisors_match_brute_force():
     rng = random.Random(808)
     for n in [1, 2, 720720, 999983, 2**19] + [rng.randrange(1, 10**6) for _ in range(12)]:
-        assert _divisors(n) == sorted(brute_divisors(n)), n
+        assert _divisors(factorize(n).pairs) == sorted(brute_divisors(n)), n
+
+
+def test_factorization_is_computed_once_per_instance(monkeypatch):
+    # the prime and member queries share one factorization of the antichain;
+    # a fresh copy, since the embedded corpus's J4 record lives all process
+    calls = []
+    monkeypatch.setattr(orderset, "factorize", lambda n: calls.append(n) or factorize(n))
+    j4 = stored_spectrum(load(), "J4")._replace()
+    for _ in range(2):
+        assert len(j4.members()) == 31 and len(j4.pi()) == 10
+        assert j4.sigma() == 3 and j4.restricted_sigma(verify.PI_1) == 1
+    assert calls == list(J4_GENERATORS)
 
 
 @settings(max_examples=300, deadline=2000)

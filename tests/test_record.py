@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gkspec
-from gkspec import atlasdb
+from gkspec import _record, atlasdb
 from gkspec.atlasdb import CrosscheckReport, FilterResult, GroupRecord
 from gkspec._record import Record
 from gkspec.gf import FieldElement, FiniteField, make_field, subgroup_generator
@@ -57,7 +57,8 @@ def _cases():
         (LinearAction, ("field", "mult", "galois_exp"), (f, u, 1), (f, u, 0),
          {"galois_exp": 2}, ("_plan",)),
         (Factorization, ("pairs",), (((2, 3), (3, 1)),), (((5, 2),),), {"pairs": ((7, 1),)}, ()),
-        (OrderSet, ("maximal_elements",), ((4, 6),), ((5,),), {"maximal_elements": (2, 9)}, ()),
+        (OrderSet, ("maximal_elements",), ((4, 6),), ((5,),), {"maximal_elements": (2, 9)},
+         ("_factored",)),
         (PrimeGraph, ("vertices", "edges"), ((2, 3, 5), frozenset({(2, 3)})),
          ((2,), frozenset()), {"edges": frozenset()}, ()),
         (CheckResult, ("check_id", "citation", "status", "detail"),
@@ -99,10 +100,13 @@ def test_value_class_behaves_as_a_frozen_dataclass(case):
 
     for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
         assert clone.__class__ is cls and clone == x and repr(clone) == repr(ref)
+        assert all(getattr(clone, name) == getattr(x, name) for name in derived)
 
     fresh = x._replace()
     assert fresh == x and fresh is not x
-    assert "_plan" not in getattr(fresh, "__dict__", {})
+    # the values a derived descriptor fills on first read start unfilled
+    lazy = {name for name in derived if isinstance(getattr(cls, name, None), _record.derived)}
+    assert not lazy & getattr(fresh, "__dict__", {}).keys()
     assert repr(x._replace(**change)) == repr(dataclasses.replace(ref, **change))
     with pytest.raises(TypeError):
         x._replace(other=None)
