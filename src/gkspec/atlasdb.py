@@ -15,9 +15,10 @@ separates records; a line holding only a comment does not)::
 Keys: ``group`` (required, first line of a record), ``order`` (space
 separated prime powers ``p^e``), ``mu`` (the spectrum's maximal elements,
 comma separated, in any order; none may divide or repeat another), ``pi``
-(required, comma separated primes), ``flag has9|has25 true|false``,
-``note`` (free text, repeatable).  Every other key appears at most once in
-a record; unknown and repeated keys are rejected with a line number.
+(required, comma separated primes, in any order; none may repeat),
+``flag has9|has25 true|false``, ``note`` (free text, repeatable).  Every
+other key appears at most once in a record; unknown and repeated keys are
+rejected with a line number.
 
 The membership flags are first-class data: several exclusions rest on
 spectra from the literature that this toolkit cannot recompute, and the
@@ -28,7 +29,6 @@ every such fact lives in the record's notes.
 from __future__ import annotations
 
 import os
-from functools import cache
 
 from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
@@ -36,11 +36,10 @@ from .orderset import Factorization, OrderSet, _is_prime, _numeral, factorize
 
 
 class ParseError(ValueError):
-    """Malformed database text; carries the offending line number."""
+    """Malformed database text; the message names the offending line."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class RecordError(ValueError):
@@ -48,7 +47,6 @@ class RecordError(ValueError):
 
     def __init__(self, name: str, message: str):
         super().__init__(f"record {name}: {message}")
-        self.record_name = name
 
 
 class GroupRecord(Record):
@@ -169,7 +167,7 @@ def parse_records(text: str) -> list[GroupRecord]:
         records.append(
             GroupRecord(
                 name=current["name"],
-                pi=tuple(sorted(set(current["pi"]))),
+                pi=tuple(sorted(current["pi"])),
                 order=current.get("order"),
                 mu=current.get("mu"),
                 has9=current.get("has9"),
@@ -228,23 +226,17 @@ def parse_records(text: str) -> list[GroupRecord]:
     return records
 
 
-@cache
-def _embedded_records() -> tuple[GroupRecord, ...]:
-    # the package's own loader reads the corpus from a directory or a zip
-    # archive alike, as pkgutil.get_data does, and needs no importlib.resources
-    # (about 15 ms of imports in an interpreter that has not loaded it)
-    path = os.path.join(os.path.dirname(__file__), "data", "simple_groups.db")
-    return tuple(parse_records(__loader__.get_data(path).decode("utf-8")))
-
-
 def load(path=None) -> list[GroupRecord]:
     """The records in the database file at path; None reads the shipped corpus.
 
-    The corpus is parsed once per process, a file on every call; each call
-    returns a new list, so no caller sees another's edits.
+    Each call parses the text afresh and returns a new list.
     """
     if path is None:
-        return list(_embedded_records())
+        # the package's own loader reads the corpus from a directory or a zip
+        # archive alike, as pkgutil.get_data does, and needs no importlib.resources
+        # (about 15 ms of imports in an interpreter that has not loaded it)
+        path = os.path.join(os.path.dirname(__file__), "data", "simple_groups.db")
+        return parse_records(__loader__.get_data(path).decode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         return parse_records(fh.read())
 

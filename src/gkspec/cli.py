@@ -3,13 +3,14 @@
 Subcommands: spectrum, product, wreath2, gk, coclique, db, verify.  Output
 is deterministic text (or JSON for verify --json); no timestamps unless
 explicitly requested.  Exit codes: 0 success, 1 verification failure,
-2 usage or input errors.
+2 usage or input errors, or a reader that closed standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import atlasdb, verify
@@ -140,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact element-order spectra, prime graphs and verification checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    db_flag = argparse.ArgumentParser(add_help=False)
+    db_flag.add_argument("--db", help="database file overriding the embedded records")
 
     p = sub.add_parser("spectrum", help="summarize the divisor closure of generators")
     p.add_argument("generators", help="comma-separated positive integers")
@@ -158,32 +161,27 @@ def build_parser() -> argparse.ArgumentParser:
         ("gk", _cmd_gk, "prime graph of a spectrum"),
         ("coclique", _cmd_coclique, "maximum cocliques of a prime graph"),
     ):
-        p = sub.add_parser(name, help=extra_help)
+        p = sub.add_parser(name, help=extra_help, parents=[db_flag])
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--gens", help="comma-separated spectrum generators")
         source.add_argument("--group", help="named record from the database (needs stored mu)")
-        p.add_argument("--db", help="database file overriding the embedded records")
         if name == "gk":
             p.add_argument("--dot", action="store_true", help="emit DOT graph text")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("db", help="query the group-record database")
     dbsub = p.add_subparsers(dest="db_command", required=True)
-    q = dbsub.add_parser("query", help="run an embedded selection filter")
+    q = dbsub.add_parser("query", help="run an embedded selection filter", parents=[db_flag])
     q.add_argument("--lemma", choices=sorted(atlasdb.LEMMA_QUERIES), required=True)
-    q.add_argument("--db", help="database file overriding the embedded records")
     q.set_defaults(fn=_cmd_db_query)
-    lst = dbsub.add_parser("list", help="list records")
-    lst.add_argument("--db")
+    lst = dbsub.add_parser("list", help="list records", parents=[db_flag])
     lst.set_defaults(fn=_cmd_db_list)
-    chk = dbsub.add_parser("check", help="crosscheck records against oracles")
-    chk.add_argument("--db")
+    chk = dbsub.add_parser("check", help="crosscheck records against oracles", parents=[db_flag])
     chk.set_defaults(fn=_cmd_db_check)
 
-    p = sub.add_parser("verify", help="run the full verification report")
+    p = sub.add_parser("verify", help="run the full verification report", parents=[db_flag])
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--only", help="run only checks whose id contains this text")
-    p.add_argument("--db", help="database file overriding the embedded records")
     p.add_argument(
         "--timestamp", action="store_true", help="include a timestamp in the JSON report"
     )
@@ -198,7 +196,15 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.timestamp and not args.json:
         parser.error("verify --timestamp needs --json")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, so a reader gone by the last write is caught too
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (as `| head -1` does): silence the
+        # interpreter's flush at exit and report it as an input error, not a
+        # failed check
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, OverflowError) as exc:
         # input the library rejects is a usage error (2), not a failed check (1);
         # verify reports its checks' own exceptions as failures instead

@@ -60,7 +60,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record, _set
-from .orderset import INT64_MAX, factorize, _is_prime, prime_divisors
+from .orderset import INT64_MAX, factorize, _is_prime
 
 
 class FiniteField(Record):
@@ -257,7 +257,7 @@ class FiniteField(Record):
             t = self._frobenius(t, images)
         if t != x:
             return False
-        for r in prime_divisors(k):
+        for r in factorize(k).primes:
             t = x
             for _ in range(k // r):
                 t = self._frobenius(t, images)

@@ -262,9 +262,3 @@ def is_fixed_point_free(h: LinearAction) -> bool:
         raise ValueError("the identity has the whole space as fixed points")
     return _free_part(h) == 1
 
-
-def frobenius_arith_check(kernel_order: int, complement_order: int) -> bool:
-    """Whether the complement order divides kernel order minus one."""
-    if kernel_order < 1 or complement_order < 1:
-        raise ValueError("orders must be positive")
-    return (kernel_order - 1) % complement_order == 0

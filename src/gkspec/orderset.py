@@ -14,8 +14,8 @@ members and sigma of one set.
 
 Factorization strips the primes below 2^10 by division, tests what is
 left with deterministic Miller-Rabin on the first twelve primes as bases
-and splits composites with Pollard rho in Brent's variant (Brent, BIT
-1980), so every value below 2^63 is factored, tested and expanded into
+and splits composites with Pollard rho in Floyd's form (Pollard, BIT
+1975), so every value below 2^63 is factored, tested and expanded into
 divisors in bounded time.  The primality test is exact below the least
 composite passing all twelve bases, psi_12 = 318665857834031151167461
 (Sorenson and Webster, Math. Comp. 2017), and answers only below 2^63.
@@ -134,32 +134,21 @@ def _is_prime(n: int) -> bool:
 
 
 def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n, by Brent's Pollard rho.
+    """A proper factor of the odd composite n, by Pollard rho in Floyd's form.
 
-    The walk x -> x^2 + c mod n takes c = 1, 2, ... in turn until one
-    splits n, so the result is deterministic.  Differences are multiplied
-    together and tested with one gcd per batch of 128 steps.
+    Two walks of x -> x^2 + c mod n, the second at twice the pace of the
+    first, are compared by one gcd per step.  c takes 1, 2, ... in turn
+    until that gcd is a proper factor rather than n itself, so the result
+    is deterministic.
     """
     for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 
@@ -198,11 +187,6 @@ def factorize(n: int) -> Factorization:
     elif n > 1:
         exps[n] = 1
     return Factorization._trusted(tuple(sorted(exps.items())))
-
-
-def prime_divisors(n: int) -> tuple[int, ...]:
-    """The set of primes dividing n, increasing."""
-    return factorize(n).primes
 
 
 class OrderSet(Record):

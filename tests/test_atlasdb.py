@@ -215,6 +215,9 @@ def test_record_invariants():
     # mu primes must lie inside pi
     with pytest.raises(RecordError, match="mu"):
         parse_records("group X\nmu 7\npi 2,3\n")
+    # a prime listed twice in pi is rejected, not merged
+    with pytest.raises(RecordError, match="pi must be sorted and distinct"):
+        parse_records("group X\npi 2,3,3\n")
     # duplicate names rejected
     with pytest.raises(RecordError, match="duplicate"):
         parse_records("group X\npi 2\n\ngroup X\npi 3\n")

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -487,6 +490,35 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gk", "coclique", "verify", "db query", "db list", "db check"])
+def test_every_db_flag_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--db DB database file overriding the embedded records" in help_text
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "720720"), ("verify",)])
+def test_closed_stdout_exits_2_quietly(argv):
+    # a reader that is gone before the first write, as `| head` leaves it
+    # once it has read its line
+    src = Path(atlasdb.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkspec", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 def test_full_verify_passes(capsys):

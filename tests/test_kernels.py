@@ -15,7 +15,7 @@ import pytest
 
 from gkspec.gf import FiniteField, make_field
 from gkspec.groups import _torus_census, psl2_order_counts
-from gkspec.orderset import factorize, prime_divisors
+from gkspec.orderset import factorize
 
 # The coefficient-tuple kernels below were the library's GF(p^k) multiply,
 # power and irreducibility test before elements became packed integers;
@@ -91,7 +91,7 @@ def is_irreducible(modulus, p):
         t = powmod(t, p, modulus, p)
     if trim([(t[i] - (1 if i == 1 else 0)) % p for i in range(k)]):
         return False
-    for r in prime_divisors(k):
+    for r in factorize(k).primes:
         t = x
         for _ in range(k // r):
             t = powmod(t, p, modulus, p)

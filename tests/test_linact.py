@@ -16,7 +16,6 @@ from gkspec.linact import (
     LinearAction,
     action_order,
     fixed_space_dim,
-    frobenius_arith_check,
     is_fixed_point_free,
     minimal_polynomial,
     minpoly_equals_xs_minus_1,
@@ -720,13 +719,3 @@ def test_lemma1_instance_gamma_23_11():
     assert gamma.frobenius_config
     assert fixed_space_dim(GALOIS) > 0
     assert semidirect_spectrum(GALOIS).contains(22)
-
-
-def test_frobenius_arith_check():
-    assert frobenius_arith_check(2048, 23)
-    assert frobenius_arith_check(23, 11)
-    assert frobenius_arith_check(3**16, 17)
-    assert frobenius_arith_check(100, 1)
-    assert not frobenius_arith_check(8, 3)
-    with pytest.raises(ValueError):
-        frobenius_arith_check(0, 1)

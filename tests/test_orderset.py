@@ -15,6 +15,7 @@ from gkspec.orderset import (
     OrderSet,
     _divisors,
     _is_prime,
+    _rho_factor,
     factorize,
     product_spectrum,
     wreath2_spectrum,
@@ -155,6 +156,15 @@ def test_factorize_matches_trial_division_on_hard_cofactors():
             assert factorize(n).pairs == trial_factorize(n), n
 
 
+def test_rho_factor_retries_with_the_next_constant():
+    # for 31 of these (21, 25, 95, ...) the walk with c = 1 closes on n
+    # itself, so only a later c splits them
+    for n in range(9, 3000, 2):
+        if not trial_is_prime(n):
+            d = _rho_factor(n)
+            assert 1 < d < n and n % d == 0, n
+
+
 def test_factorize_output_passes_public_validation():
     # factorize builds its result without the Factorization prime check;
     # the public constructor, which checks, must accept the same pairs
@@ -180,10 +190,11 @@ def test_divisors_match_brute_force():
 
 def test_factorization_is_computed_once_per_instance(monkeypatch):
     # the prime and member queries share one factorization of the antichain;
-    # a fresh copy, since the embedded corpus's J4 record lives all process
+    # a fresh copy, loaded before the counting starts, since validating the
+    # record already queries its spectrum's primes
+    j4 = stored_spectrum(load(), "J4")._replace()
     calls = []
     monkeypatch.setattr(orderset, "factorize", lambda n: calls.append(n) or factorize(n))
-    j4 = stored_spectrum(load(), "J4")._replace()
     for _ in range(2):
         assert len(j4.members()) == 31 and len(j4.pi()) == 10
         assert j4.sigma() == 3 and j4.restricted_sigma(verify.PI_1) == 1
