@@ -29,6 +29,7 @@ every such fact lives in the record's notes.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from ._record import Record, _set
 from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
@@ -85,7 +86,11 @@ class GroupRecord(Record):
             raise RecordError(self.name or "<blank>", "name must be a single token")
         if not self.pi:
             raise RecordError(self.name, "pi must be non-empty")
-        if tuple(sorted(set(self.pi))) != self.pi:
+        for p, n in Counter(self.pi).items():
+            if n > 1:
+                times = "twice" if n == 2 else f"{n} times"
+                raise RecordError(self.name, f"pi lists {p} {times}")
+        if tuple(sorted(self.pi)) != self.pi:
             raise RecordError(self.name, "pi must be sorted and distinct")
         for p in self.pi:
             try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial, reduce
+from itertools import accumulate
 from math import lcm
 
 from . import atlasdb, groups, primegraph
@@ -237,21 +238,26 @@ def _factor_orders(h) -> list[list[int]]:
     """orders[i][z]: the order of (z, g^i) in field x| <g>, h the
     multiplication by g and z the vector 0 or 1, for i until g^i is one.
 
-    Each row walks the powers of (1, u), u = g^i, once, by the group law
-    (w, x)(1, u) = (w + x, x*u): the first power with x one gives the order
-    of (0, u), and the first with x one and w zero the order of (1, u).  No
-    plan, T-sum or element_order is read.
+    The powers g^0, g^1, ... are listed once, multiplying by g until one
+    comes back.  Each row then walks the powers of (1, u), u = g^i, once, by
+    the group law (w, x)(1, u) = (w + x, x*u), reading x*u off the list:
+    the first power with x one gives the order of (0, u), and the first with
+    x one and w zero the order of (1, u).  No plan, T-sum or element_order
+    is read.
     """
     field = h.field
-    orders, u = [], field.one
-    while not (orders and u.is_one):
-        w, x, n, order_0 = field.one, u, 1, 0
-        while not (w.is_zero and x.is_one):
-            if not order_0 and x.is_one:
+    powers = [field.one]
+    while not (x := powers[-1] * h.mult).is_one:
+        powers.append(x)
+    m = len(powers)
+    orders = []
+    for i in range(m):
+        w, j, n, order_0 = field.one, i, 1, 0
+        while not (w.is_zero and j == 0):
+            if not order_0 and j == 0:
                 order_0 = n
-            w, x, n = w + x, x * u, n + 1
+            w, j, n = w + powers[j], (j + i) % m, n + 1
         orders.append([order_0 or n, n])
-        u = u * h.mult
     return orders
 
 
@@ -268,22 +274,18 @@ def _check_remark_sampling(corpus):
     structural = set(_remark_spectrum().members())
     big, small = map(_factor_orders, actions)
     table = [lcm(x, y) for row in big for other in small for x in row for y in other]
-    small_order = actions[1].field.order
-    module_order = actions[0].field.order * small_order
-    actors = len(big) * len(small)
-    # 10^4 uniform draws from the whole group: (actor, vector) in mixed
-    # radix, vector index a * small_order + b, and a (b) zero exactly for
-    # the zero component.  choices takes floor(random() * n), and random()
-    # has 2^53 equally likely values, so each of the n = 85 * 3^20 elements
-    # is drawn with probability within a relative n / 2^53 (about 3 * 10^-5)
-    # of 1/n.
-    draws = random.Random(SAMPLE_SEED).choices(range(actors * module_order), k=10**4)
-    seen = {
-        table[
-            d // module_order * 4 + (d % module_order >= small_order) * 2 + (d % small_order != 0)
-        ]
-        for d in draws
-    }
+    # 10^4 uniform draws from the whole group, each read as its table entry.
+    # Entry 4*i + 2*(a != 0) + (b != 0) stands for 1, S - 1, L - 1 and
+    # (L - 1)(S - 1) elements, L and S the orders of the large and small
+    # summands, so cum numbers the n = 85 * 3^20 elements entry by entry.
+    # choices takes the entry whose block holds random() * n, and random()
+    # has 2^53 equally likely values, so each element is drawn with
+    # probability within a relative n / 2^53 (about 3 * 10^-5) of 1/n.  cum
+    # holds floats, exact below 2^53: bisect compares them faster than ints.
+    big_order, small_order = (h.field.order for h in actions)
+    sizes = (1, small_order - 1, big_order - 1, (big_order - 1) * (small_order - 1))
+    cum = list(accumulate(map(float, sizes * (len(table) // 4))))
+    seen = set(random.Random(SAMPLE_SEED).choices(table, cum_weights=cum, k=10**4))
     outside = seen - structural
     if outside:
         raise CheckFailure(f"sampled element order {min(outside)} outside the structural spectrum")

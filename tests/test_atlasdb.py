@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gkspec import atlasdb, verify
 from gkspec.atlasdb import (
     CrosscheckError,
+    GroupRecord,
     ParseError,
     RecordError,
     crosscheck_record,
@@ -215,9 +216,16 @@ def test_record_invariants():
     # mu primes must lie inside pi
     with pytest.raises(RecordError, match="mu"):
         parse_records("group X\nmu 7\npi 2,3\n")
-    # a prime listed twice in pi is rejected, not merged
-    with pytest.raises(RecordError, match="pi must be sorted and distinct"):
+    # a prime listed twice in pi is rejected by name, not merged
+    with pytest.raises(RecordError, match="pi lists 3 twice"):
         parse_records("group X\npi 2,3,3\n")
+    with pytest.raises(RecordError, match="pi lists 3 twice"):
+        parse_records("group X\npi 3,2,3\n")
+    with pytest.raises(RecordError, match="pi lists 2 3 times"):
+        parse_records("group X\npi 2,2,3,2\n")
+    # built directly, pi must also come sorted
+    with pytest.raises(RecordError, match="pi must be sorted and distinct"):
+        GroupRecord("X", (3, 2), None, None, None, None, ())
     # duplicate names rejected
     with pytest.raises(RecordError, match="duplicate"):
         parse_records("group X\npi 2\n\ngroup X\npi 3\n")

@@ -4,12 +4,12 @@ import random
 import re
 import time
 from functools import reduce
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 import pytest
 
 from gkspec import groups, verify
-from gkspec.gf import element_order, make_field, subgroup_generator
+from gkspec.gf import FiniteField, element_order, make_field, subgroup_generator
 from gkspec.groups import (
     build_gamma_frobenius,
     build_remark_group,
@@ -125,7 +125,10 @@ class _Recorded(_Tagged):
 def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
     # every draw's (actor index, a != 0, b != 0), read off the table entries
     # the check puts in its set of orders seen, against an independent replay
-    # of the seeded draws split in mixed radix
+    # of the seeded stream: floor(random() * n) numbers the elements actor by
+    # actor, and inside an actor's block of module_order elements a = b = 0
+    # first, then the small - 1 with only b nonzero, the big - 1 with only a
+    # nonzero and the rest
     true_orders = verify._factor_orders
     monkeypatch.setattr(
         verify,
@@ -149,12 +152,18 @@ def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
     ]
     big, small = (h.field.order for h in build_remark_group())
     module_order = big * small
-    draws = random.Random(verify.SAMPLE_SEED).choices(range(85 * module_order), k=10**4)
+    rng = random.Random(verify.SAMPLE_SEED)
     expected = []
-    for d in draws:
-        i, n = divmod(d, module_order)
-        a, b = divmod(n, small)
-        expected.append((i, a != 0, b != 0))
+    for _ in range(10**4):
+        i, r = divmod(floor(rng.random() * (85 * module_order)), module_order)
+        if r == 0:
+            expected.append((i, False, False))
+        elif r < small:
+            expected.append((i, False, True))
+        elif r < small + big - 1:
+            expected.append((i, True, False))
+        else:
+            expected.append((i, True, True))
     assert reads[: 10**4] == expected
 
 
@@ -180,6 +189,24 @@ def test_factor_orders_match_the_two_walk_oracle():
     tables = [verify._factor_orders(h) for h in build_remark_group()]
     assert tables == [two_walk_factor_orders(h) for h in build_remark_group()]
     assert sum(len(row) for table in tables for row in table) == 44
+
+
+def test_factor_orders_multiply_only_to_list_the_powers(monkeypatch):
+    # g^1, ..., g^m, the last back at one: 17 and 5 field multiplications;
+    # every row's walk only adds and reads the list
+    actions = build_remark_group()
+    calls = []
+    true_mul = FiniteField._mul
+
+    def counting(field, a, b):
+        calls[-1] += 1
+        return true_mul(field, a, b)
+
+    monkeypatch.setattr(FiniteField, "_mul", counting)
+    for h in actions:
+        calls.append(0)
+        verify._factor_orders(h)
+    assert calls == [17, 5]
 
 
 def test_factor_order_tables_match_semidirect_element_order():
