@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: spectrum, product, wreath2, gk, coclique, db, verify.  Output
-is deterministic text (or JSON for verify --json); no timestamps unless
-explicitly requested.  Exit codes: 0 success, 1 verification failure,
+Subcommands: spectrum, product, wreath2, gk, coclique, db, verify (COMMANDS).
+Only the named subcommand's parser is built, when the first argument names
+one; help, a typo or no arguments get the parser of every subcommand.
+Output is deterministic text (or JSON for verify --json); no timestamps
+unless explicitly requested.  Exit codes: 0 success, 1 verification failure,
 2 usage or input errors, or a reader that closed standard output early.
 """
 
@@ -135,32 +137,55 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("spectrum", "product", "wreath2", "gk", "coclique", "db", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gkspec parser: every subcommand, or only `command` (one of COMMANDS).
+
+    A parser for one subcommand parses that subcommand's argv exactly as the
+    full parser does and prints the same usage line.
+    """
     parser = argparse.ArgumentParser(
         prog="gkspec",
         description="Exact element-order spectra, prime graphs and verification checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        wanted = COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the metavar keeps the full parser's usage line; set always, it would
+        # also replace "command" in the errors only the full parser raises
+        # (no command, or an unknown one)
+        wanted = (command,)
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
     db_flag = argparse.ArgumentParser(add_help=False)
     db_flag.add_argument("--db", help="database file overriding the embedded records")
 
-    p = sub.add_parser("spectrum", help="summarize the divisor closure of generators")
-    p.add_argument("generators", help="comma-separated positive integers")
-    p.set_defaults(fn=_cmd_spectrum)
+    if "spectrum" in wanted:
+        p = sub.add_parser("spectrum", help="summarize the divisor closure of generators")
+        p.add_argument("generators", help="comma-separated positive integers")
+        p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("product", help="spectrum of a direct product (lcm closure)")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=_cmd_product)
+    if "product" in wanted:
+        p = sub.add_parser("product", help="spectrum of a direct product (lcm closure)")
+        p.add_argument("left")
+        p.add_argument("right")
+        p.set_defaults(fn=_cmd_product)
 
-    p = sub.add_parser("wreath2", help="spectrum of the wreath product by a swap")
-    p.add_argument("generators")
-    p.set_defaults(fn=_cmd_wreath2)
+    if "wreath2" in wanted:
+        p = sub.add_parser("wreath2", help="spectrum of the wreath product by a swap")
+        p.add_argument("generators")
+        p.set_defaults(fn=_cmd_wreath2)
 
     for name, fn, extra_help in (
         ("gk", _cmd_gk, "prime graph of a spectrum"),
         ("coclique", _cmd_coclique, "maximum cocliques of a prime graph"),
     ):
+        if name not in wanted:
+            continue
         p = sub.add_parser(name, help=extra_help, parents=[db_flag])
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--gens", help="comma-separated spectrum generators")
@@ -169,29 +194,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dot", action="store_true", help="emit DOT graph text")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("db", help="query the group-record database")
-    dbsub = p.add_subparsers(dest="db_command", required=True)
-    q = dbsub.add_parser("query", help="run an embedded selection filter", parents=[db_flag])
-    q.add_argument("--lemma", choices=sorted(atlasdb.LEMMA_QUERIES), required=True)
-    q.set_defaults(fn=_cmd_db_query)
-    lst = dbsub.add_parser("list", help="list records", parents=[db_flag])
-    lst.set_defaults(fn=_cmd_db_list)
-    chk = dbsub.add_parser("check", help="crosscheck records against oracles", parents=[db_flag])
-    chk.set_defaults(fn=_cmd_db_check)
+    if "db" in wanted:
+        p = sub.add_parser("db", help="query the group-record database")
+        dbsub = p.add_subparsers(dest="db_command", required=True)
+        q = dbsub.add_parser("query", help="run an embedded selection filter", parents=[db_flag])
+        q.add_argument("--lemma", choices=sorted(atlasdb.LEMMA_QUERIES), required=True)
+        q.set_defaults(fn=_cmd_db_query)
+        lst = dbsub.add_parser("list", help="list records", parents=[db_flag])
+        lst.set_defaults(fn=_cmd_db_list)
+        chk = dbsub.add_parser("check", help="crosscheck records against oracles", parents=[db_flag])
+        chk.set_defaults(fn=_cmd_db_check)
 
-    p = sub.add_parser("verify", help="run the full verification report", parents=[db_flag])
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--only", help="run only checks whose id contains this text")
-    p.add_argument(
-        "--timestamp", action="store_true", help="include a timestamp in the JSON report"
-    )
-    p.set_defaults(fn=_cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="run the full verification report", parents=[db_flag])
+        p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.add_argument("--only", help="run only checks whose id contains this text")
+        p.add_argument(
+            "--timestamp", action="store_true", help="include a timestamp in the JSON report"
+        )
+        p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify" and args.timestamp and not args.json:
         parser.error("verify --timestamp needs --json")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, cycle
 from math import lcm
 
 from . import atlasdb, groups, primegraph
@@ -274,18 +274,25 @@ def _check_remark_sampling(corpus):
     structural = set(_remark_spectrum().members())
     big, small = map(_factor_orders, actions)
     table = [lcm(x, y) for row in big for other in small for x in row for y in other]
-    # 10^4 uniform draws from the whole group, each read as its table entry.
-    # Entry 4*i + 2*(a != 0) + (b != 0) stands for 1, S - 1, L - 1 and
-    # (L - 1)(S - 1) elements, L and S the orders of the large and small
-    # summands, so cum numbers the n = 85 * 3^20 elements entry by entry.
-    # choices takes the entry whose block holds random() * n, and random()
+    # 10^4 uniform draws from the whole group, each read as its element's
+    # order.  Entry 4*i + 2*(a != 0) + (b != 0) stands for 1, S - 1, L - 1
+    # and (L - 1)(S - 1) elements, L and S the orders of the large and small
+    # summands; summed per order they count the elements of each of the
+    # seven orders, so cum numbers the n = 85 * 3^20 elements order by
+    # order, ascending.  That re-indexes the elements, so each draw is still
+    # the order of a uniform element, and bisect searches 7 blocks, not 340.
+    # choices takes the order whose block holds random() * n, and random()
     # has 2^53 equally likely values, so each element is drawn with
     # probability within a relative n / 2^53 (about 3 * 10^-5) of 1/n.  cum
     # holds floats, exact below 2^53: bisect compares them faster than ints.
     big_order, small_order = (h.field.order for h in actions)
     sizes = (1, small_order - 1, big_order - 1, (big_order - 1) * (small_order - 1))
-    cum = list(accumulate(map(float, sizes * (len(table) // 4))))
-    seen = set(random.Random(SAMPLE_SEED).choices(table, cum_weights=cum, k=10**4))
+    every = set(table)
+    counts = dict.fromkeys(sorted(every), 0)
+    for order, size in zip(table, cycle(sizes)):
+        counts[order] += size
+    cum = list(accumulate(map(float, counts.values())))
+    seen = set(random.Random(SAMPLE_SEED).choices(list(counts), cum_weights=cum, k=10**4))
     outside = seen - structural
     if outside:
         raise CheckFailure(f"sampled element order {min(outside)} outside the structural spectrum")
@@ -293,7 +300,6 @@ def _check_remark_sampling(corpus):
     # only the positive-density orders are required to show up
     if not {3, 15, 51, 85} <= seen:
         raise CheckFailure(f"sampling missed expected orders: observed {sorted(seen)}")
-    every = set(table)
     _require(
         every == structural, f"element orders {sorted(every)} differ from the structural spectrum"
     )

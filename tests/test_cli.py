@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkspec import atlasdb, verify
+from gkspec import atlasdb, cli, verify
 from gkspec.atlasdb import LEMMA_QUERIES
 from gkspec.cli import main
 from gkspec.orderset import OrderSet
@@ -499,6 +500,62 @@ def test_every_db_flag_has_help(command, capsys):
     assert exc.value.code == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert "--db DB database file overriding the embedded records" in help_text
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "", "-h", "bogus", "Verify", "--db x verify",
+        *(f"{command} -h" for command in cli.COMMANDS),
+        "verify extra", "verify --timestamp", "db", "db bogus", "db query --lemma 7",
+        "gk", "gk --gens 1 --group J4", "spectrum 12 extra",
+    ],
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    got = _outcome(capsys, argv.split())
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert got == _outcome(capsys, argv.split())
+
+
+def test_commands_are_the_full_parsers_choices_in_order():
+    (sub,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert tuple(sub.choices) == cli.COMMANDS
+
+
+def _parsers_built(monkeypatch, argv):
+    built = []
+    true_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        true_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    return len(built)
+
+
+def test_a_named_command_builds_only_its_own_parser(monkeypatch, capsys):
+    # the top-level parser, the --db parent and the verify subparser
+    assert _parsers_built(monkeypatch, ["verify", "--only", "frobenius"]) == 3
+    assert "PASS  frobenius.arithmetic" in capsys.readouterr().out
+    # help names every command, so it still builds all 12
+    assert _parsers_built(monkeypatch, ["-h"]) == 12
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "720720"), ("verify",)])

@@ -4,7 +4,8 @@ import random
 import re
 import time
 from functools import reduce
-from math import floor, gcd, lcm
+from math import floor, gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,72 +100,46 @@ def test_remark_sampling_fails_on_a_member_no_element_has(monkeypatch):
     )
 
 
-class _Tagged(int):
-    """A factor order that remembers its table entry (actor exponent, v != 0)."""
-
-    def __new__(cls, value, entry):
-        tagged = super().__new__(cls, value)
-        tagged.entry = entry
-        return tagged
-
-
-class _Recorded(_Tagged):
-    """An element order that logs its entry each time it is hashed, that is
-    each time the check puts it in a set."""
-
-    def __new__(cls, value, entry, log):
-        recorded = super().__new__(cls, value, entry)
-        recorded.log = log
-        return recorded
-
-    def __hash__(self):
-        self.log.append(self.entry)
-        return int.__hash__(self)
-
-
 def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
-    # every draw's (actor index, a != 0, b != 0), read off the table entries
-    # the check puts in its set of orders seen, against an independent replay
-    # of the seeded stream: floor(random() * n) numbers the elements actor by
-    # actor, and inside an actor's block of module_order elements a = b = 0
-    # first, then the small - 1 with only b nonzero, the big - 1 with only a
-    # nonzero and the rest
-    true_orders = verify._factor_orders
-    monkeypatch.setattr(
-        verify,
-        "_factor_orders",
-        lambda h: [
-            [_Tagged(o, (i, z)) for z, o in enumerate(row)]
-            for i, row in enumerate(true_orders(h))
-        ],
-    )
-    reads = []
+    # every draw the check makes, as its Random's choices returns it, against
+    # an independent replay of the seeded stream.  The group is
+    # (GF(3^16) x| C17) x (GF(3^4) x| C5), each cyclic actor fixed-point-free
+    # on its field, so a factor element (v, h) has order 1 (v = 0, h = 1),
+    # 3 (v != 0, h = 1) or the actor's order (h != 1).  Counting the pairs of
+    # factor elements by the lcm of their orders gives each element order's
+    # count, and floor(random() * n) numbers the n elements order by order,
+    # ascending.
+    draws = []
 
-    def recording(x, y):
-        (i, a), (j, b) = x.entry, y.entry
-        return _Recorded(lcm(x, y), (i * 5 + j, bool(a), bool(b)), reads)
+    class Recording(random.Random):
+        def choices(self, *args, **kwargs):
+            drawn = super().choices(*args, **kwargs)
+            draws.extend(drawn)
+            return drawn
 
-    monkeypatch.setattr(verify, "lcm", recording)
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=Recording))
     assert _sampling_result().status == "pass"
-    assert len(reads) == 10**4 + 340  # the draws, then every combination once
-    assert sorted(reads[10**4 :]) == [
-        (i, a, b) for i in range(85) for a in (False, True) for b in (False, True)
-    ]
-    big, small = (h.field.order for h in build_remark_group())
-    module_order = big * small
+    counts = {
+        1: 1,
+        3: 3**20 - 1,
+        5: 4 * 81,
+        15: (3**16 - 1) * 4 * 81,
+        17: 16 * 3**16,
+        51: 16 * 3**16 * 80,
+        85: 16 * 3**16 * 4 * 81,
+    }
+    n = sum(counts.values())
+    assert n == 85 * 3**20
     rng = random.Random(verify.SAMPLE_SEED)
     expected = []
     for _ in range(10**4):
-        i, r = divmod(floor(rng.random() * (85 * module_order)), module_order)
-        if r == 0:
-            expected.append((i, False, False))
-        elif r < small:
-            expected.append((i, False, True))
-        elif r < small + big - 1:
-            expected.append((i, True, False))
-        else:
-            expected.append((i, True, True))
-    assert reads[: 10**4] == expected
+        r = floor(rng.random() * n)
+        for order, count in counts.items():
+            if r < count:
+                expected.append(order)
+                break
+            r -= count
+    assert draws == expected
 
 
 def two_walk_factor_orders(h):
