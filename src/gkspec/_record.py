@@ -1,19 +1,21 @@
 """Immutable value classes without the dataclasses module.
 
 A subclass names its value fields, in constructor order, in the class
-attribute _fields.  Record's constructor stores them by position or by
-name with _set (object.__setattr__, which keeps the attributes in
-CPython's fast shared-key layout; writing to __dict__ directly would make
-every later attribute read slower) and, as a frozen dataclass does, raises
-TypeError for a missing, extra, repeated or unknown field.  A subclass
-writes its own __init__ only to validate or derive state, with parameters
-named exactly _fields, in order, which _replace relies on.  Record derives
-from _fields what a frozen dataclass derives from its field list: equality
-with instances of the same class only, the hash of the field tuple, a
+attribute _fields, the only place that knows their order.  Record's
+constructor stores them by position or by name with _set
+(object.__setattr__, which keeps CPython's fast shared-key attribute
+layout, as writes to __dict__ would not), raises TypeError for a missing,
+extra, repeated or unknown field, as a frozen dataclass does, and calls
+the hook _post_init, where a subclass validates or derives state; _replace
+goes through both.  FieldElement, LinearAction and PrimeGraph, built on
+hot paths, keep their own __init__, 1.0-1.1 us a call faster, with
+parameters named exactly _fields, in order.  Record derives from _fields
+what a frozen dataclass derives from its field list: equality with
+instances of the same class only, the hash of the field tuple, a
 Name(a=..., b=...) repr and attributes that cannot be assigned or deleted.
 Any other attribute, such as one a derived descriptor fills on first use,
 is derived state that equality, hash and repr never see.  Pickling and
-copying restore __dict__ directly, so they never call __init__.
+copying restore __dict__ directly, so they skip the constructor and hook.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class Record:
             raise TypeError(f"{self.__class__.__qualname__}() takes each field of {names} once")
         for name in names:
             _set(self, name, values[name])
+        self._post_init()
+
+    def _post_init(self):
+        """Validate or derive state once the fields are stored."""
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -74,10 +74,9 @@ class Factorization(Record):
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        _set(self, "pairs", pairs)
+    def _post_init(self):
         last = 1
-        for p, e in pairs:
+        for p, e in self.pairs:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
@@ -200,10 +199,10 @@ class OrderSet(Record):
 
     _fields = ("maximal_elements",)
 
-    def __init__(self, maximal_elements: tuple[int, ...]):
-        _set(self, "maximal_elements", maximal_elements)
-        if maximal_elements != OrderSet.from_generators(maximal_elements).maximal_elements:
-            raise ValueError(f"{maximal_elements} is not an antichain in increasing order")
+    def _post_init(self):
+        antichain = self.maximal_elements
+        if antichain != OrderSet.from_generators(antichain).maximal_elements:
+            raise ValueError(f"{antichain} is not an antichain in increasing order")
 
     @classmethod
     def _trusted(cls, maximal_elements) -> "OrderSet":

@@ -21,6 +21,7 @@ class PrimeGraph(Record):
 
     _fields = ("vertices", "edges")
 
+    # own __init__: 1.12 vs 2.12 us through Record's (timeit); 564 per spectra round
     def __init__(self, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]]):
         # edges: (p, q) with p < q, each edge once
         _set(self, "vertices", vertices)

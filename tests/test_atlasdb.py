@@ -2,6 +2,7 @@
 
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,15 @@ def test_comment_line_inside_record_does_not_end_it():
     assert (a.name, a.pi, b.name, b.pi) == ("A", (2,), "B", (3,))
     with pytest.raises(ParseError, match="line 1: record A lacks pi"):
         parse_records("group A\n\npi 2\n")
+
+
+def test_a_tab_may_end_a_key_or_a_flag_name():
+    text = (Path(atlasdb.__file__).parent / "data" / "simple_groups.db").read_text("utf-8")
+    tabbed = "\n".join(line.replace(" ", "\t", 1) for line in text.splitlines())
+    assert tabbed.count("\t") > 100
+    assert parse_records(tabbed) == load()
+    (a,) = parse_records("group\tA\npi\t2,3\nflag has9\tfalse\nflag  has25 \t true\n")
+    assert (a.name, a.pi, a.has9, a.has25) == ("A", (2, 3), False, True)
 
 
 def test_repeated_key_is_rejected_with_its_line():

@@ -241,6 +241,14 @@ def test_db_list_and_check(capsys):
     assert "J4: cited" in out
 
 
+def test_db_list_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    db = tmp_path / "bom.db"
+    db.write_bytes(b"\xef\xbb\xbf" + EMBEDDED_DB.read_bytes())
+    embedded = run(capsys, "db", "list")
+    assert embedded[0] == 0 and embedded[1]
+    assert run(capsys, "db", "list", "--db", str(db)) == embedded
+
+
 def test_db_check_output_on_embedded_corpus(capsys):
     cited = "cited (no in-range oracle; cited data, internally consistent)"
     code, out, err = run(capsys, "db", "check")

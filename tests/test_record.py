@@ -132,9 +132,9 @@ def _gkspec_modules():
     ]
 
 
-def test_every_record_constructor_takes_its_fields_in_order():
+def test_every_record_constructor_takes_its_fields_in_order(monkeypatch):
     # _replace calls the constructor with every field by name, and no caller
-    # leaves a field out
+    # leaves a field out; only the three hot-path classes write an __init__
     classes, todo = set(), [Record]
     _gkspec_modules()
     while todo:
@@ -142,15 +142,22 @@ def test_every_record_constructor_takes_its_fields_in_order():
         classes.update(sub)
         todo += sub
     assert classes == {case[0] for case in CASES}
-    for cls in classes:
+    own = {cls for cls in classes if "__init__" in vars(cls)}
+    assert own == {FieldElement, LinearAction, PrimeGraph}
+    for cls in own:
         assert cls.__init__.__defaults__ is None, cls
-        if cls.__init__ is Record.__init__:
-            positional = cls(*range(len(cls._fields)))
-            by_name = cls(**{name: i for i, name in enumerate(cls._fields)})
-            assert positional._astuple() == by_name._astuple() == tuple(range(len(cls._fields)))
-        else:
-            params = list(inspect.signature(cls.__init__).parameters)
-            assert params == ["self", *cls._fields], cls
+        assert list(inspect.signature(cls.__init__).parameters) == ["self", *cls._fields], cls
+    for cls in classes - own:
+        assert cls.__init__ is Record.__init__, cls
+        calls = []
+        monkeypatch.setattr(cls, "_post_init", lambda self: calls.append(self._astuple()))
+        values = tuple(range(len(cls._fields)))
+        positional = cls(*values)
+        by_name = cls(**dict(zip(cls._fields, values)))
+        assert positional._astuple() == by_name._astuple() == values
+        assert calls == [values, values], cls
+        positional._replace(**{cls._fields[0]: -1})
+        assert calls == [values, values, (-1, *values[1:])], cls
 
 
 def test_process_wide_memos_are_the_named_four():
@@ -173,6 +180,15 @@ def test_value_classes_never_equal_across_classes():
 
 
 def test_replace_validates_afresh():
+    l2_23 = atlasdb.record(atlasdb.load(), "L2(23)")
+    with pytest.raises(atlasdb.RecordError, match="name must be a single token"):
+        l2_23._replace(name="L2 (23)")
+    with pytest.raises(atlasdb.RecordError, match="pi does not match the primes of order"):
+        l2_23._replace(pi=(2, 3, 11))
+    with pytest.raises(ValueError, match="4 is not prime"):
+        Factorization(((2, 3), (3, 1)))._replace(pairs=((2, 1), (4, 1)))
+    with pytest.raises(ValueError, match="primes must be strictly increasing"):
+        Factorization(((2, 3), (3, 1)))._replace(pairs=((3, 1), (2, 3)))
     with pytest.raises(ValueError, match="not an antichain"):
         OrderSet((4, 6))._replace(maximal_elements=(2, 4))
     f = make_field(3, 4)
