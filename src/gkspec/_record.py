@@ -55,10 +55,15 @@ class Record:
     def __init__(self, *args, **kwargs):
         names = self._fields
         values = dict(zip(names, args), **kwargs)
-        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
-            raise TypeError(f"{self.__class__.__qualname__}() takes each field of {names} once")
-        for name in names:
-            _set(self, name, values[name])
+        # with as many arguments as fields, a repeated or unknown one leaves a
+        # field missing, so the count and the lookups catch every bad call
+        try:
+            if len(args) + len(kwargs) != len(names):
+                raise KeyError
+            for name in names:
+                _set(self, name, values[name])
+        except KeyError:
+            raise TypeError(f"{self.__class__.__qualname__}() takes each field of {names} once") from None
         self._post_init()
 
     def _post_init(self):

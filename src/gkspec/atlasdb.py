@@ -34,7 +34,7 @@ import os
 from collections import Counter
 
 from ._record import Record
-from .groups import PSL2_MAX_Q, parse_psl2_name, psl2_order_formula, psl2_spectrum
+from .groups import parse_psl2_name, psl2_order_formula, psl2_spectrum
 from .orderset import Factorization, OrderSet, _is_prime, _numeral, factorize
 
 
@@ -309,44 +309,35 @@ class CrosscheckReport(Record):
     _fields = ("name", "status", "detail")
 
 
-def record_from_psl2(q: int) -> GroupRecord:
-    """The database record of L2(q) as the PSL2(q) torus census gives it."""
-    spectrum = psl2_spectrum(q)
-    return GroupRecord(
-        name=f"L2({q})",
-        pi=spectrum.pi(),
-        order=factorize(psl2_order_formula(q)),
-        mu=spectrum,
-        has9=spectrum.contains(9),
-        has25=spectrum.contains(25),
-        notes=("spectrum computed by the PSL2(q) torus census",),
-    )
+_CITED = "no in-range oracle; cited data, internally consistent"
 
 
 def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     """Re-derive a record from an independent oracle where one exists.
 
-    Groups of type L2(q) with q <= PSL2_MAX_Q are recomputed by
-    record_from_psl2: spectrum and flags from the torus census
-    (groups.psl2_order_counts), order from groups.psl2_order_formula.  Any
-    stored fact that disagrees is a hard CrosscheckError.  A record that
-    agrees but lacks some of order, mu, has9 and has25 is partial, not
-    verified, and the detail names what it lacks.  Everything else is
-    reported as cited data (its internal consistency was already validated
-    at construction).  A q the census rejects is a RecordError.
+    Groups of type L2(q) get their order from groups.psl2_order_formula and
+    pi, mu, has9 and has25 from groups.psl2_spectrum.  A stored fact that
+    disagrees is a hard CrosscheckError; a record that agrees but lacks
+    some of the five is partial, and the detail names what it lacks.  Any
+    other record is cited data (validated at construction), and so is an
+    L2(q) whose order, factored first, leaves the 64-bit range (from about
+    q = 2^21 on).  A q that is no prime power is a RecordError.
     """
     q = parse_psl2_name(record.name)
-    if q is None or q > PSL2_MAX_Q:
-        return CrosscheckReport(
-            record.name, "cited", "no in-range oracle; cited data, internally consistent"
-        )
+    if q is None:
+        return CrosscheckReport(record.name, "cited", _CITED)
     try:
-        oracle = record_from_psl2(q)
-    except ValueError as exc:  # q no prime power, or below 2
-        raise RecordError(record.name, str(exc)) from None
-    facts = {fact: getattr(record, fact) for fact in ("order", "pi", "mu", "has9", "has25")}
+        order = factorize(psl2_order_formula(q))
+        spectrum = psl2_spectrum(q)
+    except OverflowError:
+        return CrosscheckReport(record.name, "cited", _CITED)
+    except ValueError:  # factorize(0) for q below 2, psl2_spectrum for the rest
+        raise RecordError(record.name, f"{q} is not a prime power") from None
+    oracle = {"order": order, "pi": spectrum.pi(), "mu": spectrum,
+              "has9": spectrum.contains(9), "has25": spectrum.contains(25)}
+    facts = {fact: getattr(record, fact) for fact in oracle}
     missing = [f for f, v in facts.items() if v is None]
-    problems = [f for f, v in facts.items() if v is not None and v != getattr(oracle, f)]
+    problems = [f for f, v in facts.items() if v is not None and v != oracle[f]]
     if problems:
         raise CrosscheckError(
             f"record {record.name} disagrees with the torus census: {', '.join(problems)}"

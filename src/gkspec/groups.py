@@ -3,13 +3,14 @@
 Three families live here: the three-prime tightness witness, given by the
 two unit multiplications that act on its field summands, semilinear
 kernel-complement groups inside GammaL1(p^k) such as 23:11 on
-GF(2^11), and PSL2(q) spectra from a census of SL2(q) over its two tori,
-of orders q - 1 and q + 1 (Dickson).  No spectrum lists an acting group,
-matrix or field element; enumeration and the trace recurrence survive as
-test oracles.
+GF(2^11), and PSL2(q) spectra from Dickson's closed form, the divisor
+closure of p and the two torus orders (q - 1)/d and (q + 1)/d, d =
+gcd(2, q - 1).  No spectrum lists an acting group, matrix or field
+element; matrix enumeration and the trace recurrence survive as test
+oracles.
 The group order is the closed form psl2_order_formula, which the tests
-tie to the census total.  The hypothesis checker for the two-condition
-spectrum criterion rounds out the module.
+tie to the enumeration's total.  The hypothesis checker for the
+two-condition spectrum criterion rounds out the module.
 """
 
 from __future__ import annotations
@@ -113,62 +114,22 @@ def build_gamma_frobenius(
     return GammaSemilinearGroup(field, zeta, actions, fpf)
 
 
-PSL2_MAX_Q = 64  # largest q that psl2_order_counts accepts
+@cache
+def psl2_spectrum(q: int) -> OrderSet:
+    """Element orders of PSL2(q) for a prime power q = p^k; memoized.
 
-
-def _torus_census(q: int, p: int):
-    """(projective order, number of matrices) for each part of SL2(q), q = p^k.
-
-    The parts are the scalars, the non-scalars of trace +-2, and each
-    eigenvalue lambda != +-1 of the tori (Dickson): GF(q)*, cyclic of order
-    q - 1, and the norm-1 subgroup of GF(q^2)*, of order q + 1.  The pair
-    {lambda, 1/lambda} has a class of q(q+1) matrices in the first, q(q-1)
-    in the second, half for each lambda.  A^n is scalar exactly when
-    lambda^(2n) = 1, so lambda = g^i of order m gives order m / gcd(2i, m).
+    By Dickson's classification (*Linear Groups*, 1901) a nontrivial
+    element is unipotent, of order p, or lies in a cyclic torus of order
+    (q - 1)/d or (q + 1)/d, d = gcd(2, q - 1): the spectrum is the divisor
+    closure of those three.  ValueError for a q that is no prime power,
+    OverflowError (from factorize) for q >= 2^63.
     """
-    scalars = 1 if p == 2 else 2  # +-I, one matrix when p is 2
-    yield 1, scalars
-    yield p, scalars * (q * q - 1)  # unipotents times +-I: trace +-2
-    for m, half_class in ((q - 1, q * (q + 1) // 2), (q + 1, q * (q - 1) // 2)):
-        for i in range(m):
-            if 2 * i % m:  # lambda^2 != 1, that is lambda != +-1
-                yield m // gcd(2 * i, m), half_class
-
-
-def psl2_order_counts(q: int) -> list[int]:
-    """Projective orders of all determinant-one 2x2 matrices over GF(q).
-
-    Entry e of the result, a list of 4q + 8 entries, counts the matrices
-    whose e-th power is scalar and no smaller positive power is.  They come
-    from the torus census (_torus_census), about 2q integer gcds, and are
-    checked against |SL2(q)| = q(q-1)(q+1) before they are returned.  Only
-    prime powers q <= PSL2_MAX_Q are accepted.  That bound is no cost
-    bound: it fixes which L2(q) records crosscheck_record verifies, and
-    past 43^2 = 1849 the L2(43^2) record would turn from cited to verified.
-    """
-    if not 2 <= q <= PSL2_MAX_Q:
-        raise ValueError(f"q must be a prime power in [2, {PSL2_MAX_Q}]")
-    pairs = factorize(q).pairs
+    pairs = factorize(q).pairs if q > 1 else ()
     if len(pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, _),) = pairs
-    counts = [0] * (4 * q + 8)
-    for order, matrices in _torus_census(q, p):
-        counts[order] += matrices
-    if sum(counts) != q * (q - 1) * (q + 1):
-        raise AssertionError("torus census missed determinant-one matrices")
-    return counts
-
-
-@cache
-def psl2_spectrum(q: int) -> OrderSet:
-    """Element orders of PSL2(q) for a prime power q <= PSL2_MAX_Q.
-
-    The orders present in the torus census (psl2_order_counts), which
-    also rejects q out of range.  Memoized, so each q is computed once
-    per process.
-    """
-    return OrderSet.from_generators(e for e, c in enumerate(psl2_order_counts(q)) if c)
+    d = gcd(2, q - 1)
+    return OrderSet.from_generators((p, (q - 1) // d, (q + 1) // d))
 
 
 def psl2_order_formula(q: int) -> int:

@@ -306,7 +306,7 @@ def _check_remark_sampling(corpus):
     return "10000 sampled element orders all lie in the structural spectrum"
 
 
-# -- PSL2 spectra from the torus census ----------------------------------------
+# -- PSL2 spectra from Dickson's closed form -----------------------------------
 
 def _check_psl2_23(corpus):
     s = groups.psl2_spectrum(23)

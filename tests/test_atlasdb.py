@@ -1,7 +1,7 @@
 """Record database: parser, invariants, selection filters, crosschecks."""
 
 import random
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -18,12 +18,11 @@ from gkspec.atlasdb import (
     load,
     parse_records,
     record,
-    record_from_psl2,
     run_filter,
     stored_spectrum,
 )
-from gkspec.groups import psl2_spectrum
 from gkspec.orderset import Factorization, OrderSet, factorize, product_spectrum
+from test_kernels import PRIME_POWERS_TO_64, enumerated_order_counts, field_tables, orders_present
 
 J4_PRIMES = (2, 3, 5, 7, 11, 23, 29, 31, 37, 43)
 
@@ -412,7 +411,7 @@ def test_crosscheck_l2_records_verified():
     assert statuses["L2(32)"] == "verified"
     assert statuses["L2(43)"] == "verified"
     assert statuses["J4"] == "cited"
-    assert statuses["L2(43^2)"] == "cited"  # beyond the enumeration range
+    assert statuses["L2(43^2)"] == "partial"  # it stores no mu
 
 
 def test_crosscheck_detects_tampering():
@@ -445,9 +444,17 @@ def test_crosscheck_partial_record_is_not_verified():
 
 
 def test_record_from_psl2_consistent():
-    record = record_from_psl2(23)
-    assert record.name == "L2(23)"
-    assert record.order == factorize(6072)
-    assert record.mu is psl2_spectrum(23)
-    assert crosscheck_record(record).status == "verified"
-    assert record.has9 is False and record.has25 is False
+    # every fact from the matrix enumeration: a valid record, and verified
+    for q in PRIME_POWERS_TO_64:
+        counts = enumerated_order_counts(q, *field_tables(q))
+        mu = OrderSet.from_generators(orders_present(counts))
+        record = GroupRecord(
+            name=f"L2({q})",
+            pi=mu.pi(),
+            order=factorize(sum(counts) // gcd(2, q - 1)),
+            mu=mu,
+            has9=mu.contains(9),
+            has25=mu.contains(25),
+            notes=(),
+        )
+        assert crosscheck_record(record).status == "verified", q

@@ -163,7 +163,7 @@ def test_coclique_beyond_64_vertices(capsys):
 
 
 def test_db_check_library_value_error_exits_2(tmp_path, capsys):
-    # the census rejects q; the message names the record that held it
+    # q is no prime power; the message names the record that held it
     db = tmp_path / "l2_6.db"
     db.write_text("group L2(6)\norder 2 3\npi 2,3\n")
     code, out, err = run(capsys, "db", "check", "--db", str(db))
@@ -174,14 +174,18 @@ def test_db_check_library_value_error_exits_2(tmp_path, capsys):
         db.write_text(f"group L2({q})\npi 2,3\n")
         code, out, err = run(capsys, "db", "check", "--db", str(db))
         assert (code, out) == (2, "")
-        assert err == f"error: record L2({q}): q must be a prime power in [2, 64]\n"
+        assert err == f"error: record L2({q}): {q} is not a prime power\n"
 
 
 def test_db_check_huge_psl2_name_is_cited(tmp_path, capsys):
     # q = 7^300000000 is far out of range; deciding so must not build the
-    # power, nor convert a base or exponent past int()'s 4300-digit limit
+    # power, nor convert a base or exponent past int()'s 4300-digit limit.
+    # Below 2^64, |PSL2(q)| leaves the 64-bit range from about q = 2^21 on,
+    # and the order is factored first
     nines = "9" * 5000
-    for name in ("L2(7^300000000)", f"L2(7^{nines})", f"L2({nines})"):
+    names = ("L2(7^300000000)", f"L2(7^{nines})", f"L2({nines})", "L2(2^61)",
+             "L2(9223372036854775783)", "L2(2^63)")
+    for name in names:
         db = tmp_path / "huge.db"
         db.write_text(f"group {name}\npi 2,3,7\n")
         t0 = time.perf_counter()
@@ -261,7 +265,7 @@ def test_db_check_output_on_embedded_corpus(capsys):
         "L2(29): verified (matches the PSL2(29) torus census)",
         "L2(32): verified (matches the PSL2(32) torus census)",
         "L2(43): verified (matches the PSL2(43) torus census)",
-        f"L2(43^2): {cited}",
+        "L2(43^2): partial (matches the PSL2(1849) torus census; stores no mu)",
         f"M22: {cited}",
         f"M23: {cited}",
         f"M24: {cited}",
@@ -271,6 +275,21 @@ def test_db_check_output_on_embedded_corpus(capsys):
         f"U4(7): {cited}",
         f"U7(2): {cited}",
     ])
+
+
+def test_db_check_fails_on_a_wrong_flag_of_l2_43_squared(tmp_path, capsys):
+    # L2(43^2) stores no mu, but its has25 is computed and compared
+    db = tmp_path / "has25.db"
+    text = EMBEDDED_DB.read_text(encoding="utf-8")
+    start = text.index("group L2(43^2)")
+    flag = text.index("flag has25 true", start)
+    assert flag < text.index("\n\n", start)
+    db.write_text(text[:flag] + "flag has25 false" + text[flag + len("flag has25 true"):])
+    code, _, err = run(capsys, "db", "check", "--db", str(db))
+    assert code == 1
+    assert err == (
+        "crosscheck failed: record L2(43^2) disagrees with the torus census: has25\n"
+    )
 
 
 def test_db_check_marks_an_incomplete_l2_record_partial(tmp_path, capsys):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gkspec import groups, verify
+from gkspec import verify
 from gkspec.gf import FiniteField, element_order, make_field, subgroup_generator
 from gkspec.groups import (
     build_gamma_frobenius,
@@ -17,7 +17,6 @@ from gkspec.groups import (
     check_proposition_hypotheses,
     gamma_frobenius_config,
     parse_psl2_name,
-    psl2_order_counts,
     psl2_order_formula,
     psl2_spectrum,
 )
@@ -30,6 +29,7 @@ from gkspec.linact import (
 from gkspec.atlasdb import load, stored_spectrum
 from gkspec.orderset import OrderSet, factorize, product_spectrum
 from gkspec.verify import run_checks
+from test_kernels import PRIME_POWERS_TO_64, enumerated_order_counts, field_tables
 
 
 # -- the three-prime witness -----------------------------------------------------
@@ -345,7 +345,7 @@ def test_gamma_23_11_complement_moves_every_kernel_element():
             assert f.frobenius(x, e) != x
 
 
-# -- PSL2 spectra from the torus census --------------------------------------------
+# -- PSL2 spectra from Dickson's closed form ---------------------------------------
 
 def test_psl2_23():
     s = psl2_spectrum(23)
@@ -367,13 +367,11 @@ def test_psl2_target_prime_intersections(q, targets, expected):
     assert tuple(sorted(set(psl2_spectrum(q).pi()) & set(targets))) == expected
 
 
-PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q).pairs) == 1]
-
-
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_psl2_order_matches_formula(q):
-    # the census counts SL2(q), whose centre has gcd(2, q - 1) elements
-    assert psl2_order_formula(q) * gcd(2, q - 1) == sum(psl2_order_counts(q))
+    # the enumeration counts SL2(q), whose centre has gcd(2, q - 1) elements
+    total = sum(enumerated_order_counts(q, *field_tables(q)))
+    assert psl2_order_formula(q) * gcd(2, q - 1) == total
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 23, 29, 32, 43])
@@ -395,38 +393,27 @@ def test_psl2_small_sanity():
 
 
 def test_psl2_rejects_bad_q():
-    with pytest.raises(ValueError):
-        psl2_spectrum(6)
-    with pytest.raises(ValueError):
-        psl2_spectrum(65)
-    with pytest.raises(ValueError):
-        psl2_spectrum(1)
+    for q in (6, 65, 1, 0, -4):
+        with pytest.raises(ValueError, match=rf"^{q} is not a prime power$"):
+            psl2_spectrum(q)
+    with pytest.raises(OverflowError):
+        psl2_spectrum(2**63)
 
 
-@pytest.mark.parametrize("q", [65, 1021, 1_000_003])
-def test_psl2_order_counts_refuses_large_q_at_once(q):
-    # refused before anything is factored or allocated; q = 1,000,003 alone
-    # would ask for a list of 4q + 8 counts
+def test_psl2_spectrum_of_a_large_q_is_at_once():
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"q must be a prime power in \[2, 64\]"):
-        psl2_order_counts(q)
+    s = psl2_spectrum(1_000_003)
+    assert s.maximal_elements == (500001, 500002, 1000003)
     assert time.perf_counter() - t0 < 1.0
-
-
-def test_psl2_order_counts_checks_census_total(monkeypatch):
-    census = groups._torus_census
-    # drop the last eigenvalue of the non-split torus
-    monkeypatch.setattr(groups, "_torus_census", lambda q, p: list(census(q, p))[:-1])
-    with pytest.raises(AssertionError, match="torus census missed"):
-        psl2_order_counts(23)
 
 
 def test_psl2_spectrum_is_memoized():
     assert psl2_spectrum(23) is psl2_spectrum(23)
     psl2_spectrum.cache_clear()
     assert run_checks().ok
-    # q = 23, 29, 32, 43: the db.load crosschecks reuse the psl2.* results
-    assert psl2_spectrum.cache_info().misses == 4
+    # q = 23, 29, 32, 43 and 43^2: the db.load crosschecks reuse the psl2.*
+    # results and compute L2(43^2)'s, which stores no mu and reads partial
+    assert psl2_spectrum.cache_info().misses == 5
 
 
 def test_parse_psl2_name():

@@ -2,11 +2,12 @@
 mod-p pass against the per-slot loop it replaced, packed arithmetic and
 the field constructor against the coefficient-tuple kernels they
 replaced, field arithmetic at a large prime against Python's modular
-integers, and the PSL2 torus census against full matrix enumeration, which
-is itself checked against power iteration, and against the trace
-recurrence beyond enumeration's reach.  The constructor and its Rabin
-oracle share no polynomial code: the oracle's gcd is its own Euclid below,
-while gkspec.gf decides each gcd by a norm in the candidate's ring."""
+integers, and PSL2(q) spectra from Dickson's closed form against full
+matrix enumeration, which is itself checked against power iteration, and
+against the trace recurrence beyond enumeration's reach.  The constructor
+and its Rabin oracle share no polynomial code: the oracle's gcd is its own
+Euclid below, while gkspec.gf decides each gcd by a norm in the
+candidate's ring."""
 
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from collections import Counter
 import pytest
 
 from gkspec.gf import FiniteField, make_field
-from gkspec.groups import _torus_census, psl2_order_counts
+from gkspec.groups import psl2_spectrum
 from gkspec.orderset import factorize
 
 # The coefficient-tuple kernels below were the library's GF(p^k) multiply,
@@ -246,9 +247,10 @@ def test_large_prime_arithmetic_is_exact():
 
 
 # Full enumeration of SL2(q) was the library's PSL2 kernel before the trace
-# census, and the trace census before the torus census; both stay as the
-# torus census's oracles.  Enumeration works over index tables of GF(q), the
-# trace census over FiniteField elements; the torus census builds no field.
+# census, the trace census before a census over the two tori, and that
+# before Dickson's closed form; enumeration and the trace census stay as the
+# closed form's oracles.  Enumeration works over index tables of GF(q), the
+# trace census over FiniteField elements; the closed form builds no field.
 
 
 def field_tables(q):
@@ -381,9 +383,15 @@ def test_power_iteration_counts_total_is_sl2_size():
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(factorize(q).pairs) == 1]
 
 
+def orders_present(counts):
+    """The orders e with a nonzero count counts[e]."""
+    return [e for e, c in enumerate(counts) if c]
+
+
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_psl2_census_matches_enumeration(q):
-    assert psl2_order_counts(q) == enumerated_order_counts(q, *field_tables(q))
+    counts = enumerated_order_counts(q, *field_tables(q))
+    assert psl2_spectrum(q).members() == orders_present(counts)
 
 
 def trace_counts(field):
@@ -401,7 +409,8 @@ def trace_counts(field):
 
 
 def recurrence_order_counts(q):
-    """psl2_order_counts(q) by trace, for any prime power q; about q^2 steps.
+    """enumerated_order_counts(q) by trace, for any prime power q; about q^2
+    steps.
 
     For det A = 1, Cayley-Hamilton gives A^n = U_n(t)*A - U_(n-1)(t)*I
     with t the trace, U_0 = 0, U_1 = 1 and U_(n+1) = t*U_n - U_(n-1).  So
@@ -430,12 +439,10 @@ def recurrence_order_counts(q):
 
 @pytest.mark.parametrize("q", [81, 125, 127, 128, 169])
 def test_torus_census_matches_recurrence_beyond_the_bound(q):
-    ((p, _),) = factorize(q).pairs
-    counts = [0] * (4 * q + 8)
-    for order, matrices in _torus_census(q, p):
-        counts[order] += matrices
+    # beyond enumeration's bound, q <= 64
+    counts = recurrence_order_counts(q)
     assert sum(counts) == q * (q - 1) * (q + 1)
-    assert counts == recurrence_order_counts(q)
+    assert psl2_spectrum(q).members() == orders_present(counts)
 
 
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q % 2])

@@ -115,12 +115,16 @@ def test_value_class_behaves_as_a_frozen_dataclass(case):
 @pytest.mark.parametrize("case", CASES, ids=[case[0].__name__ for case in CASES])
 def test_constructor_rejects_missing_extra_repeated_and_unknown_fields(case):
     cls, fields, args, *_ = case
-    for bad_args, bad_kwargs in (
+    bad_calls = [
         (args[:-1], {}),  # missing
         ((*args, None), {}),  # extra
         (args, {fields[0]: args[0]}),  # repeated
         (args, {"other": None}),  # unknown
-    ):
+        (args[:-1], {"other": None}),  # unknown in place of the last
+    ]
+    if len(fields) > 1:
+        bad_calls.append((args[:-1], {fields[0]: args[0]}))  # repeated in place of the last
+    for bad_args, bad_kwargs in bad_calls:
         with pytest.raises(TypeError):
             cls(*bad_args, **bad_kwargs)
 
