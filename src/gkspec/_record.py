@@ -7,10 +7,10 @@ constructor stores them by position or by name with _set
 layout, as writes to __dict__ would not), raises TypeError for a missing,
 extra, repeated or unknown field, as a frozen dataclass does, and calls
 the hook _post_init, where a subclass validates or derives state; _replace
-goes through both.  FieldElement, LinearAction and PrimeGraph, built on
-hot paths, keep their own __init__, 1.0-1.1 us a call faster, with
-parameters named exactly _fields, in order.  Record derives from _fields
-what a frozen dataclass derives from its field list: equality with
+goes through both.  FieldElement and LinearAction, built thousands of
+times a semidirect round, keep their own __init__, 1 us a call faster,
+with parameters named exactly _fields, in order.  Record derives from
+_fields what a frozen dataclass does from its field list: equality with
 instances of the same class only, the hash of the field tuple, a
 Name(a=..., b=...) repr and attributes that cannot be assigned or deleted.
 Any other attribute, such as one a derived descriptor fills on first use,

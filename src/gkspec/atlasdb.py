@@ -340,9 +340,9 @@ def crosscheck_record(record: GroupRecord) -> CrosscheckReport:
     problems = [f for f, v in facts.items() if v is not None and v != oracle[f]]
     if problems:
         raise CrosscheckError(
-            f"record {record.name} disagrees with the torus census: {', '.join(problems)}"
+            f"record {record.name} disagrees with Dickson's closed form: {', '.join(problems)}"
         )
-    detail = f"matches the PSL2({q}) torus census"
+    detail = f"matches Dickson's closed form for PSL2({q})"
     if missing:
         return CrosscheckReport(record.name, "partial", f"{detail}; stores no {', '.join(missing)}")
     return CrosscheckReport(record.name, "verified", detail)

@@ -108,9 +108,10 @@ class FiniteField(Record):
         self._frobenius_tables[1] = self._power_table(self._pow(1 << w, p))
 
     def __eq__(self, other):
-        # Record's equality, after an identity test: every LinearAction
-        # construction and every frobenius call compares two fields, almost
-        # always the one make_field returned
+        # Record's equality after an identity test, as each LinearAction and
+        # frobenius call compares two fields, almost always make_field's one:
+        # 3,069 calls in a semidirect round (seed 901), 0.21 against 1.35 us
+        # for != (timeit, 2 vCPUs), about 3.5 ms of its 97 ms of operations
         if self is other:
             return True
         return Record.__eq__(self, other)
@@ -209,7 +210,9 @@ class FiniteField(Record):
 
         Built on first use from y = x^(p^e), e passes of the e = 1 table,
         and kept in _frobenius_tables.  A pure function of the field, so
-        threads racing to build it store equal tables.
+        threads racing to build it store equal tables.  Keep, against e passes
+        of the e = 1 table per power: semidirect ops_per_s median 10,077 with,
+        9,496 without (IQR 327), 11 of 12 alternating 8 s pairs (seed 901).
         """
         images = self._frobenius_tables.get(e)
         if images is None:
@@ -331,7 +334,8 @@ class FieldElement(Record):
     field: FiniteField
     value: int
 
-    # own __init__: 0.28 vs 1.32 us through Record's (timeit); every field operation builds one
+    # own __init__: 4,698 in a semidirect round (seed 901), 0.39 against 1.42 us
+    # through Record's (timeit, 2 vCPUs), about 4.8 ms of its 97 ms of operations
     def __init__(self, field: FiniteField, value: int):
         _set_field(self, field)
         _set_value(self, value)

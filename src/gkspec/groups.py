@@ -10,13 +10,13 @@ element; matrix enumeration and the trace recurrence survive as test
 oracles.
 The group order is the closed form psl2_order_formula, which the tests
 tie to the enumeration's total.  The hypothesis checker for the
-two-condition spectrum criterion rounds out the module.
+two-condition spectrum criterion rounds out the module.  Nothing here is
+memoized; verify keeps the witness for one run (verify.Corpus).
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
 from math import gcd
 
 from ._record import Record
@@ -28,7 +28,6 @@ from .orderset import OrderSet, factorize
 ENUMERATION_LIMIT = 10**5
 
 
-@cache
 def build_remark_group() -> tuple[LinearAction, LinearAction]:
     """The tightness witness GF(3^16)+ x GF(3^4)+ acted on by C17 x C5, as
     its two acting multiplications, each on its own summand.
@@ -114,9 +113,8 @@ def build_gamma_frobenius(
     return GammaSemilinearGroup(field, zeta, actions, fpf)
 
 
-@cache
 def psl2_spectrum(q: int) -> OrderSet:
-    """Element orders of PSL2(q) for a prime power q = p^k; memoized.
+    """Element orders of PSL2(q) for a prime power q = p^k.
 
     By Dickson's classification (*Linear Groups*, 1901) a nontrivial
     element is unipotent, of order p, or lies in a cyclic torus of order

@@ -79,7 +79,9 @@ class LinearAction(Record):
 
     _fields = ("field", "mult", "galois_exp")
 
-    # own __init__: 0.76 vs 1.83 us through Record's (timeit); ~2,770 per semidirect round
+    # own __init__: 2,769 in a semidirect round (seed 901), 2,349 of them for
+    # build_gamma_frobenius's actions, 1.04 against 2.05 us through Record's
+    # (timeit, 2 vCPUs), about 2.8 ms of its 97 ms of operations
     def __init__(self, field: FiniteField, mult: FieldElement, galois_exp: int):
         _set(self, "field", field)
         _set(self, "mult", mult)

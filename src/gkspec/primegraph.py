@@ -12,7 +12,7 @@ Graphs are immutable; the search is deterministic.
 
 from __future__ import annotations
 
-from ._record import Record, _set
+from ._record import Record
 from .orderset import OrderSet
 
 
@@ -21,15 +21,12 @@ class PrimeGraph(Record):
 
     _fields = ("vertices", "edges")
 
-    # own __init__: 1.12 vs 2.12 us through Record's (timeit); 564 per spectra round
-    def __init__(self, vertices: tuple[int, ...], edges: frozenset[tuple[int, int]]):
+    def _post_init(self):
         # edges: (p, q) with p < q, each edge once
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
-        vset = set(vertices)
-        if len(vset) != len(vertices) or tuple(sorted(vset)) != vertices:
+        vset = set(self.vertices)
+        if len(vset) != len(self.vertices) or tuple(sorted(vset)) != self.vertices:
             raise ValueError("vertices must be sorted and distinct")
-        for p, q in edges:
+        for p, q in self.edges:
             if p >= q:
                 raise ValueError("edges must be stored with smaller endpoint first")
             if p not in vset or q not in vset:

@@ -3,10 +3,11 @@
 Each check has a stable id and a citation key so the report can be audited
 line by line.  Each check is a function of the run's one input, its Corpus:
 the record database at a path (None for the embedded one), whose J4 record
-is J4's one source; the rest comes from embedded data, memoized library
-builders and a fixed RNG seed, so output is identical across runs.  A check
-either returns a detail string (pass) or raises CheckFailure (fail);
-unexpected exceptions are reported as failures too, never swallowed.
+is J4's one source, and what several checks share, built once per run;
+the rest comes from embedded data, library builders and a fixed RNG seed,
+so output is identical across runs.  A check either returns a detail
+string (pass) or raises CheckFailure (fail); unexpected exceptions are
+reported as failures too, never swallowed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linact import (
     semidirect_element_order,
     semidirect_spectrum,
 )
-from .orderset import OrderSet, product_spectrum, wreath2_spectrum
+from .orderset import product_spectrum, wreath2_spectrum
 
 PI_1 = (5, 11, 23, 29, 31, 37, 43)
 PI_2 = (7, 11, 23, 29, 31, 37, 43)
@@ -75,20 +76,20 @@ class VerificationReport(Record):
 
 
 class Corpus:
-    """One verify run's record database: records(), J4's stored spectrum j4()
-    and its square j4xj4(), each built on first call and kept for the run.
-    A call that raises keeps nothing, so every check reading a database that
-    cannot be read fails with the same message."""
+    """One verify run's record database records(), J4's stored spectrum j4()
+    and its square j4xj4(), and the Remark witness remark_actions() and its
+    spectrum remark_spectrum(), each built on first call and kept for the
+    run.  A call that raises keeps nothing, so every check reading a
+    database that cannot be read fails with the same message."""
 
     def __init__(self, db_path=None):
         records = self.records = cache(lambda: tuple(atlasdb.load(db_path)))
         j4 = self.j4 = cache(lambda: atlasdb.stored_spectrum(records(), "J4"))
         self.j4xj4 = cache(lambda: product_spectrum(j4(), j4()))
-
-
-def _remark_spectrum() -> OrderSet:
-    """The witness spectrum, read by three checks."""
-    return reduce(product_spectrum, map(semidirect_spectrum, groups.build_remark_group()))
+        actions = self.remark_actions = cache(groups.build_remark_group)
+        self.remark_spectrum = cache(
+            lambda: reduce(product_spectrum, map(semidirect_spectrum, actions()))
+        )
 
 
 def _require(cond: bool, message: str):
@@ -215,7 +216,7 @@ def _check_wreath(corpus):
 # -- the three-prime witness --------------------------------------------------
 
 def _check_remark_spectrum(corpus):
-    s = _remark_spectrum()
+    s = corpus.remark_spectrum()
     _require(
         s.members() == [1, 3, 5, 15, 17, 51, 85],
         f"witness spectrum is {s.members()}",
@@ -226,7 +227,7 @@ def _check_remark_spectrum(corpus):
 
 
 def _check_remark_hypotheses(corpus):
-    s = _remark_spectrum()
+    s = corpus.remark_spectrum()
     cond1, cond2 = groups.check_proposition_hypotheses(s)
     _require(not cond1, f"divisibility condition fails: {cond1}")
     _require(not cond2, f"pair-membership condition fails: {cond2}")
@@ -270,8 +271,8 @@ def _check_remark_sampling(corpus):
     # holds every order in the group, at 4*i + 2*(a != 0) + (b != 0) for
     # actor i (multiplying by g1^(i // 5) and g2^(i % 5)) and vector
     # components a and b.
-    actions = groups.build_remark_group()
-    structural = set(_remark_spectrum().members())
+    actions = corpus.remark_actions()
+    structural = set(corpus.remark_spectrum().members())
     big, small = map(_factor_orders, actions)
     table = [lcm(x, y) for row in big for other in small for x in row for y in other]
     # 10^4 uniform draws from the whole group, each read as its element's
@@ -298,8 +299,7 @@ def _check_remark_sampling(corpus):
         raise CheckFailure(f"sampled element order {min(outside)} outside the structural spectrum")
     # orders 1 and 5 need an exactly-zero component in the large summand, so
     # only the positive-density orders are required to show up
-    if not {3, 15, 51, 85} <= seen:
-        raise CheckFailure(f"sampling missed expected orders: observed {sorted(seen)}")
+    _require({3, 15, 51, 85} <= seen, f"sampling missed expected orders: observed {sorted(seen)}")
     _require(
         every == structural, f"element orders {sorted(every)} differ from the structural spectrum"
     )
@@ -378,12 +378,8 @@ def _check_frobenius_arithmetic(corpus):
 def _check_db_load(corpus):
     db = corpus.records()
     _require(len(db) >= 16, f"corpus has {len(db)} records, expected at least 16")
-    verified = 0
-    for record in db:
-        report = atlasdb.crosscheck_record(record)
-        if report.status == "verified":
-            verified += 1
-    _require(verified >= 4, f"only {verified} records verified by the enumeration oracle")
+    verified = sum(atlasdb.crosscheck_record(record).status == "verified" for record in db)
+    _require(verified >= 4, f"only {verified} records verified by Dickson's closed form")
     return f"{len(db)} records load; {verified} verified against the enumeration oracle"
 
 

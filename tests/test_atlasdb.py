@@ -418,12 +418,12 @@ def test_crosscheck_detects_tampering():
     good = next(r for r in load() if r.name == "L2(23)")
     # each tampered record is partial too (order or mu absent), and still raises
     bad = good._replace(mu=OrderSet.from_generators([11, 12, 23, 5]), pi=(2, 3, 5, 11, 23), order=None)
-    with pytest.raises(CrosscheckError, match=r"torus census: pi, mu$"):
+    with pytest.raises(CrosscheckError, match=r"Dickson's closed form: pi, mu$"):
         crosscheck_record(bad)
     bad = good._replace(
         order=factorize(2**3 * 3 * 25 * 11 * 23), pi=(2, 3, 5, 11, 23), mu=None, has25=True
     )
-    with pytest.raises(CrosscheckError, match=r"torus census: order, pi, has25$"):
+    with pytest.raises(CrosscheckError, match=r"Dickson's closed form: order, pi, has25$"):
         crosscheck_record(bad)
     # facts a record does not store are not compared, and it is not verified
     sparse = good._replace(order=None, mu=None, has9=None, has25=None)
@@ -436,7 +436,7 @@ def test_crosscheck_partial_record_is_not_verified():
     report = crosscheck_record(stripped)
     assert (report.name, report.status) == ("L2(23)", "partial")
     assert report.detail == (
-        "matches the PSL2(23) torus census; stores no order, mu, has9, has25"
+        "matches Dickson's closed form for PSL2(23); stores no order, mu, has9, has25"
     )
     assert crosscheck_record(good._replace(has25=None)).detail.endswith("stores no has25")
     assert crosscheck_record(good).status == "verified"

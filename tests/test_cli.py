@@ -261,11 +261,11 @@ def test_db_check_output_on_embedded_corpus(capsys):
         f"Co2: {cited}",
         f"Co3: {cited}",
         f"J4: {cited}",
-        "L2(23): verified (matches the PSL2(23) torus census)",
-        "L2(29): verified (matches the PSL2(29) torus census)",
-        "L2(32): verified (matches the PSL2(32) torus census)",
-        "L2(43): verified (matches the PSL2(43) torus census)",
-        "L2(43^2): partial (matches the PSL2(1849) torus census; stores no mu)",
+        "L2(23): verified (matches Dickson's closed form for PSL2(23))",
+        "L2(29): verified (matches Dickson's closed form for PSL2(29))",
+        "L2(32): verified (matches Dickson's closed form for PSL2(32))",
+        "L2(43): verified (matches Dickson's closed form for PSL2(43))",
+        "L2(43^2): partial (matches Dickson's closed form for PSL2(1849); stores no mu)",
         f"M22: {cited}",
         f"M23: {cited}",
         f"M24: {cited}",
@@ -288,7 +288,7 @@ def test_db_check_fails_on_a_wrong_flag_of_l2_43_squared(tmp_path, capsys):
     code, _, err = run(capsys, "db", "check", "--db", str(db))
     assert code == 1
     assert err == (
-        "crosscheck failed: record L2(43^2) disagrees with the torus census: has25\n"
+        "crosscheck failed: record L2(43^2) disagrees with Dickson's closed form: has25\n"
     )
 
 
@@ -297,7 +297,10 @@ def test_db_check_marks_an_incomplete_l2_record_partial(tmp_path, capsys):
     db.write_text("group L2(23)\npi 2,3,11,23\n")
     code, out, err = run(capsys, "db", "check", "--db", str(db))
     assert (code, err) == (0, "")
-    assert out == "L2(23): partial (matches the PSL2(23) torus census; stores no order, mu, has9, has25)\n"
+    assert out == (
+        "L2(23): partial (matches Dickson's closed form for PSL2(23); "
+        "stores no order, mu, has9, has25)\n"
+    )
 
 
 def test_db_override_with_corrupt_file(tmp_path, capsys):
@@ -437,6 +440,19 @@ def test_verify_spectrum_primes_needs_j4_order(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--json", "--db", str(db))
     assert code == 1
     assert _statuses(out)["spectrum.primes"] == ("fail", "expected ten primes, found 9")
+
+
+def test_verify_db_load_needs_four_verified_records(tmp_path, capsys):
+    # without its mu line L2(23) reads partial, which leaves three verified
+    db = _embedded_copy(tmp_path)
+    code, out, _ = run(capsys, "verify", "--json", "--only", "db.load", "--db", str(db))
+    assert (code, _statuses(out)["db.load"][0]) == (0, "pass")
+    db = _embedded_copy(tmp_path, "mu 11,12,23\n")
+    code, out, _ = run(capsys, "verify", "--json", "--only", "db.load", "--db", str(db))
+    assert code == 1
+    assert _statuses(out) == {
+        "db.load": ("fail", "only 3 records verified by Dickson's closed form")
+    }
 
 
 def test_verify_parses_the_database_once(tmp_path, monkeypatch):

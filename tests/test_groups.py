@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gkspec import verify
+from gkspec import groups, verify
 from gkspec.gf import FiniteField, element_order, make_field, subgroup_generator
 from gkspec.groups import (
     build_gamma_frobenius,
@@ -42,14 +42,14 @@ def test_remark_group_structure():
 
 
 def test_remark_group_spectrum():
-    s = verify._remark_spectrum()
+    s = verify.Corpus().remark_spectrum()
     assert s.members() == [1, 3, 5, 15, 17, 51, 85]
     assert s.pi() == (3, 5, 17)
     assert s.sigma() == 2
 
 
 def test_remark_group_hypotheses_hold_with_equality():
-    s = verify._remark_spectrum()
+    s = verify.Corpus().remark_spectrum()
     assert check_proposition_hypotheses(s) == ((), ())
     assert s.pi() == (3, 5, 17)
     assert s.sigma() == 2
@@ -90,14 +90,29 @@ def test_remark_sampling_fails_when_an_expected_order_is_missed(monkeypatch):
 def test_remark_sampling_fails_on_a_member_no_element_has(monkeypatch):
     # 255 = 3 * 5 * 17 is no element order; the sampled orders still all lie
     # in the widened spectrum, so only the equality with the 340 orders fails
-    true_spectrum = verify._remark_spectrum()
+    true_spectrum = verify.Corpus().remark_spectrum()
     widened = OrderSet.from_generators(true_spectrum.maximal_elements + (255,))
-    monkeypatch.setattr(verify, "_remark_spectrum", lambda: widened)
+
+    class WidenedCorpus(verify.Corpus):
+        def __init__(self, db_path=None):
+            super().__init__(db_path)
+            self.remark_spectrum = lambda: widened
+
+    monkeypatch.setattr(verify, "Corpus", WidenedCorpus)
     result = _sampling_result()
     assert result.status == "fail"
     assert result.detail == (
         "element orders [1, 3, 5, 15, 17, 51, 85] differ from the structural spectrum"
     )
+
+
+def test_verify_builds_the_remark_witness_once(monkeypatch):
+    # the three remark checks share the run's witness and its spectrum
+    calls = []
+    build = groups.build_remark_group
+    monkeypatch.setattr(groups, "build_remark_group", lambda: calls.append(1) or build())
+    assert run_checks().ok
+    assert len(calls) == 1
 
 
 def test_remark_sampling_draws_the_seeded_stream(monkeypatch):
@@ -405,15 +420,6 @@ def test_psl2_spectrum_of_a_large_q_is_at_once():
     s = psl2_spectrum(1_000_003)
     assert s.maximal_elements == (500001, 500002, 1000003)
     assert time.perf_counter() - t0 < 1.0
-
-
-def test_psl2_spectrum_is_memoized():
-    assert psl2_spectrum(23) is psl2_spectrum(23)
-    psl2_spectrum.cache_clear()
-    assert run_checks().ok
-    # q = 23, 29, 32, 43 and 43^2: the db.load crosschecks reuse the psl2.*
-    # results and compute L2(43^2)'s, which stores no mu and reads partial
-    assert psl2_spectrum.cache_info().misses == 5
 
 
 def test_parse_psl2_name():

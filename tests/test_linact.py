@@ -486,7 +486,7 @@ def test_plan_orders_match_pair_oracle_remark_group():
             table = lcm(*(t[i][z] for t, i, z in zip(tables, exponents, zs)))
             assert got == plan == table, (exponents, zs)
             members.add(got)
-    assert sorted(members) == verify._remark_spectrum().members()
+    assert sorted(members) == verify.Corpus().remark_spectrum().members()
 
 
 def _plan_vectors(field, rng):
